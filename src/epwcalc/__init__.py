@@ -1,8 +1,8 @@
 """epwcalc: exact-arithmetic invariants of EPW cubes and the fixed locus
 of their antisymplectic involution.
 
-Everything is computed over Q (or over the rational-function field Q(q)
-in the BBF square of the polarization); no floats anywhere.
+Everything is computed over Q (or with Laurent polynomials in the BBF
+square q of the polarization); no floats anywhere.
 """
 
 from .degeneration import (

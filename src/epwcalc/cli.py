@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -254,6 +255,16 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads "-5/2" after an option as its value: argparse's own test for
+    negative numbers knows only "-5" and "-2.5", and takes anything else
+    that starts with "-" for an option.  Subparsers inherit the class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+
+
 def _build_fujiki(args) -> Report:
     return Report("fujiki", {}, _rows_fujiki())
 
@@ -332,7 +343,7 @@ def _build_report_all(args) -> Report:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="epwcalc",
         description="Exact-arithmetic invariants of EPW cubes and the fixed "
                     "locus of their antisymplectic involution.",

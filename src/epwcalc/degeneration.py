@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, perm
+from math import comb, perm
 
 from .lagrangian import fixed_locus_invariants
 from .mukai import MukaiVector, mukai_pairing
@@ -158,96 +158,56 @@ def ext_dimensions() -> dict[str, int]:
 
 
 # ---------------------------------------------------------------------------
-# Kuranishi identity: a tiny multivariate polynomial calculator
+# Kuranishi identity: membership in a principal ideal
 # ---------------------------------------------------------------------------
 
 _KVARS = ("a1", "a2", "b1", "b2")
 
 
-def _grlex(mono):
+def _grlex(mono: tuple[int, ...]):
     return (sum(mono), mono)
 
 
-class MPoly:
-    """Polynomial in a1, a2, b1, b2 with Fraction coefficients; just enough
-    arithmetic for reduction modulo a list of divisors in graded-lex order."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {m: Fraction(c) for m, c in (terms or {}).items() if c != 0}
-
-    @classmethod
-    def variable(cls, name: str) -> "MPoly":
-        i = _KVARS.index(name)
-        mono = tuple(1 if j == i else 0 for j in range(len(_KVARS)))
-        return cls({mono: 1})
-
-    @classmethod
-    def constant(cls, c: Rational) -> "MPoly":
-        return cls({(0,) * len(_KVARS): c})
-
-    def __add__(self, other: "MPoly") -> "MPoly":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
-        return MPoly(out)
-
-    def __sub__(self, other: "MPoly") -> "MPoly":
-        return self + (-1) * other
-
-    def __rmul__(self, scalar) -> "MPoly":
-        return MPoly({m: Fraction(scalar) * c for m, c in self.terms.items()})
-
-    def __mul__(self, other: "MPoly") -> "MPoly":
-        out: dict[tuple, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(e1 + e2 for e1, e2 in zip(m1, m2))
-                out[m] = out.get(m, Fraction(0)) + c1 * c2
-        return MPoly(out)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def leading(self):
-        m = max(self.terms, key=_grlex)
-        return m, self.terms[m]
-
-    def reduce_modulo(self, divisors: list["MPoly"]) -> "MPoly":
-        """Remainder of multivariate division by the divisor list."""
-        remainder = MPoly()
-        p = MPoly(self.terms)
-        while not p.is_zero():
-            lm, lc = p.leading()
-            for d in divisors:
-                if d.is_zero():
-                    continue
-                dm, dc = d.leading()
-                if all(e1 >= e2 for e1, e2 in zip(lm, dm)):
-                    shift = tuple(e1 - e2 for e1, e2 in zip(lm, dm))
-                    p = p - (lc / dc) * (MPoly({shift: 1}) * d)
-                    break
-            else:
-                remainder = remainder + MPoly({lm: lc})
-                p = p - MPoly({lm: lc})
-        return remainder
+def _monomial(**powers: int) -> tuple[int, ...]:
+    """Exponent tuple over a1, a2, b1, b2."""
+    return tuple(powers.get(v, 0) for v in _KVARS)
 
 
-def kuranishi_identity_check(u2_sign: int = -1, relations: list[MPoly] | None = None) -> bool:
-    """Whether u1^2 - u2*u3 reduces to zero modulo a1*b1 + a2*b2 after the
+def _times(m1: tuple[int, ...], m2: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(e1 + e2 for e1, e2 in zip(m1, m2))
+
+
+def _add_term(poly: dict, mono: tuple[int, ...], coeff: Fraction) -> None:
+    coeff += poly.pop(mono, 0)
+    if coeff:
+        poly[mono] = coeff
+
+
+def kuranishi_identity_check(u2_sign: int = -1) -> bool:
+    """Whether u1^2 - u2*u3 lies in the ideal (a1*b1 + a2*b2) after the
     substitution u1 = a1*b1, u2 = u2_sign*a1*b2, u3 = a2*b1.
 
-    The sign and the relation ideal are parameters so that the failure of
-    perturbed versions is testable; the defaults encode the identity that
-    matches the singularity type seen at the contraction."""
-    a1, a2, b1, b2 = (MPoly.variable(n) for n in _KVARS)
-    if relations is None:
-        relations = [a1 * b1 + a2 * b2]
-    u1 = a1 * b1
-    u2 = u2_sign * (a1 * b2)
-    u3 = a2 * b1
-    return (u1 * u1 - u2 * u3).reduce_modulo(list(relations)).is_zero()
+    A single generator is a Groebner basis of its ideal, so membership is
+    exact division by it in graded-lex order: the polynomial (a dict from
+    monomial to coefficient) lies in the ideal exactly when every leading
+    term met along the way is divisible by the generator's.  The sign is a
+    parameter so that the failure of the perturbed identity is testable;
+    the default matches the singularity type seen at the contraction."""
+    u1, u2, u3 = _monomial(a1=1, b1=1), _monomial(a1=1, b2=1), _monomial(a2=1, b1=1)
+    poly: dict[tuple[int, ...], Fraction] = {}
+    _add_term(poly, _times(u1, u1), Fraction(1))
+    _add_term(poly, _times(u2, u3), Fraction(-u2_sign))
+    generator = {_monomial(a1=1, b1=1): 1, _monomial(a2=1, b2=1): 1}
+    lead = max(generator, key=_grlex)
+    while poly:
+        mono = max(poly, key=_grlex)
+        shift = tuple(e - f for e, f in zip(mono, lead))
+        if min(shift) < 0:
+            return False
+        factor = poly[mono] / generator[lead]
+        for m, c in generator.items():
+            _add_term(poly, _times(shift, m), -factor * c)
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -301,15 +261,15 @@ def sym_prod_eval(cls: SymProdClass) -> Fraction:
     return sum((c * perm(cls.genus, i) for i, c in enumerate(cls.coeffs)), Fraction(0))
 
 
-def jacobian_class_of_E(genus: int = 10) -> Fraction:
+def jacobian_class_of_E(genus: int = 10) -> int:
     """Coefficient t in [E] = t * theta^(g-2)/(g-2)! inside the Jacobian.
 
     E pushes forward to -6*[Gamma^(2)] + [Gamma^(3)]*theta with [Gamma^(i)]
-    = theta^(g-i)/(g-i)!, which collapses to (g-8) by factorial algebra."""
+    = theta^(g-i)/(g-i)!, which collapses to (g-8) by factorial algebra:
+    theta^(g-3)/(g-3)! * theta = (g-2) * theta^(g-2)/(g-2)!."""
     if genus < 3:
         raise ValueError("the calculus needs genus >= 3")
-    coefficient = Fraction(-6, factorial(genus - 2)) + Fraction(1, factorial(genus - 3))
-    return coefficient * factorial(genus - 2)
+    return genus - 8
 
 
 # ---------------------------------------------------------------------------

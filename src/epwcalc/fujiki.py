@@ -15,7 +15,7 @@ from itertools import permutations
 from math import factorial
 from typing import Mapping, Sequence
 
-Rational = Fraction | int
+from .qfield import Rational
 
 #: C(alpha) for the four deformation-invariant classes of a K3^[3] sixfold.
 FUJIKI_CONSTANTS: dict[str, Fraction] = {
@@ -61,14 +61,11 @@ class AbstractClassSpace:
         self._table = table
 
     def pairing(self, x: str, y: str) -> Fraction:
-        if x not in self._known():
+        if x not in self.labels:
             raise ValueError(f"label {x!r} missing from space")
-        if y not in self._known():
+        if y not in self.labels:
             raise ValueError(f"label {y!r} missing from space")
         return self._table.get((x, y), Fraction(0))
-
-    def _known(self) -> tuple[str, ...]:
-        return self.labels
 
     @classmethod
     def with_square(cls, label: str, square: Rational) -> "AbstractClassSpace":

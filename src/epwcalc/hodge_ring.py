@@ -1,6 +1,6 @@
 """The graded ring of Hodge classes of a very general polarized
 hyper-Kähler sixfold of K3^[3] type, parametric in the BBF square q of the
-polarization h.
+polarization h: every coefficient is a Laurent polynomial in q.
 
 Basis by even degree (dimensions 1, 1, 3, 3, 3, 1, 1):
 
@@ -52,7 +52,7 @@ ETA_SQUARE = Fraction(4)
 
 _Q = ParametricScalar.q()
 
-#: integrals of the degree-12 monomials in h, c2, c4 as elements of Q(q)
+#: integrals of the degree-12 monomials in h, c2, c4, each C(alpha) * q^(3-k)
 TOP_INTEGRALS: dict[str, ParametricScalar] = {
     "h^6": fujiki_constant("1") * _Q ** 3,
     "h^4*c2": fujiki_constant("c2") * _Q ** 2,
@@ -221,7 +221,7 @@ def c2_squared_class() -> HodgeClass:
 
 
 # ---------------------------------------------------------------------------
-# multiplication table: (label, label) -> {target label: coefficient in Q(q)}
+# multiplication table: (label, label) -> {target label: Laurent coefficient in q}
 # None marks products the pairing data does not determine.
 # ---------------------------------------------------------------------------
 
@@ -320,7 +320,7 @@ def multiply(x: HodgeClass, y: HodgeClass) -> HodgeClass:
 
 
 def integrate(x: HodgeClass) -> ParametricScalar:
-    """Integral of a degree-12 class over the sixfold, in Q(q)."""
+    """Integral of a degree-12 class over the sixfold, a Laurent polynomial in q."""
     if x.degree != 12:
         raise ValueError("only degree-12 classes integrate to a number")
     return x.coefficient("h^6") * TOP_INTEGRALS["h^6"] + ETA_SQUARE * x.eta_sq

@@ -1,285 +1,143 @@
-"""Exact scalars: the field Q(q) of rational functions in one indeterminate.
+"""Exact scalars: Laurent polynomials in the BBF square q, over Q.
 
-Every coefficient in the package lives here (or in its subfield Q via
-``fractions.Fraction``), so computations are exact and can be specialized
-at any rational value of q where the denominator does not vanish.  The
-canonical form (numerator and denominator coprime, denominator monic)
-makes equality structural, which the symbolic checks rely on.
-"""
+Every intersection number is a Fujiki constant times a power of q, so the
+Hodge ring only ever divides by a single term; any other division raises.
+The form (exponent -> nonzero ``Fraction``) is unique, so equality is
+structural, which the symbolic checks rely on."""
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
 Rational = Fraction | int
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
-
-# ---------------------------------------------------------------------------
-# dense polynomial helpers: tuples of Fraction, constant coefficient first
-# ---------------------------------------------------------------------------
-
-def _trim(coeffs) -> tuple[Fraction, ...]:
-    n = len(coeffs)
-    while n and coeffs[n - 1] == 0:
-        n -= 1
-    return tuple(coeffs[:n])
-
-
-def _padd(a, b):
-    out = [_ZERO] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] += c
-    return _trim(out)
-
-
-def _pneg(a):
-    return tuple(-c for c in a)
-
-
-def _pmul(a, b):
-    if not a or not b:
-        return ()
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return _trim(out)
-
-
-def _pdivmod(a, b):
-    """Polynomial division; b must be nonzero."""
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    if len(a) < len(b):
-        return (), _trim(a)
-    quot = [_ZERO] * (len(a) - len(b) + 1)
-    inv = 1 / b[-1]
-    for i in range(len(a) - len(b), -1, -1):
-        c = a[i + len(b) - 1] * inv
-        if c:
-            quot[i] = c
-            for j, cb in enumerate(b):
-                a[i + j] -= c * cb
-    return _trim(quot), _trim(a)
-
-
-def _pgcd(a, b):
-    while b:
-        a, b = b, _pdivmod(a, b)[1]
-    if a:
-        lead = a[-1]
-        a = tuple(c / lead for c in a)
-    return a
-
-
-def _peval(a, x: Fraction) -> Fraction:
-    acc = _ZERO
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc
-
-
-def _pstr(a, var: str = "q") -> str:
-    """Human-readable form, highest power first; coefficients are integers
-    by the time this is called."""
-    if not a:
-        return "0"
+def _pstr(terms: dict[int, Rational]) -> str:
+    """Integer-coefficient terms, highest power first: 15*q^3 - q + 2."""
     parts = []
-    for k in range(len(a) - 1, -1, -1):
-        c = a[k]
-        if c == 0:
-            continue
-        if k == 0:
-            body = str(abs(c))
-        else:
-            mag = abs(c)
-            head = "" if mag == 1 else f"{mag}*"
-            body = f"{head}{var}" + (f"^{k}" if k > 1 else "")
-        if not parts:
-            parts.append(("-" if c < 0 else "") + body)
-        else:
-            parts.append(("- " if c < 0 else "+ ") + body)
-    return " ".join(parts)
+    for k in sorted(terms, reverse=True):
+        c = terms[k]
+        power = "" if k == 0 else "q" if k == 1 else f"q^{k}"
+        body = str(abs(c)) if not power else power if abs(c) == 1 else f"{abs(c)}*{power}"
+        parts.append(("- " if c < 0 else "+ ") + body)
+    text = " ".join(parts)
+    return text[2:] if text[0] == "+" else "-" + text[2:]
+
+
+def _lifted(method):
+    """Binary operator on int, Fraction and ParametricScalar operands."""
+    @functools.wraps(method)
+    def apply(self, other):
+        other = ParametricScalar._coerce(other)
+        return NotImplemented if other is None else method(self, other)
+    return apply
 
 
 class ParametricScalar:
-    """An element of Q(q), kept reduced with a monic denominator."""
+    """A Laurent polynomial in q: exponent -> nonzero Fraction coefficient."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ("terms",)
 
-    def __init__(self, num=(), den=(_ONE,)):
-        if isinstance(num, (int, Fraction)):
-            num = (Fraction(num),)
-        if isinstance(den, (int, Fraction)):
-            den = (Fraction(den),)
-        num = _trim(tuple(Fraction(c) for c in num))
-        den = _trim(tuple(Fraction(c) for c in den))
-        if not den:
-            raise ZeroDivisionError("zero denominator in Q(q)")
-        if not num:
-            den = (_ONE,)
-        else:
-            g = _pgcd(num, den)
-            if len(g) > 1:
-                num = _pdivmod(num, g)[0]
-                den = _pdivmod(den, g)[0]
-            lead = den[-1]
-            if lead != 1:
-                num = tuple(c / lead for c in num)
-                den = tuple(c / lead for c in den)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+    def __init__(self, terms: dict[int, Rational] | Rational = 0):
+        if isinstance(terms, (int, Fraction)):
+            terms = {0: terms}
+        object.__setattr__(self, "terms", {k: Fraction(c) for k, c in terms.items() if c})
 
     def __setattr__(self, name, value):  # immutable
         raise AttributeError("ParametricScalar is immutable")
 
-    # -- constructors -------------------------------------------------------
-
     @classmethod
     def q(cls) -> "ParametricScalar":
         """The indeterminate itself."""
-        return cls((_ZERO, _ONE))
-
-    # -- queries -------------------------------------------------------------
-
-    @property
-    def is_constant(self) -> bool:
-        return len(self.num) <= 1 and self.den == (_ONE,)
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_constant:
-            raise ValueError(f"not a constant rational: {self}")
-        return self.num[0] if self.num else _ZERO
-
-    def evaluate(self, value: Rational) -> Fraction:
-        x = Fraction(value)
-        d = _peval(self.den, x)
-        if d == 0:
-            raise ZeroDivisionError(f"denominator vanishes at q={x}")
-        return _peval(self.num, x) / d
-
-    # -- arithmetic ----------------------------------------------------------
+        return cls({1: 1})
 
     @staticmethod
     def _coerce(value):
-        if isinstance(value, ParametricScalar):
-            return value
         if isinstance(value, (int, Fraction)):
             return ParametricScalar(value)
-        return None
+        return value if isinstance(value, ParametricScalar) else None
 
+    def evaluate(self, value: Rational) -> Fraction:
+        x = Fraction(value)
+        if x == 0 and any(k < 0 for k in self.terms):
+            raise ZeroDivisionError(f"negative power of q at q=0 in {self}")
+        return sum((c * x ** k for k, c in self.terms.items()), Fraction(0))
+
+    @_lifted
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return ParametricScalar(
-            _padd(_pmul(self.num, other.den), _pmul(other.num, self.den)),
-            _pmul(self.den, other.den),
-        )
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            out[k] = out.get(k, 0) + c
+        return ParametricScalar(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ParametricScalar(_pneg(self.num), self.den)
+        return ParametricScalar({k: -c for k, c in self.terms.items()})
 
+    @_lifted
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return self + (-other)
 
+    @_lifted
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return other + (-self)
 
+    @_lifted
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return ParametricScalar(_pmul(self.num, other.num), _pmul(self.den, other.den))
+        out: dict[int, Fraction] = {}
+        for i, a in self.terms.items():
+            for j, b in other.terms.items():
+                out[i + j] = out.get(i + j, 0) + a * b
+        return ParametricScalar(out)
 
     __rmul__ = __mul__
 
+    @_lifted
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if not other.num:
-            raise ZeroDivisionError("division by zero in Q(q)")
-        return ParametricScalar(_pmul(self.num, other.den), _pmul(self.den, other.num))
+        if not other.terms:
+            raise ZeroDivisionError("division by zero")
+        if len(other.terms) > 1:
+            raise ValueError(f"division by {other}, which is not a single term in q")
+        (j, b), = other.terms.items()
+        return ParametricScalar({k - j: c / b for k, c in self.terms.items()})
 
+    @_lifted
     def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return other / self
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
             return NotImplemented
         if exponent < 0:
-            if not self.num:
-                raise ZeroDivisionError("0 ** negative in Q(q)")
-            return ParametricScalar(self.den, self.num) ** (-exponent)
-        out = ParametricScalar(1)
-        base = self
-        k = exponent
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    # -- protocol ------------------------------------------------------------
+            return ONE / self ** -exponent
+        return functools.reduce(ParametricScalar.__mul__, [self] * exponent, ONE)
 
     def __bool__(self):
-        return bool(self.num)
+        return bool(self.terms)
 
+    @_lifted
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        return hash(frozenset(self.terms.items()))
 
     def __str__(self):
-        num, den = self.num, self.den
-        if not num:
+        if not self.terms:
             return "0"
-        # clear coefficient denominators for display only
-        scale = 1
-        for c in (*num, *den):
-            scale = scale * c.denominator // math.gcd(scale, c.denominator)
-        inum = [c * scale for c in num]
-        iden = [c * scale for c in den]
-        g = 0
-        for c in (*inum, *iden):
-            g = math.gcd(g, c.numerator)
-        if g > 1:
-            inum = [c / g for c in inum]
-            iden = [c / g for c in iden]
-        if iden == [1]:
-            return _pstr(inum)
-        top = _pstr(inum)
-        if len([c for c in inum if c]) > 1:
+        # num / (d * q^shift) with integer coefficients, d = lcm of denominators
+        shift = max(0, -min(self.terms))
+        d = math.lcm(*(c.denominator for c in self.terms.values()))
+        top = _pstr({k + shift: c * d for k, c in self.terms.items()})
+        if shift == 0 and d == 1:
+            return top
+        if len(self.terms) > 1:
             top = f"({top})"
-        bottom = _pstr(iden)
-        if len([c for c in iden if c]) > 1 or (iden[-1] != 1):
-            bottom = f"({bottom})"
-        return f"{top}/{bottom}"
+        bottom = _pstr({shift: d})
+        return f"{top}/{bottom}" if d == 1 else f"{top}/({bottom})"
 
     def __repr__(self):
         return f"ParametricScalar({self})"

@@ -19,7 +19,7 @@ def _capture(argv):
     return proc.returncode, proc.stdout, proc.stderr
 
 
-def test_exit_codes():
+def test_exit_codes(capsys):
     assert run(["euler", "--case", "natural", "--out", "/dev/null"]) == 0
     assert run(["no-such-command"]) == 2
     assert run([]) == 2
@@ -30,6 +30,13 @@ def test_exit_codes():
     assert run(["relations", "--q", "0"]) == 1
     assert run(["walls", "--beta", "-1"]) == 1
     assert run(["pell", "--bound", "0"]) == 1
+    # a negative fraction is a value, not an unknown option
+    assert run(["ring", "--q", "-1/2"]) == 1
+    capsys.readouterr()
+    assert run(["walls", "--beta", "-5/2"]) == 0
+    split = capsys.readouterr().out
+    assert run(["walls", "--beta=-5/2"]) == 0
+    assert split == capsys.readouterr().out != ""
 
 
 def test_error_goes_to_stderr():
