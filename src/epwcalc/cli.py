@@ -5,15 +5,22 @@ All reported values are exact rationals rendered as "p/q" (or a bare
 integer); facts that are not numbers (the involution case, booleans) are
 encoded as +1/-1 or 1/0 with the meaning spelled out in the note field.
 Output is byte-deterministic: same arguments, same bytes.
+
+The subcommands come from one registry of sections, and ``report-all``
+walks an ordered table over it.  The parser is built once per process, on
+the first call of ``build_parser``; ``run`` can be called again and again in
+one process, and each call parses into a fresh namespace, so no option
+carries over from one call to the next.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -29,15 +36,8 @@ def _fmt(value) -> str:
 @dataclass
 class Report:
     command: str
-    params: dict[str, str] = field(default_factory=dict)
-    rows: list[Row] = field(default_factory=list)
-
-    def add(self, label: str, value, note: str) -> None:
-        self.rows.append((label, value, note))
-
-    def extend(self, rows, prefix: str | None = None) -> None:
-        for label, value, note in rows:
-            self.add(f"{prefix}: {label}" if prefix else label, value, note)
+    params: dict[str, str]
+    rows: list[Row]
 
     def to_json(self) -> str:
         payload = {
@@ -232,7 +232,7 @@ def _rows_symprod(genus: int) -> list[Row]:
     return rows
 
 
-def _rows_f3(genus: int | None) -> list[Row]:
+def _rows_f3(genus: int) -> list[Row]:
     table = degeneration.f3_hodge_relations(genus)
     return [
         ("genus", table.genus, "third symmetric product of a curve of this genus"),
@@ -258,91 +258,102 @@ def _rational(text: str) -> Fraction:
 class _Parser(argparse.ArgumentParser):
     """Reads "-5/2" after an option as its value: argparse's own test for
     negative numbers knows only "-5" and "-2.5", and takes anything else
-    that starts with "-" for an option.  Subparsers inherit the class."""
+    that starts with "-" for an option.  Rejects "--q=--", for which
+    argparse before Python 3.12 drops the "--" and hands the option an
+    empty list as its value.  Subparsers inherit the class."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
 
-
-def _build_fujiki(args) -> Report:
-    return Report("fujiki", {}, _rows_fujiki())
-
-
-def _build_ring(args) -> Report:
-    return Report("ring", {"q": _fmt(args.q)}, _rows_ring(args.q))
+    def _get_values(self, action, arg_strings):
+        if action.option_strings and action.nargs is None and arg_strings == ["--"]:
+            raise argparse.ArgumentError(action, "expected one argument")
+        return super()._get_values(action, arg_strings)
 
 
-def _build_relations(args) -> Report:
-    return Report("relations", {"q": _fmt(args.q)}, _rows_relations(args.q))
+_Q = {"type": _rational, "default": Fraction(4),
+      "help": "BBF square of the polarization (default 4)"}
+_DEGREE = {"type": _rational, "default": Fraction(720),
+           "help": "h^3-degree of the fixed locus (default 720)"}
+_CASE = {"choices": ("natural", "opposite"), "default": "natural",
+         "help": "involution action on the non-Verbitsky summand"}
 
 
-def _build_betti(args) -> Report:
-    return Report("betti", {"case": args.case}, _rows_betti(args.case))
+#: (label prefix, section, arguments beyond the section's options) in report
+#: order.  A table rather than a walk over the registry, because the report
+#: interleaves the betti and euler rows of the two involution cases.
+_REPORT_ALL = (
+    ("fujiki", "fujiki", {}),
+    ("ring", "ring", {}),
+    ("relations", "relations", {}),
+    ("betti natural", "betti", {"case": "natural"}),
+    ("euler natural", "euler", {"case": "natural"}),
+    ("betti opposite", "betti", {"case": "opposite"}),
+    ("euler opposite", "euler", {"case": "opposite"}),
+    ("lagrangian", "lagrangian", {}),
+    ("fixed-locus", "fixed-locus", {}),
+    ("walls", "walls", {}),
+    ("pell", "pell", {"list_solutions": False}),
+    ("ext", "ext", {}),
+    ("kuranishi", "kuranishi", {}),
+    ("symprod", "symprod", {}),
+    ("f3", "f3", {}),
+)
 
 
-def _build_euler(args) -> Report:
-    return Report("euler", {"case": args.case}, _rows_euler(args.case))
+def _rows_report_all(q: Fraction, degree: Fraction) -> list[Row]:
+    """Every section of ``_REPORT_ALL`` at its defaults, except that q and
+    degree pass down to the sections that take them."""
+    shared = {"q": q, "degree": degree}
+    rows: list[Row] = []
+    for prefix, name, arguments in _REPORT_ALL:
+        _, section_rows, options = _SECTIONS[name]
+        kwargs = {opt: shared.get(opt, spec["default"]) for opt, spec in options.items()}
+        kwargs.update(arguments)
+        rows.extend((f"{prefix}: {label}", value, note)
+                    for label, value, note in section_rows(**kwargs))
+    return rows
 
 
-def _build_lagrangian(args) -> Report:
-    return Report("lagrangian", {"degree": _fmt(args.degree), "q": _fmt(args.q)},
-                  _rows_lagrangian(args.degree, args.q))
+#: subcommand -> (help, rows function, options).  ``options`` maps each
+#: option name to its ``add_argument`` keywords; the rows function takes the
+#: parsed options as keyword arguments, and the report's params are the same
+#: options, in declaration order, rendered with ``str``.
+_SECTIONS = {
+    "fujiki": ("generalized Fujiki constants", _rows_fujiki, {}),
+    "ring": ("top-degree integrals, Gram determinant, Chern numbers", _rows_ring,
+             {"q": _Q}),
+    "relations": ("degree-8 and degree-10 ring relations", _rows_relations, {"q": _Q}),
+    "betti": ("Betti numbers of the involution quotient", _rows_betti, {"case": _CASE}),
+    "euler": ("Euler characteristics of quotient and fixed locus", _rows_euler,
+              {"case": _CASE}),
+    "lagrangian": ("projection of the Lagrangian class", _rows_lagrangian,
+                   {"degree": _DEGREE, "q": _Q}),
+    "fixed-locus": ("invariants of the fixed threefold", _rows_fixed_locus,
+                    {"degree": _DEGREE, "q": _Q}),
+    "walls": ("wall point, central charges, contracted ray", _rows_walls,
+              {"beta": {"type": _rational, "default": Fraction(-2),
+                        "help": "beta coordinate on the wall branch (default -2)"}}),
+    "pell": ("spherical classes on the wall from the Pell equation", _rows_pell,
+             {"bound": {"type": int, "default": 10 ** 6,
+                        "help": "list solutions with |x| up to this bound (default 10^6)"}}),
+    "ext": ("Ext dimensions at the contraction", _rows_ext, {}),
+    "kuranishi": ("Kuranishi identity for the singularity type", _rows_kuranishi, {}),
+    "symprod": ("symmetric-product intersection calculus", _rows_symprod,
+                {"genus": {"type": int, "default": 10, "help": "genus of the curve (default 10)"}}),
+    "f3": ("Hodge-number relations for the fixed threefold", _rows_f3,
+           {"genus": {"type": int, "default": degeneration.plane_curve_genus(6),
+                      "help": "genus override (default: plane sextic)"}}),
+    "report-all": ("every headline number in one report", _rows_report_all,
+                   {"q": _Q, "degree": _DEGREE}),
+}
 
 
-def _build_fixed_locus(args) -> Report:
-    return Report("fixed-locus", {"degree": _fmt(args.degree), "q": _fmt(args.q)},
-                  _rows_fixed_locus(args.degree, args.q))
-
-
-def _build_walls(args) -> Report:
-    return Report("walls", {"beta": _fmt(args.beta)}, _rows_walls(args.beta))
-
-
-def _build_pell(args) -> Report:
-    return Report("pell", {"bound": str(args.bound)}, _rows_pell(args.bound))
-
-
-def _build_ext(args) -> Report:
-    return Report("ext", {}, _rows_ext())
-
-
-def _build_kuranishi(args) -> Report:
-    return Report("kuranishi", {}, _rows_kuranishi())
-
-
-def _build_symprod(args) -> Report:
-    return Report("symprod", {"genus": str(args.genus)}, _rows_symprod(args.genus))
-
-
-def _build_f3(args) -> Report:
-    genus = args.genus
-    report = Report("f3", {}, _rows_f3(genus))
-    report.params["genus"] = str(report.rows[0][1])
-    return report
-
-
-def _build_report_all(args) -> Report:
-    q, degree = args.q, args.degree
-    report = Report("report-all", {"q": _fmt(q), "degree": _fmt(degree)})
-    report.extend(_rows_fujiki(), "fujiki")
-    report.extend(_rows_ring(q), "ring")
-    report.extend(_rows_relations(q), "relations")
-    for case in llv.CASES:
-        report.extend(_rows_betti(case), f"betti {case}")
-        report.extend(_rows_euler(case), f"euler {case}")
-    report.extend(_rows_lagrangian(degree, q), "lagrangian")
-    report.extend(_rows_fixed_locus(degree, q), "fixed-locus")
-    report.extend(_rows_walls(Fraction(-2)), "walls")
-    report.extend(_rows_pell(10 ** 6, list_solutions=False), "pell")
-    report.extend(_rows_ext(), "ext")
-    report.extend(_rows_kuranishi(), "kuranishi")
-    report.extend(_rows_symprod(10), "symprod")
-    report.extend(_rows_f3(None), "f3")
-    return report
-
-
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built on the first call and shared by
+    every later one; parsing leaves no state in it."""
     parser = _Parser(
         prog="epwcalc",
         description="Exact-arithmetic invariants of EPW cubes and the fixed "
@@ -351,71 +362,42 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a JSON report")
     common.add_argument("--out", metavar="PATH", help="write the report to a file")
-
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def cmd(name, builder, help_text, **extra):
-        p = sub.add_parser(name, parents=[common], help=help_text)
-        for flag, kwargs in extra.items():
-            p.add_argument(f"--{flag}", **kwargs)
-        p.set_defaults(builder=builder)
-        return p
-
-    q_opt = {"type": _rational, "default": Fraction(4),
-             "help": "BBF square of the polarization (default 4)"}
-    degree_opt = {"type": _rational, "default": Fraction(720),
-                  "help": "h^3-degree of the fixed locus (default 720)"}
-    case_opt = {"choices": ("natural", "opposite"), "default": "natural",
-                "help": "involution action on the non-Verbitsky summand"}
-
-    cmd("fujiki", _build_fujiki, "generalized Fujiki constants")
-    cmd("ring", _build_ring, "top-degree integrals, Gram determinant, Chern numbers",
-        q=dict(q_opt))
-    cmd("relations", _build_relations, "degree-8 and degree-10 ring relations",
-        q=dict(q_opt))
-    cmd("betti", _build_betti, "Betti numbers of the involution quotient",
-        case=dict(case_opt))
-    cmd("euler", _build_euler, "Euler characteristics of quotient and fixed locus",
-        case=dict(case_opt))
-    cmd("lagrangian", _build_lagrangian, "projection of the Lagrangian class",
-        degree=dict(degree_opt), q=dict(q_opt))
-    cmd("fixed-locus", _build_fixed_locus, "invariants of the fixed threefold",
-        degree=dict(degree_opt), q=dict(q_opt))
-    cmd("walls", _build_walls, "wall point, central charges, contracted ray",
-        beta=dict(type=_rational, default=Fraction(-2),
-                  help="beta coordinate on the wall branch (default -2)"))
-    cmd("pell", _build_pell, "spherical classes on the wall from the Pell equation",
-        bound=dict(type=int, default=10 ** 6,
-                   help="list solutions with |x| up to this bound (default 10^6)"))
-    cmd("ext", _build_ext, "Ext dimensions at the contraction")
-    cmd("kuranishi", _build_kuranishi, "Kuranishi identity for the singularity type")
-    cmd("symprod", _build_symprod, "symmetric-product intersection calculus",
-        genus=dict(type=int, default=10, help="genus of the curve (default 10)"))
-    cmd("f3", _build_f3, "Hodge-number relations for the fixed threefold",
-        genus=dict(type=int, default=None, help="genus override (default: plane sextic)"))
-    cmd("report-all", _build_report_all, "every headline number in one report",
-        q=dict(q_opt), degree=dict(degree_opt))
+    for command, (help_text, _, options) in _SECTIONS.items():
+        p = sub.add_parser(command, parents=[common], help=help_text)
+        for name, kwargs in options.items():
+            p.add_argument(f"--{name}", **kwargs)
     return parser
+
+
+def _error(exc: Exception) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return 1
 
 
 def run(argv=None) -> int:
     """Entry point; returns the exit code (0 ok, 1 computation, 2 usage)."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2
+    _, rows, options = _SECTIONS[args.command]
+    values = {name: getattr(args, name) for name in options}
     try:
-        report = args.builder(args)
+        report = Report(args.command, {name: str(value) for name, value in values.items()},
+                        rows(**values))
+        # rendering raises too: an int past the interpreter's digit limit
+        payload = report.to_json() if args.json else report.to_text()
     except (ValueError, ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    payload = report.to_json() if args.json else report.to_text()
-    if args.out:
-        Path(args.out).write_text(payload, encoding="utf-8")
-    else:
+        return _error(exc)
+    if not args.out:
         sys.stdout.write(payload)
+        return 0
+    try:
+        Path(args.out).write_text(payload, encoding="utf-8")
+    except OSError as exc:
+        return _error(exc)
     return 0
 
 

@@ -11,6 +11,7 @@ operations that appear."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, perm
@@ -297,6 +298,13 @@ class F3RelationTable:
     h12_minus_h02_minus_h11: Fraction  # from chi(Omega^1)
 
 
+@functools.cache
+def _epw_fixed_locus_invariants():
+    """The fixed-locus invariants at the EPW point; they depend on no
+    argument of ``f3_hodge_relations``, so they are computed once."""
+    return fixed_locus_invariants()
+
+
 def f3_hodge_relations(genus: int | None = None) -> F3RelationTable:
     """Hodge-number relations forced by degenerating the fixed threefold to
     the third symmetric product of a plane sextic (genus 10 by default).
@@ -309,7 +317,7 @@ def f3_hodge_relations(genus: int | None = None) -> F3RelationTable:
         genus = plane_curve_genus(6)
     if genus < 3:
         raise ValueError("the calculus needs genus >= 3")
-    invariants = fixed_locus_invariants()
+    invariants = _epw_fixed_locus_invariants()
     return F3RelationTable(
         genus=genus,
         h1_structure=0,

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from epwcalc.cli import run
+from epwcalc.cli import build_parser, run
 
 GOLDEN = Path(__file__).parent / "golden" / "report_all.json"
 
@@ -25,6 +25,7 @@ def test_exit_codes(capsys):
     assert run([]) == 2
     assert run(["ring", "--q", "abc"]) == 2
     assert run(["betti", "--case", "sideways"]) == 2
+    assert run(["lagrangian", "--degree=--"]) == 2
     # precondition violations surface as computation errors
     assert run(["ring", "--q", "-1"]) == 1
     assert run(["relations", "--q", "0"]) == 1
@@ -37,6 +38,44 @@ def test_exit_codes(capsys):
     split = capsys.readouterr().out
     assert run(["walls", "--beta=-5/2"]) == 0
     assert split == capsys.readouterr().out != ""
+    # a value too long to print is a computation error, not a traceback
+    assert run(["ring", "--q", "1" + "0" * 2000]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_out_to_an_unwritable_path_is_an_error(tmp_path, capsys):
+    for argv in (["ring", "--out", str(tmp_path / "no-such-dir" / "x")],
+                 ["report-all", "--out", str(tmp_path)]):
+        assert run(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_reused_parser_leaks_no_state(tmp_path, capsys):
+    assert build_parser() is build_parser()
+
+    assert run(["ring", "--q", "7", "--json"]) == 0
+    capsys.readouterr()
+    assert run(["ring", "--json"]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["params"] == {"q": "4"}
+    assert out == _capture(["ring", "--json"])[1]
+
+    target = tmp_path / "ring.txt"
+    assert run(["ring", "--out", str(target)]) == 0
+    assert run(["ring"]) == 0
+    assert capsys.readouterr().out == target.read_text() != ""
+
+    assert run(["lagrangian", "--degree", "72", "--q", "1", "--json"]) == 0
+    capsys.readouterr()
+    assert run(["lagrangian", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["params"] == {"degree": "720", "q": "4"}
+    values = {r["label"]: r["value"] for r in payload["results"]}
+    assert values["a (h^3 coefficient)"] == "15/8"
 
 
 def test_error_goes_to_stderr():
