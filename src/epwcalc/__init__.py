@@ -32,7 +32,6 @@ from .fujiki import (
     enumerate_matchings,
     fujiki_constant,
     polarized_integral,
-    polarized_integral_by_permutations,
 )
 from .hodge_ring import (
     BASIS,

@@ -248,11 +248,34 @@ def _rows_f3(genus: int) -> list[Row]:
 # argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
+#: largest exponent a value such as "1.5e3" may carry, and largest --bound.
+#: Past the first, ``Fraction`` builds an integer longer than the
+#: interpreter's default int-to-str limit of 4300 digits; past the second,
+#: the Pell report lists thousands of solutions, megabytes of them.
+_MAX_EXPONENT = 4300
+_MAX_BOUND = 10 ** 1000
+
+
 def _rational(text: str) -> Fraction:
+    _, e, exponent = text.lower().rpartition("e")
     try:
+        # a string with an "e" is a rational only if what follows is an int
+        if e and abs(int(exponent)) > _MAX_EXPONENT:
+            raise argparse.ArgumentTypeError(
+                f"exponent beyond {_MAX_EXPONENT} in magnitude: {text!r}")
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
+
+
+def _bound(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value > _MAX_BOUND:
+        raise argparse.ArgumentTypeError(f"bound above 10^1000: {text!r}")
+    return value
 
 
 class _Parser(argparse.ArgumentParser):
@@ -336,8 +359,9 @@ _SECTIONS = {
               {"beta": {"type": _rational, "default": Fraction(-2),
                         "help": "beta coordinate on the wall branch (default -2)"}}),
     "pell": ("spherical classes on the wall from the Pell equation", _rows_pell,
-             {"bound": {"type": int, "default": 10 ** 6,
-                        "help": "list solutions with |x| up to this bound (default 10^6)"}}),
+             {"bound": {"type": _bound, "default": 10 ** 6,
+                        "help": "list solutions with |x| up to this bound "
+                                "(default 10^6, at most 10^1000)"}}),
     "ext": ("Ext dimensions at the contraction", _rows_ext, {}),
     "kuranishi": ("Kuranishi identity for the singularity type", _rows_kuranishi, {}),
     "symprod": ("symmetric-product intersection calculus", _rows_symprod,

@@ -11,8 +11,6 @@ the right-hand side over perfect matchings of the degree-2 arguments.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
-from math import factorial
 from typing import Mapping, Sequence
 
 from .qfield import Rational
@@ -128,19 +126,3 @@ def polarized_integral(alpha: str, betas: Sequence[str], space: AbstractClassSpa
         total += term
     return constant * total / _double_factorial(need - 1)
 
-
-def polarized_integral_by_permutations(alpha: str, betas: Sequence[str],
-                                       space: AbstractClassSpace) -> Fraction:
-    """Reference evaluation of the same integral over the full symmetric
-    group instead of matchings; exponentially slower, kept as an oracle."""
-    constant = fujiki_constant(alpha)
-    need = CODEGREE[alpha]
-    if len(betas) != need:
-        raise ValueError(f"{alpha} integrates against {need} degree-2 classes, got {len(betas)}")
-    total = Fraction(0)
-    for perm in permutations(range(need)):
-        term = Fraction(1)
-        for k in range(0, need, 2):
-            term *= space.pairing(betas[perm[k]], betas[perm[k + 1]])
-        total += term
-    return constant * total / factorial(need)

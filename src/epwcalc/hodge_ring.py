@@ -12,35 +12,49 @@ Basis by even degree (dimensions 1, 1, 3, 3, 3, 1, 1):
     10: h^5
     12: h^6
 
-The classes lambda and eta sit outside the subring generated by degree 2
-and come only with pairing data: eta is orthogonal to h^3 and h*c2 and is
-normalized with eta^2 = 4.  Products the pairing data does not determine
-raise an error instead of inventing values; an eta x eta pairing is
-tracked in a ledger slot on the degree-12 result and consumed by
-``integrate``.
+Every basis label is a monomial h^i * c2^j * lambda^k, and the product of
+two basis classes is the sum of their exponents, rewritten onto the basis
+of its degree: c2^2 through the degree-8 relation and h^3*c2 through the
+degree-10 relation.  Both relations are derived at import time from the
+Fujiki constants and the Chern number c2*c4 = 14720, not copied in, so the
+solvers below are the single source of the multiplication table.
 
-All other relations (degree 8 and degree 10) are derived at import time
-from the Fujiki constants and the Chern number c2*c4 = 14720, not copied
-in, so the solvers below are the single source of the multiplication
-table.
+The classes lambda and eta sit outside the subring generated by h and c2
+and come only with pairing data: eta is orthogonal to h^3 and h*c2 and is
+normalized with eta^2 = 4.  Degree 12 is spanned by h^6, so the monomials
+in lambda whose integral that data fixes (h^4*lambda, h^2*c2*lambda and
+h^2*lambda^2) are that integral over the integral of h^6.  Products the
+pairing data does not determine raise an error instead of inventing values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .fujiki import fujiki_constant
 from .qfield import ONE, ZERO, ParametricScalar, Rational
 
+#: exponents of each basis label in (h, c2, lambda), in basis order
+_EXPONENTS: dict[str, tuple[int, int, int]] = {
+    "1": (0, 0, 0),
+    "h": (1, 0, 0),
+    "h^2": (2, 0, 0), "c2": (0, 1, 0), "lambda": (0, 0, 1),
+    "h^3": (3, 0, 0), "h*c2": (1, 1, 0), "eta": (1, 0, 1),
+    "h^4": (4, 0, 0), "h^2*c2": (2, 1, 0), "h^2*lambda": (2, 0, 1),
+    "h^5": (5, 0, 0),
+    "h^6": (6, 0, 0),
+}
+_LABEL = {exponents: label for label, exponents in _EXPONENTS.items()}
+
+
+def _degree(i: int, j: int, k: int) -> int:
+    return 2 * i + 4 * (j + k)
+
+
 BASIS: dict[int, tuple[str, ...]] = {
-    0: ("1",),
-    2: ("h",),
-    4: ("h^2", "c2", "lambda"),
-    6: ("h^3", "h*c2", "eta"),
-    8: ("h^4", "h^2*c2", "h^2*lambda"),
-    10: ("h^5",),
-    12: ("h^6",),
+    d: tuple(label for label, e in _EXPONENTS.items() if _degree(*e) == d)
+    for d in range(0, 13, 2)
 }
 
 #: Chern numbers that are inputs to the ring (the remaining ones are outputs).
@@ -59,6 +73,10 @@ TOP_INTEGRALS: dict[str, ParametricScalar] = {
     "h^2*c2^2": fujiki_constant("c2^2") * _Q,
     "h^2*c4": fujiki_constant("c4") * _Q,
 }
+
+#: integrals of the degree-12 monomials in lambda that the pairing data fixes:
+#: h^4*lambda = h^3*eta and h^2*c2*lambda = h*c2*eta give 0, h^2*lambda^2 = eta^2
+_LAMBDA_INTEGRALS = {(4, 0, 1): 0, (2, 1, 1): 0, (2, 0, 2): ETA_SQUARE}
 
 
 def derive_degree8_relation(q: Rational | None = None):
@@ -103,24 +121,16 @@ def derive_degree10_relations(q: Rational | None = None):
 
 @dataclass(frozen=True)
 class HodgeClass:
-    """A homogeneous Hodge class, as coefficients over BASIS[degree].
-
-    ``eta_sq`` is nonzero only in degree 12: it records how much of the
-    class came from an eta x eta pairing, which integrates to 4 per unit
-    but has no h^6 component of its own.
-    """
+    """A homogeneous Hodge class, as coefficients over BASIS[degree]."""
 
     degree: int
     coeffs: tuple[ParametricScalar, ...]
-    eta_sq: ParametricScalar = field(default=ZERO)
 
     def __post_init__(self):
         if self.degree not in BASIS:
             raise ValueError(f"no Hodge classes in degree {self.degree}")
         if len(self.coeffs) != len(BASIS[self.degree]):
             raise ValueError(f"degree {self.degree} needs {len(BASIS[self.degree])} coefficients")
-        if self.eta_sq and self.degree != 12:
-            raise ValueError("eta x eta ledger makes sense only in degree 12")
 
     # -- linear structure ---------------------------------------------------
 
@@ -129,11 +139,7 @@ class HodgeClass:
             return NotImplemented
         if self.degree != other.degree:
             raise ValueError("cannot add classes of different degrees")
-        return HodgeClass(
-            self.degree,
-            tuple(a + b for a, b in zip(self.coeffs, other.coeffs)),
-            self.eta_sq + other.eta_sq,
-        )
+        return HodgeClass(self.degree, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "HodgeClass") -> "HodgeClass":
         return self + (-other)
@@ -145,7 +151,7 @@ class HodgeClass:
         s = ParametricScalar._coerce(scalar)
         if s is None:
             raise TypeError(f"cannot scale by {scalar!r}")
-        return HodgeClass(self.degree, tuple(s * c for c in self.coeffs), s * self.eta_sq)
+        return HodgeClass(self.degree, tuple(s * c for c in self.coeffs))
 
     def __mul__(self, other):
         if isinstance(other, HodgeClass):
@@ -171,8 +177,6 @@ class HodgeClass:
 
     def __str__(self):
         parts = [f"({c})*{label}" for label, c in self._nonzero()]
-        if self.eta_sq:
-            parts.append(f"({self.eta_sq})*[eta^2]")
         return " + ".join(parts) if parts else f"0 (degree {self.degree})"
 
 
@@ -186,14 +190,11 @@ def basis_class(degree: int, label: str) -> HodgeClass:
     return HodgeClass(degree, tuple(ONE if cur == label else ZERO for cur in BASIS[degree]))
 
 
-_H_LABEL = {0: "1", 1: "h", 2: "h^2", 3: "h^3", 4: "h^4", 5: "h^5", 6: "h^6"}
-
-
 def h_power(k: int) -> HodgeClass:
     """h^k as a basis class (k = 0..6)."""
-    if k not in _H_LABEL:
+    if not 0 <= k <= 6:
         raise ValueError("h powers live in degrees 0..6")
-    return basis_class(2 * k, _H_LABEL[k])
+    return basis_class(2 * k, _LABEL[k, 0, 0])
 
 
 def c2_class() -> HodgeClass:
@@ -221,71 +222,34 @@ def c2_squared_class() -> HodgeClass:
 
 
 # ---------------------------------------------------------------------------
-# multiplication table: (label, label) -> {target label: Laurent coefficient in q}
-# None marks products the pairing data does not determine.
+# multiplication table: (label, label) -> {target label: Laurent coefficient in q},
+# generated from the monomial of each product.  None marks products the
+# pairing data does not determine.
 # ---------------------------------------------------------------------------
 
-_ETA_ETA = "eta-ledger"
-
-
 def _build_product_table():
-    table: dict[tuple[str, str], object] = {}
+    c2_squared = c2_squared_class()
+    r_h3c2 = derive_degree10_relations()[0]
 
-    def put(a: str, b: str, rule) -> None:
-        table[(a, b)] = rule
-        table[(b, a)] = rule
+    def rewrite(i: int, j: int, k: int) -> HodgeClass | None:
+        """h^i * c2^j * lambda^k on the basis of its degree."""
+        if (i, j, k) in _LABEL:
+            return basis_class(_degree(i, j, k), _LABEL[i, j, k])
+        if k:
+            integral = _LAMBDA_INTEGRALS.get((i, j, k))
+            return None if integral is None else (integral / TOP_INTEGRALS["h^6"]) * h_power(6)
+        if j >= 2:  # c2^2 = (C(c2^2)/C(c4)) * (x*h^4 + y*h^2*c2)
+            return (c2_squared.coefficient("h^4") * rewrite(i + 4, j - 2, 0)
+                    + c2_squared.coefficient("h^2*c2") * rewrite(i + 2, j - 1, 0))
+        return r_h3c2 * h_power(i + 2)  # h^3*c2 = r*h^5, times h^(i-3)
 
-    r8x, r8y = derive_degree8_relation()
-    ratio = fujiki_constant("c2^2") / fujiki_constant("c4")
-    r_h3c2, r_hc2sq, _ = derive_degree10_relations()
-
-    for i in range(1, 6):
-        for j in range(i, 7 - i):
-            put(_H_LABEL[i], _H_LABEL[j], {_H_LABEL[i + j]: ONE})
-
-    # c2 against the h, c2 monomials
-    put("h", "c2", {"h*c2": ONE})
-    put("h", "h*c2", {"h^2*c2": ONE})
-    put("h", "h^2*c2", {"h^5": r_h3c2})
-    put("h^2", "c2", {"h^2*c2": ONE})
-    put("h^2", "h*c2", {"h^5": r_h3c2})
-    put("h^2", "h^2*c2", {"h^6": r_h3c2})
-    put("h^3", "c2", {"h^5": r_h3c2})
-    put("h^3", "h*c2", {"h^6": r_h3c2})
-    put("h^4", "c2", {"h^6": r_h3c2})
-    put("c2", "c2", {"h^4": ratio * r8x, "h^2*c2": ratio * r8y})
-    put("c2", "h*c2", {"h^5": r_hc2sq})
-    put("c2", "h^2*c2", {"h^6": r_hc2sq})
-    put("h*c2", "h*c2", {"h^6": r_hc2sq})
-
-    # lambda and eta: only the products the relations force
-    put("h", "lambda", {"eta": ONE})
-    put("h^2", "lambda", {"h^2*lambda": ONE})      # the degree-8 basis monomial
-    put("h", "eta", {"h^2*lambda": ONE})
-    put("h^3", "eta", {})                          # orthogonal in the top pairing
-    put("h*c2", "eta", {})
-    put("eta", "eta", _ETA_ETA)
-
-    undetermined = [
-        ("h", "h^2*lambda"),
-        ("h^2", "eta"), ("h^2", "h^2*lambda"),
-        ("c2", "lambda"), ("c2", "eta"), ("c2", "h^2*lambda"),
-        ("lambda", "lambda"), ("lambda", "h^3"), ("lambda", "h*c2"),
-        ("lambda", "eta"), ("lambda", "h^4"), ("lambda", "h^2*c2"),
-        ("lambda", "h^2*lambda"),
-    ]
-    for a, b in undetermined:
-        put(a, b, None)
-
-    # every pair of positive degrees summing to at most 12 must be covered
-    for d1, labels1 in BASIS.items():
-        for d2, labels2 in BASIS.items():
-            if d1 == 0 or d2 == 0 or d1 + d2 > 12:
-                continue
-            for la in labels1:
-                for lb in labels2:
-                    if (la, lb) not in table:
-                        raise AssertionError(f"product table misses ({la}, {lb})")
+    positive = [(label, d) for d, labels in BASIS.items() if d for label in labels]
+    table: dict[tuple[str, str], dict[str, ParametricScalar] | None] = {}
+    for a, da in positive:
+        for b, db in positive:
+            if da + db <= 12:
+                rule = rewrite(*(s + t for s, t in zip(_EXPONENTS[a], _EXPONENTS[b])))
+                table[a, b] = None if rule is None else dict(rule._nonzero())
     return table
 
 
@@ -305,25 +269,21 @@ def multiply(x: HodgeClass, y: HodgeClass) -> HodgeClass:
     if degree > 12:
         raise ValueError(f"product degree {degree} exceeds the top degree 12")
     acc = {label: ZERO for label in BASIS[degree]}
-    eta_ledger = ZERO
     for la, ca in x._nonzero():
         for lb, cb in y._nonzero():
-            rule = _PRODUCTS[(la, lb)]
-            if rule is _ETA_ETA:
-                eta_ledger = eta_ledger + ca * cb
-                continue
+            rule = _PRODUCTS[la, lb]
             if rule is None:
                 raise ValueError(f"pairing-only class: no product rule for {la} * {lb}")
             for target, k in rule.items():
                 acc[target] = acc[target] + ca * cb * k
-    return HodgeClass(degree, tuple(acc[label] for label in BASIS[degree]), eta_ledger)
+    return HodgeClass(degree, tuple(acc.values()))
 
 
 def integrate(x: HodgeClass) -> ParametricScalar:
     """Integral of a degree-12 class over the sixfold, a Laurent polynomial in q."""
     if x.degree != 12:
         raise ValueError("only degree-12 classes integrate to a number")
-    return x.coefficient("h^6") * TOP_INTEGRALS["h^6"] + ETA_SQUARE * x.eta_sq
+    return x.coefficient("h^6") * TOP_INTEGRALS["h^6"]
 
 
 def integrate_product(x: HodgeClass, y: HodgeClass) -> ParametricScalar:

@@ -45,7 +45,6 @@ def rep_dimension(kind: str, n: int, k: int = 2) -> int:
 class LLVSummand:
     degree: int
     component: str
-    label: str
     dimension: int
     sign_natural: int
     sign_opposite: int
@@ -58,42 +57,28 @@ class LLVSummand:
         raise ValueError(f"unknown case {case!r}; expected one of {CASES}")
 
 
-def _verbitsky_slice(degree: int) -> list[tuple[str, int, int]]:
-    """(label, dimension, natural sign) for the Verbitsky part of a degree.
+def _verbitsky_slice(degree: int) -> list[tuple[int, int]]:
+    """(dimension, natural sign) for the Verbitsky part of a degree.
 
-    Half-degree k gives Sym^k of (T + Q*h); degrees above 6 mirror their
-    complements.  The natural sign is (-1)^(T factors).
+    Half-degree k gives Sym^k of (T + Q*h), one summand Sym^j(T).h^(k-j) per
+    number j of T factors; degrees above 6 mirror their complements.  The
+    natural sign is (-1)^j.
     """
     k = min(degree, 12 - degree) // 2
-    out = []
-    for j in range(k, -1, -1):  # j = number of T factors
-        if j == 0:
-            label = f"h^{k}" if k > 1 else ("h" if k == 1 else "1")
-        else:
-            t_part = f"Sym^{j}(T)" if j > 1 else "T"
-            if k - j == 0:
-                label = t_part
-            else:
-                label = f"{t_part}.h" if k - j == 1 else f"{t_part}.h^{k - j}"
-        out.append((label, rep_dimension("sym", T_DIM, j), (-1) ** j))
-    return out
+    return [(rep_dimension("sym", T_DIM, j), (-1) ** j) for j in range(k, -1, -1)]
 
 
-def _second_slice(degree: int) -> list[tuple[str, int, int]]:
+def _second_slice(degree: int) -> list[tuple[int, int]]:
     """Same data for the non-Verbitsky summand (degrees 4, 6, 8 only).
 
-    In the middle degree it is built from wedge squares of T + Q*h plus a
-    wedge of the two extra generators; off the middle it is one copy of
-    T + Q*h, again with one sign per T factor.
+    In the middle degree it is alt^2(T), h.T and the wedge alt^2(U) of the
+    two extra generators; off the middle it is one copy of T + Q*h, again
+    with one sign per T factor.
     """
     if degree in (4, 8):
-        return [("T-slice", T_DIM, -1), ("h-slice", 1, +1)]
+        return [(T_DIM, -1), (1, +1)]
     if degree == 6:
-        return [
-            ("alt^2(T)", rep_dimension("alt", T_DIM), +1),
-            ("h.T", T_DIM, -1),
-            ("alt^2(U)", 1, +1),
-        ]
+        return [(rep_dimension("alt", T_DIM), +1), (T_DIM, -1), (1, +1)]
     return []
 
 
@@ -104,10 +89,10 @@ def summand_table() -> tuple[LLVSummand, ...]:
     """
     rows = []
     for degree in range(0, 13, 2):
-        for label, dim, sign in _verbitsky_slice(degree):
-            rows.append(LLVSummand(degree, VERBITSKY, label, dim, sign, sign))
-        for label, dim, sign in _second_slice(degree):
-            rows.append(LLVSummand(degree, SECOND, label, dim, sign, -sign))
+        for dim, sign in _verbitsky_slice(degree):
+            rows.append(LLVSummand(degree, VERBITSKY, dim, sign, sign))
+        for dim, sign in _second_slice(degree):
+            rows.append(LLVSummand(degree, SECOND, dim, sign, -sign))
     return tuple(rows)
 
 

@@ -26,6 +26,9 @@ def test_exit_codes(capsys):
     assert run(["ring", "--q", "abc"]) == 2
     assert run(["betti", "--case", "sideways"]) == 2
     assert run(["lagrangian", "--degree=--"]) == 2
+    # inputs past their caps (exponent 4300, bound 10^1000) are usage errors
+    assert run(["ring", "--q", "1e9999999"]) == 2
+    assert run(["pell", "--bound", str(10 ** 1000 + 1)]) == 2
     # precondition violations surface as computation errors
     assert run(["ring", "--q", "-1"]) == 1
     assert run(["relations", "--q", "0"]) == 1
@@ -43,6 +46,27 @@ def test_exit_codes(capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_exponent_notation_is_bounded():
+    parse = build_parser().parse_args
+    assert parse(["ring", "--q", "1.5e3"]).q == 1500
+    assert parse(["ring", "--q", "1e-4300"]).q == Fraction(1, 10 ** 4300)
+    for value in ("1e4301", "1E-4301", "2.5e9999999"):
+        with pytest.raises(SystemExit) as exc:
+            parse(["ring", "--q", value])
+        assert exc.value.code == 2
+
+
+def test_pell_bound_is_capped_at_10_to_the_1000():
+    parse = build_parser().parse_args
+    for bound in (10 ** 6, 10 ** 300, 10 ** 1000, 0):
+        assert parse(["pell", "--bound", str(bound)]).bound == bound
+    assert parse(["pell"]).bound == 10 ** 6
+    for text in (str(10 ** 1000 + 1), str(10 ** 2000), "abc"):
+        with pytest.raises(SystemExit) as exc:
+            parse(["pell", "--bound", text])
+        assert exc.value.code == 2
 
 
 def test_out_to_an_unwritable_path_is_an_error(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
+from math import factorial
 
 import pytest
 
@@ -11,8 +12,21 @@ from epwcalc.fujiki import (
     enumerate_matchings,
     fujiki_constant,
     polarized_integral,
-    polarized_integral_by_permutations,
 )
+
+
+def polarized_integral_by_permutations(alpha, betas, space):
+    """Oracle: the same integral summed over the full symmetric group
+    instead of matchings; exponentially slower."""
+    need = CODEGREE[alpha]
+    assert len(betas) == need
+    total = Fraction(0)
+    for perm in permutations(range(need)):
+        term = Fraction(1)
+        for k in range(0, need, 2):
+            term *= space.pairing(betas[perm[k]], betas[perm[k + 1]])
+        total += term
+    return fujiki_constant(alpha) * total / factorial(need)
 
 
 def test_constants():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -137,14 +138,64 @@ def test_commutativity_with_eta():
     assert multiply(x, y) == multiply(y, x)
 
 
+#: every basis class of positive degree, lambda and eta included
+BASIS_CLASSES = [(label, basis_class(d, label)) for d, labels in BASIS.items() if d
+                 for label in labels]
+
+
+def _monomial(label):
+    """Exponents of a basis label in (h, c2, lambda), read off the label."""
+    powers = {"h": 0, "c2": 0, "lambda": 0}
+    for factor in label.replace("eta", "h*lambda").split("*"):
+        base, _, power = factor.partition("^")
+        if base != "1":
+            powers[base] += int(power or 1)
+    return tuple(powers.values())
+
+
+def _product(x, y):
+    """multiply(x, y), or None where it raises."""
+    try:
+        return multiply(x, y)
+    except ValueError:
+        return None
+
+
+def test_commutative_on_basis_classes():
+    for (_, x), (_, y) in product(BASIS_CLASSES, repeat=2):
+        assert _product(x, y) == _product(y, x)
+
+
+def test_products_depend_only_on_the_monomial():
+    """Two pairs of basis classes with the same monomial give the same
+    product, or both raise."""
+    by_monomial = {}
+    for (la, x), (lb, y) in product(BASIS_CLASSES, repeat=2):
+        if x.degree + y.degree <= 12:
+            monomial = tuple(a + b for a, b in zip(_monomial(la), _monomial(lb)))
+            by_monomial.setdefault(monomial, {})[la, lb] = _product(x, y)
+    for monomial, products in by_monomial.items():
+        assert len(set(products.values())) == 1, (monomial, products)
+
+
+def test_associative_where_both_bracketings_are_defined():
+    checked = 0
+    for (_, x), (_, y), (_, z) in product(BASIS_CLASSES, repeat=3):
+        xy, yz = _product(x, y), _product(y, z)
+        left = None if xy is None else _product(xy, z)
+        right = None if yz is None else _product(x, yz)
+        if left is not None and right is not None:
+            assert left == right
+            checked += 1
+    assert checked > 50
+
+
 def test_eta_pairings():
     # eta is orthogonal to the rest of degree 6 and has square 4
     assert integrate_product(eta_class(), h_power(3)) == 0
     assert integrate_product(eta_class(), basis_class(6, "h*c2")) == 0
     assert integrate_product(eta_class(), eta_class()) == 4
-    prod = multiply(eta_class(), eta_class())
-    assert prod.coefficient("h^6") == 0
-    assert prod.eta_sq == 1
+    assert multiply(eta_class(), eta_class()) == (4 / (15 * Q ** 3)) * h_power(6)
 
 
 def test_lambda_products():
