@@ -136,14 +136,13 @@ def _rows_lagrangian(degree: Fraction, q: Fraction) -> list[Row]:
 
 
 def _rows_fixed_locus(degree: Fraction, q: Fraction) -> list[Row]:
-    case, c, chi_top = lagrangian.disambiguate_involution_case(degree, q)
-    inv = lagrangian.fixed_locus_invariants(degree, q, chi_top)
+    inv = lagrangian.fixed_locus_invariants(degree, q)
     holds = lagrangian.hodge_symmetry_relation(inv.chi_structure, inv.chi_one_forms, inv.c3)
     return [
-        ("involution case (+1 natural, -1 opposite)", 1 if case == "natural" else -1,
+        ("involution case (+1 natural, -1 opposite)", 1 if inv.case == llv.CASES[0] else -1,
          "the action compatible with a rational eta coefficient"),
-        ("eta coefficient", c, "component of the fixed-locus class outside h^3, h*c2"),
-        ("chi_top", chi_top, "double-cover Euler relation"),
+        ("eta coefficient", inv.eta, "component of the fixed-locus class outside h^3, h*c2"),
+        ("chi_top", inv.c3, "double-cover Euler relation"),
         ("c1*c2", inv.c1c2, "restricted tangent Chern classes paired with the class"),
         ("chi(O)", inv.chi_structure, "Riemann-Roch: c1*c2/24"),
         ("chi(Omega^1)", inv.chi_one_forms, "chi(O) - chi_top/2"),
@@ -295,11 +294,11 @@ class _Parser(argparse.ArgumentParser):
         return super()._get_values(action, arg_strings)
 
 
-_Q = {"type": _rational, "default": Fraction(4),
-      "help": "BBF square of the polarization (default 4)"}
-_DEGREE = {"type": _rational, "default": Fraction(720),
-           "help": "h^3-degree of the fixed locus (default 720)"}
-_CASE = {"choices": ("natural", "opposite"), "default": "natural",
+_Q = {"type": _rational, "default": lagrangian.EPW_Q,
+      "help": f"BBF square of the polarization (default {lagrangian.EPW_Q})"}
+_DEGREE = {"type": _rational, "default": lagrangian.EPW_DEGREE,
+           "help": f"h^3-degree of the fixed locus (default {lagrangian.EPW_DEGREE})"}
+_CASE = {"choices": llv.CASES, "default": llv.CASES[0],
          "help": "involution action on the non-Verbitsky summand"}
 
 
@@ -310,10 +309,8 @@ _REPORT_ALL = (
     ("fujiki", "fujiki", {}),
     ("ring", "ring", {}),
     ("relations", "relations", {}),
-    ("betti natural", "betti", {"case": "natural"}),
-    ("euler natural", "euler", {"case": "natural"}),
-    ("betti opposite", "betti", {"case": "opposite"}),
-    ("euler opposite", "euler", {"case": "opposite"}),
+    *((f"{name} {case}", name, {"case": case})
+      for case in llv.CASES for name in ("betti", "euler")),
     ("lagrangian", "lagrangian", {}),
     ("fixed-locus", "fixed-locus", {}),
     ("walls", "walls", {}),

@@ -262,7 +262,7 @@ def sym_prod_eval(cls: SymProdClass) -> Fraction:
     return sum((c * perm(cls.genus, i) for i, c in enumerate(cls.coeffs)), Fraction(0))
 
 
-def jacobian_class_of_E(genus: int = 10) -> int:
+def jacobian_class_of_E(genus: int) -> int:
     """Coefficient t in [E] = t * theta^(g-2)/(g-2)! inside the Jacobian.
 
     E pushes forward to -6*[Gamma^(2)] + [Gamma^(3)]*theta with [Gamma^(i)]

@@ -8,7 +8,8 @@ A Lagrangian class pairs to zero against h*sigma*sigbar (sigma the
 symplectic form), which together with the normalization h^3 . [W] = degree
 pins its projection to  a*h^3 + b*h*c2  with b = -degree/(72 q^2) and
 a = -12 b / q.  Whatever eta component c the full class carries enters
-only through eta^2 = 4, so [W]^2 = (a h^3 + b h c2)^2 + 4 c^2.
+only through eta^2 (``hodge_ring.ETA_SQUARE``), so
+[W]^2 = (a h^3 + b h c2)^2 + eta^2 c^2.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .hodge_ring import basis_class, eta_class, h_power, integrate, multiply
+from .hodge_ring import ETA_SQUARE, basis_class, eta_class, h_power, integrate, multiply
 from .llv import CASES, euler_of_fixed_locus
 from .qfield import Rational, rational_sqrt
 
@@ -53,13 +54,13 @@ def self_intersection(a: Rational, b: Rational, c: Rational, q: Rational) -> Fra
 
 
 def eta_coefficient(base_square: Rational, chi_top: Rational) -> Fraction | None:
-    """The nonnegative rational c with base_square + 4c^2 = -chi_top, or
-    None when no rational c exists.
+    """The nonnegative rational c with base_square + eta^2 c^2 = -chi_top,
+    or None when no rational c exists.
 
     The square of the fixed locus' class equals minus its topological Euler
-    characteristic, which forces 4c^2 = -chi_top - base_square to be the
-    square of a rational (times 4)."""
-    c_sq = (-Fraction(chi_top) - Fraction(base_square)) / 4
+    characteristic, which forces eta^2 c^2 = -chi_top - base_square to be
+    the square of a rational (times eta^2)."""
+    c_sq = (-Fraction(chi_top) - Fraction(base_square)) / ETA_SQUARE
     if c_sq < 0:
         return None
     return rational_sqrt(c_sq)
@@ -89,8 +90,11 @@ def disambiguate_involution_case(degree: Rational = EPW_DEGREE,
 
 @dataclass(frozen=True)
 class FixedLocusInvariants:
-    """Chern and Riemann-Roch numbers of the fixed threefold."""
+    """Chern and Riemann-Roch numbers of the fixed threefold, with the
+    involution case and the eta coefficient they were derived under."""
 
+    case: str
+    eta: Fraction
     c1c2: Fraction
     chi_structure: Fraction      # chi(O)
     chi_one_forms: Fraction      # chi(Omega^1)
@@ -102,17 +106,17 @@ class FixedLocusInvariants:
                 self.canonical_cube)
 
 
-def fixed_locus_invariants(degree: Rational = EPW_DEGREE, q: Rational = EPW_Q,
-                           chi_top: Rational | None = None) -> FixedLocusInvariants:
-    """Invariants of the fixed locus from its class a*h^3 + b*h*c2.
+def fixed_locus_invariants(degree: Rational = EPW_DEGREE,
+                           q: Rational = EPW_Q) -> FixedLocusInvariants:
+    """Invariants of the fixed locus from its class a*h^3 + b*h*c2, under
+    the involution case ``disambiguate_involution_case`` picks.
 
     The restricted tangent Chern classes are c1 = -2h|, c2 = c2|/2 + 2h^2|,
     c3 = chi_top, which turns every invariant into a pairing against the
     class itself: c1*c2 is -(4*h^3 + h*c2) . [W], chi(O) = c1*c2/24,
     chi(Omega^1) = chi(O) - chi_top/2, and K^3 = -(-2h)^3 . [W] = 8*degree.
     """
-    if chi_top is None:
-        _, _, chi_top = disambiguate_involution_case(degree, q)
+    case, eta, chi_top = disambiguate_involution_case(degree, q)
     q = Fraction(q)
     a, b = project_lagrangian_class(degree, q)
     w = _degree6_class(a, b, 0)
@@ -121,7 +125,7 @@ def fixed_locus_invariants(degree: Rational = EPW_DEGREE, q: Rational = EPW_Q,
     chi_structure = c1c2 / 24
     chi_one_forms = chi_structure - Fraction(chi_top) / 2
     k_cubed = 8 * integrate(multiply(h_power(3), w)).evaluate(q)
-    return FixedLocusInvariants(c1c2, chi_structure, chi_one_forms,
+    return FixedLocusInvariants(case, eta, c1c2, chi_structure, chi_one_forms,
                                 Fraction(chi_top), k_cubed)
 
 

@@ -123,6 +123,8 @@ class ParametricScalar:
         return self.terms == other.terms
 
     def __hash__(self):
+        if self.terms.keys() <= {0}:  # a constant equals its Fraction: hash alike
+            return hash(self.terms.get(0, 0))
         return hash(frozenset(self.terms.items()))
 
     def __str__(self):

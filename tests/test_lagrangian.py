@@ -89,6 +89,17 @@ def test_eta_coefficient():
     assert eta_coefficient(0, -9) == Fraction(3, 2)
 
 
+def test_eta_coefficient_inverts_the_eta_part_of_the_ring():
+    """The eta part of (a h^3 + b h c2 + c eta)^2, read back through
+    [W]^2 = -chi_top, gives |c| for any a, b, c and q > 0."""
+    rng = random.Random(4040)
+    for _ in range(40):
+        a, b, c = (Fraction(rng.randint(-40, 40), rng.randint(1, 9)) for _ in range(3))
+        q = Fraction(rng.randint(1, 40), rng.randint(1, 9))
+        base = self_intersection(a, b, 0, q)
+        assert eta_coefficient(base, -self_intersection(a, b, c, q)) == abs(c)
+
+
 def test_disambiguation_picks_the_natural_action():
     case, c, chi_top = disambiguate_involution_case()
     assert (case, c, chi_top) == ("natural", 0, -1200)
@@ -105,15 +116,8 @@ def test_disambiguation_can_fail():
 def test_fixed_locus_invariants():
     inv = fixed_locus_invariants()
     assert inv.as_tuple() == (-3120, -130, 470, -1200, 5760)
+    assert (inv.case, inv.eta) == ("natural", 0)
     assert inv.c1c2 / 24 == inv.chi_structure
-    assert hodge_symmetry_relation(inv.chi_structure, inv.chi_one_forms, inv.c3)
-
-
-def test_fixed_locus_with_chi_override():
-    inv = fixed_locus_invariants(chi_top=-1204)
-    assert inv.c3 == -1204
-    assert inv.chi_structure == -130          # unchanged: depends on the class only
-    assert inv.chi_one_forms == -130 + 602
     assert hodge_symmetry_relation(inv.chi_structure, inv.chi_one_forms, inv.c3)
 
 

@@ -1,5 +1,6 @@
 import pytest
 
+from epwcalc.hodge_ring import CHERN_NUMBER_C6
 from epwcalc.llv import (
     CASES,
     SECOND,
@@ -111,3 +112,29 @@ def test_euler_consistency_over_all_degrees():
     for case in CASES:
         full = sum(invariant_dimension(case, d) for d in range(0, 13, 2))
         assert full == euler_of_quotient(case)
+
+
+def _goettsche_poincare(n):
+    """Coefficients of z^0, z^1, ..., z^(4n) in the Poincare polynomial of
+    K3^[n], from Goettsche's formula: the t^n coefficient of
+    prod_k 1/((1 - z^(2k-2) t^k) (1 - z^(2k) t^k)^22 (1 - z^(2k+2) t^k)),
+    22 being b_2 of the K3 surface."""
+    series = {(0, 0): 1}  # (power of t, power of z) -> integer coefficient
+    for k in range(1, n + 1):
+        for z_step, multiplicity in ((2 * k - 2, 1), (2 * k, 22), (2 * k + 2, 1)):
+            for _ in range(multiplicity):
+                # times 1/(1 - z^z_step t^k) = sum_j (z^z_step t^k)^j, cut at t^n
+                out = {}
+                for (t, z), c in series.items():
+                    for j in range((n - t) // k + 1):
+                        key = (t + j * k, z + j * z_step)
+                        out[key] = out.get(key, 0) + c
+                series = out
+    return [series.get((n, z), 0) for z in range(4 * n + 1)]
+
+
+def test_betti_numbers_match_goettsche_formula():
+    poincare = _goettsche_poincare(3)
+    assert poincare[1::2] == [0] * 6
+    assert tuple(poincare[::2]) == betti_even() == EXPECTED_BETTI
+    assert sum(poincare) == 3200 == SIXFOLD_EULER == CHERN_NUMBER_C6

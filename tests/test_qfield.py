@@ -81,6 +81,11 @@ def test_str_clears_denominators():
 def test_hash_matches_equality():
     assert hash(Q / 2) == hash(ParametricScalar({1: Fraction(1, 2)}))
     assert len({Q, Q * 1, Q ** 1}) == 1
+    for constant in (0, 3, Fraction(1, 2)):
+        scalar = ParametricScalar(constant)
+        assert scalar == constant and hash(scalar) == hash(constant)
+        assert len({scalar, constant}) == 1
+        assert constant in {scalar} and scalar in {constant}
 
 
 _COEFFS = st.fractions(min_value=-50, max_value=50, max_denominator=12)

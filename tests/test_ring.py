@@ -9,6 +9,7 @@ from epwcalc.hodge_ring import (
     BASIS,
     CHERN_NUMBER_C2C4,
     CHERN_NUMBER_C6,
+    TOP_INTEGRALS,
     HodgeClass,
     basis_class,
     c2_class,
@@ -254,3 +255,24 @@ def test_ring_matches_fujiki_for_h_arguments():
             polarized_integral("c4", ["h"] * 2, space)
         assert integrate(h_power(6)).evaluate(q) == \
             polarized_integral("1", ["h"] * 6, space)
+
+
+def test_hirzebruch_riemann_roch_for_k3_cube():
+    """Oracle (Ellingsrud-Goettsche-Lehn): on K3^[3], chi(L) = binom(q/2 + 4, 3)
+    for a line bundle of BBF square q.  With c1 = 0 and no odd classes,
+    chi(L) = integral of e^h * td, whose td terms are 1, c2/12,
+    (3c2^2 - c4)/720 and (10c2^3 - 9c2c4 + 2c6)/60480; this ties the Fujiki
+    constants and the stored Chern numbers c2*c4 and c6 to each other."""
+    rng = random.Random(4160)
+    h2 = h_power(2)
+    for _ in range(20):
+        q = _random_q(rng)
+        h6 = TOP_INTEGRALS["h^6"].evaluate(q)
+        h4c2 = TOP_INTEGRALS["h^4*c2"].evaluate(q)
+        h2_td3 = integrate(3 * multiply(h2, multiply(c2_class(), c2_class()))
+                           - multiply(h2, c4_class())).evaluate(q)
+        c2_cubed, c2_c4, c6 = chern_numbers_from_ring(q)
+        chi = h6 / 720 + h4c2 / 288 + h2_td3 / 1440 \
+            + (10 * c2_cubed - 9 * c2_c4 + 2 * c6) / 60480
+        x = q / 2 + 4
+        assert chi == x * (x - 1) * (x - 2) / 6
