@@ -20,7 +20,7 @@ import functools
 import json
 import re
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from pathlib import Path
 
@@ -33,11 +33,8 @@ def _fmt(value) -> str:
     return str(Fraction(value))
 
 
-@dataclass
-class Report:
-    command: str
-    params: dict[str, str]
-    rows: list[Row]
+class Report(namedtuple("Report", "command params rows")):
+    __slots__ = ()
 
     def to_json(self) -> str:
         payload = {

@@ -12,13 +12,13 @@ operations that appear."""
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import comb, perm
 
 from .lagrangian import fixed_locus_invariants
 from .mukai import MukaiVector, mukai_pairing
-from .qfield import Rational
+from .qfield import Rational, Value
 
 #: the Hilbert cube of the surface, as a moduli space
 HILB_VECTOR = MukaiVector(1, 0, -2)
@@ -34,23 +34,21 @@ CONTRACTED_RAY_VECTOR = MukaiVector(1, -2, 2)
 # the wall and exact central charges
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WallPoint:
+class WallPoint(Value):
     """A point (alpha, beta) with (beta+2)^2 + alpha^2 = 2, alpha kept
     through its square; the relevant branch has beta < -1."""
 
-    beta: Fraction
-    alpha_sq: Fraction
+    __slots__ = ("beta", "alpha_sq")
 
-    def __post_init__(self):
-        object.__setattr__(self, "beta", Fraction(self.beta))
-        object.__setattr__(self, "alpha_sq", Fraction(self.alpha_sq))
-        if (self.beta + 2) ** 2 + self.alpha_sq != 2:
+    def __init__(self, beta: Rational, alpha_sq: Rational):
+        beta, alpha_sq = Fraction(beta), Fraction(alpha_sq)
+        if (beta + 2) ** 2 + alpha_sq != 2:
             raise ValueError("point is not on the wall (beta+2)^2 + alpha^2 = 2")
-        if self.alpha_sq <= 0:
+        if alpha_sq <= 0:
             raise ValueError("wall points need alpha > 0")
-        if self.beta >= -1:
+        if beta >= -1:
             raise ValueError("the wall branch lives at beta < -1")
+        super().__init__(beta, alpha_sq)
 
     @classmethod
     def from_beta(cls, beta: Rational) -> "WallPoint":
@@ -58,13 +56,10 @@ class WallPoint:
         return cls(beta, 2 - (beta + 2) ** 2)
 
 
-@dataclass(frozen=True)
-class WallCharge:
+class WallCharge(Value):
     """re + i*im*alpha with alpha^2 = alpha_sq fixed and rational."""
 
-    re: Fraction
-    im: Fraction
-    alpha_sq: Fraction
+    __slots__ = ("re", "im", "alpha_sq")
 
     def _same_field(self, other: "WallCharge") -> None:
         if self.alpha_sq != other.alpha_sq:
@@ -81,14 +76,8 @@ class WallCharge:
     def __neg__(self) -> "WallCharge":
         return WallCharge(-self.re, -self.im, self.alpha_sq)
 
-    def conjugate(self) -> "WallCharge":
-        return WallCharge(self.re, -self.im, self.alpha_sq)
-
     def norm_sq(self) -> Fraction:
         return self.re ** 2 + self.im ** 2 * self.alpha_sq
-
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
 
     def ratio_real(self, other: "WallCharge") -> Fraction:
         """Real part of self/other; rational because alpha^2 is."""
@@ -215,23 +204,21 @@ def kuranishi_identity_check(u2_sign: int = -1) -> bool:
 # symmetric-product calculus on the limit threefold
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SymProdClass:
+class SymProdClass(Value):
     """A degree-6 class on the third symmetric product of a genus-g curve,
     written on the monomials theta^i * eta^(3-i), i = 0..3.
 
     Here eta is the class of the second symmetric product inside the
     third; it is unrelated to the sixfold class of the same name."""
 
-    genus: int
-    coeffs: tuple[Fraction, Fraction, Fraction, Fraction]
+    __slots__ = ("genus", "coeffs")
 
-    def __post_init__(self):
-        if self.genus < 3:
+    def __init__(self, genus: int, coeffs: tuple[Rational, Rational, Rational, Rational]):
+        if genus < 3:
             raise ValueError("the calculus needs genus >= 3")
-        if len(self.coeffs) != 4:
+        if len(coeffs) != 4:
             raise ValueError("a class has four monomial coefficients")
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
+        super().__init__(genus, tuple(Fraction(c) for c in coeffs))
 
     @classmethod
     def monomial(cls, genus: int, theta_power: int) -> "SymProdClass":
@@ -284,18 +271,13 @@ def plane_curve_genus(degree: int) -> int:
     return (degree - 1) * (degree - 2) // 2
 
 
-@dataclass(frozen=True)
-class F3RelationTable:
+class F3RelationTable(namedtuple(
+        "F3RelationTable", "genus h1_structure h02_lower_bound h02_relation h03_relation"
+                           " h03_minus_h02 h12_minus_h02_minus_h11")):
     """Relations among the Hodge numbers of the fixed threefold, with the
     two dimensions the degeneration does not determine kept symbolic."""
 
-    genus: int
-    h1_structure: int            # h^(0,1) = 0
-    h02_lower_bound: int         # h^(0,2) >= C(g, 2)
-    h02_relation: str
-    h03_relation: str
-    h03_minus_h02: Fraction      # from chi(O)
-    h12_minus_h02_minus_h11: Fraction  # from chi(Omega^1)
+    __slots__ = ()
 
 
 @functools.cache

@@ -10,8 +10,8 @@ the right-hand side over perfect matchings of the degree-2 arguments.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
-from typing import Mapping, Sequence
 
 from .qfield import Rational
 

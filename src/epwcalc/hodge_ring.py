@@ -29,11 +29,10 @@ pairing data does not determine raise an error instead of inventing values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .fujiki import fujiki_constant
-from .qfield import ONE, ZERO, ParametricScalar, Rational
+from .qfield import ONE, ZERO, ParametricScalar, Rational, Value
 
 #: exponents of each basis label in (h, c2, lambda), in basis order
 _EXPONENTS: dict[str, tuple[int, int, int]] = {
@@ -119,18 +118,19 @@ def derive_degree10_relations(q: Rational | None = None):
     return tuple(r.evaluate(q) for r in ratios)
 
 
-@dataclass(frozen=True)
-class HodgeClass:
+class HodgeClass(Value):
     """A homogeneous Hodge class, as coefficients over BASIS[degree]."""
 
-    degree: int
-    coeffs: tuple[ParametricScalar, ...]
+    __slots__ = ("degree", "coeffs")
 
-    def __post_init__(self):
-        if self.degree not in BASIS:
-            raise ValueError(f"no Hodge classes in degree {self.degree}")
-        if len(self.coeffs) != len(BASIS[self.degree]):
-            raise ValueError(f"degree {self.degree} needs {len(BASIS[self.degree])} coefficients")
+    def __init__(self, degree: int, coeffs: tuple[ParametricScalar, ...]):
+        # built hundreds of times per report: no generic field loop here
+        if degree not in BASIS:
+            raise ValueError(f"no Hodge classes in degree {degree}")
+        if len(coeffs) != len(BASIS[degree]):
+            raise ValueError(f"degree {degree} needs {len(BASIS[degree])} coefficients")
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "coeffs", coeffs)
 
     # -- linear structure ---------------------------------------------------
 
@@ -180,10 +180,6 @@ class HodgeClass:
         return " + ".join(parts) if parts else f"0 (degree {self.degree})"
 
 
-def zero_class(degree: int) -> HodgeClass:
-    return HodgeClass(degree, (ZERO,) * len(BASIS[degree]))
-
-
 def basis_class(degree: int, label: str) -> HodgeClass:
     if label not in BASIS[degree]:
         raise ValueError(f"{label!r} is not a degree-{degree} basis label")
@@ -199,10 +195,6 @@ def h_power(k: int) -> HodgeClass:
 
 def c2_class() -> HodgeClass:
     return basis_class(4, "c2")
-
-
-def lambda_class() -> HodgeClass:
-    return basis_class(4, "lambda")
 
 
 def eta_class() -> HodgeClass:

@@ -14,7 +14,7 @@ only through eta^2 (``hodge_ring.ETA_SQUARE``), so
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .hodge_ring import ETA_SQUARE, basis_class, eta_class, h_power, integrate, multiply
@@ -24,6 +24,8 @@ from .qfield import Rational, rational_sqrt
 #: h^3-degree of the fixed locus inside an EPW cube, and the BBF square of h
 EPW_DEGREE = Fraction(720)
 EPW_Q = Fraction(4)
+#: k with canonical class K_W = k*h|_W on the fixed locus
+CANONICAL_MULTIPLE = 2
 
 
 def project_lagrangian_class(degree: Rational, q: Rational) -> tuple[Fraction, Fraction]:
@@ -88,18 +90,13 @@ def disambiguate_involution_case(degree: Rational = EPW_DEGREE,
     return admissible[0]
 
 
-@dataclass(frozen=True)
-class FixedLocusInvariants:
-    """Chern and Riemann-Roch numbers of the fixed threefold, with the
-    involution case and the eta coefficient they were derived under."""
+class FixedLocusInvariants(namedtuple(
+        "FixedLocusInvariants", "case eta c1c2 chi_structure chi_one_forms c3 canonical_cube")):
+    """Chern and Riemann-Roch numbers of the fixed threefold (chi_structure is
+    chi(O), chi_one_forms chi(Omega^1), c3 chi_top and canonical_cube K^3),
+    with the involution case and the eta coefficient they were derived under."""
 
-    case: str
-    eta: Fraction
-    c1c2: Fraction
-    chi_structure: Fraction      # chi(O)
-    chi_one_forms: Fraction      # chi(Omega^1)
-    c3: Fraction                 # = topological Euler characteristic
-    canonical_cube: Fraction     # K^3
+    __slots__ = ()
 
     def as_tuple(self):
         return (self.c1c2, self.chi_structure, self.chi_one_forms, self.c3,
@@ -111,22 +108,24 @@ def fixed_locus_invariants(degree: Rational = EPW_DEGREE,
     """Invariants of the fixed locus from its class a*h^3 + b*h*c2, under
     the involution case ``disambiguate_involution_case`` picks.
 
-    The restricted tangent Chern classes are c1 = -2h|, c2 = c2|/2 + 2h^2|,
-    c3 = chi_top, which turns every invariant into a pairing against the
-    class itself: c1*c2 is -(4*h^3 + h*c2) . [W], chi(O) = c1*c2/24,
-    chi(Omega^1) = chi(O) - chi_top/2, and K^3 = -(-2h)^3 . [W] = 8*degree.
+    With K_W = k*h| (k = ``CANONICAL_MULTIPLE``) and normal bundle Omega_W,
+    the tangent Chern classes are c1 = -k*h|, c2 = (c2| + k^2*h^2|)/2 and
+    c3 = chi_top, so every invariant is a pairing with the class itself:
+    c1*c2 = -(k/2)*(h*c2 + k^2*h^3) . [W], chi(O) = c1*c2/24,
+    chi(Omega^1) = chi(O) - chi_top/2 and K^3 = k^3*h^3 . [W].
     """
     case, eta, chi_top = disambiguate_involution_case(degree, q)
     q = Fraction(q)
     a, b = project_lagrangian_class(degree, q)
     w = _degree6_class(a, b, 0)
-    pair_with = 4 * h_power(3) + basis_class(6, "h*c2")
-    c1c2 = -integrate(multiply(pair_with, w)).evaluate(q)
+    h3_w = integrate(multiply(h_power(3), w)).evaluate(q)
+    hc2_w = integrate(multiply(basis_class(6, "h*c2"), w)).evaluate(q)
+    k = CANONICAL_MULTIPLE
+    c1c2 = -Fraction(k, 2) * (hc2_w + k ** 2 * h3_w)
     chi_structure = c1c2 / 24
     chi_one_forms = chi_structure - Fraction(chi_top) / 2
-    k_cubed = 8 * integrate(multiply(h_power(3), w)).evaluate(q)
     return FixedLocusInvariants(case, eta, c1c2, chi_structure, chi_one_forms,
-                                Fraction(chi_top), k_cubed)
+                                Fraction(chi_top), k ** 3 * h3_w)
 
 
 def hodge_symmetry_relation(chi_structure: Rational, chi_one_forms: Rational,

@@ -12,7 +12,7 @@ side.  Betti numbers of the quotient are the +1 eigenspace dimensions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import comb
 
 from .hodge_ring import CHERN_NUMBER_C6
@@ -41,13 +41,9 @@ def rep_dimension(kind: str, n: int, k: int = 2) -> int:
     raise ValueError(f"unknown representation kind {kind!r}")
 
 
-@dataclass(frozen=True)
-class LLVSummand:
-    degree: int
-    component: str
-    dimension: int
-    sign_natural: int
-    sign_opposite: int
+class LLVSummand(namedtuple("LLVSummand",
+                            "degree component dimension sign_natural sign_opposite")):
+    __slots__ = ()
 
     def sign(self, case: str) -> int:
         if case == "natural":

@@ -9,17 +9,15 @@ with squares 2 and -4 under the Beauville-Bogomolov-Fujiki form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
+from .qfield import Value
 
-@dataclass(frozen=True)
-class MukaiVector:
+
+class MukaiVector(Value):
     """(rank, L-coefficient, degree-0 part) on a degree-2 K3."""
 
-    r: int
-    c: int
-    s: int
+    __slots__ = ("r", "c", "s")
 
     def __add__(self, other: "MukaiVector") -> "MukaiVector":
         return MukaiVector(self.r + other.r, self.c + other.c, self.s + other.s)
@@ -58,12 +56,10 @@ def hyperbolic_lattice(v: MukaiVector, w: MukaiVector) -> tuple[tuple[int, int],
     return ((mukai_pairing(v, v), vw), (vw, mukai_pairing(w, w)))
 
 
-@dataclass(frozen=True)
-class NSClass:
+class NSClass(Value):
     """a*L + b*delta in the algebraic degree-2 lattice of the Hilbert cube."""
 
-    a: int
-    b: int
+    __slots__ = ("a", "b")
 
     def __add__(self, other: "NSClass") -> "NSClass":
         return NSClass(self.a + other.a, self.b + other.b)

@@ -3,7 +3,10 @@
 Every intersection number is a Fujiki constant times a power of q, so the
 Hodge ring only ever divides by a single term; any other division raises.
 The form (exponent -> nonzero ``Fraction``) is unique, so equality is
-structural, which the symbolic checks rely on."""
+structural, which the symbolic checks rely on.
+
+``Value`` is the base of the package's immutable value types, this one
+among them."""
 
 from __future__ import annotations
 
@@ -35,7 +38,45 @@ def _lifted(method):
     return apply
 
 
-class ParametricScalar:
+class Value:
+    """An immutable value whose fields are its class's ``__slots__``.
+    Equality and hash go by the fields and hold only within one class, so a
+    value never equals the tuple of its fields (``ParametricScalar`` also
+    equals the number it embeds)."""
+
+    __slots__ = ()
+
+    def __init__(self, *fields):
+        if len(fields) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes {len(self.__slots__)} fields")
+        for name, value in zip(self.__slots__, fields):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return type(self), self._values()
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+
+class ParametricScalar(Value):
     """A Laurent polynomial in q: exponent -> nonzero Fraction coefficient."""
 
     __slots__ = ("terms",)
@@ -44,9 +85,6 @@ class ParametricScalar:
         if isinstance(terms, (int, Fraction)):
             terms = {0: terms}
         object.__setattr__(self, "terms", {k: Fraction(c) for k, c in terms.items() if c})
-
-    def __setattr__(self, name, value):  # immutable
-        raise AttributeError("ParametricScalar is immutable")
 
     @classmethod
     def q(cls) -> "ParametricScalar":

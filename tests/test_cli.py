@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -178,6 +179,18 @@ def test_pell_lists_solutions():
     assert values["negative-x effectivity violations"] == "0"
     assert values["x[0]"] == "-2" and values["y[0]"] == "-3"
     assert values["x[5]"] == "2" and values["y[5]"] == "3"
+
+
+def test_import_leaves_out_dataclasses_inspect_and_typing():
+    """Cold start: importing the CLI loads none of these modules.  ``-S``
+    skips ``site``, whose ``.pth`` files may import ``typing`` themselves."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, epwcalc.cli; "
+            "print(*sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""
 
 
 def test_report_all_is_byte_deterministic():

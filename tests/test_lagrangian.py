@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from epwcalc import lagrangian
 from epwcalc.fujiki import AbstractClassSpace, polarized_integral
-from epwcalc.hodge_ring import TOP_INTEGRALS
+from epwcalc.hodge_ring import TOP_INTEGRALS, basis_class, c2_class, h_power, integrate, multiply
 from epwcalc.lagrangian import (
     EPW_DEGREE,
     EPW_Q,
@@ -119,6 +120,25 @@ def test_fixed_locus_invariants():
     assert (inv.case, inv.eta) == ("natural", 0)
     assert inv.c1c2 / 24 == inv.chi_structure
     assert hodge_symmetry_relation(inv.chi_structure, inv.chi_one_forms, inv.c3)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_canonical_multiple_enters_through_the_chern_classes(monkeypatch, k):
+    """With K_W = k*h|, c1*c2 and K^3 equal the ring products of c1 = -k*h
+    and c2 = (c2| + k^2*h^2)/2 with the class of W."""
+    monkeypatch.setattr(lagrangian, "CANONICAL_MULTIPLE", k)
+    a, b = project_lagrangian_class(EPW_DEGREE, EPW_Q)
+    w = a * h_power(3) + b * basis_class(6, "h*c2")
+    c1 = -k * h_power(1)
+    c2 = Fraction(1, 2) * (c2_class() + k ** 2 * h_power(2))
+
+    def on_w(x):
+        return integrate(multiply(x, w)).evaluate(EPW_Q)
+
+    inv = fixed_locus_invariants()
+    assert inv.c1c2 == on_w(multiply(c1, c2))
+    assert inv.canonical_cube == on_w(multiply(multiply(-c1, -c1), -c1))
+    assert inv.chi_structure == inv.c1c2 / 24
 
 
 def test_hodge_symmetry_relation():

@@ -22,14 +22,20 @@ from epwcalc.hodge_ring import (
     h_power,
     integrate,
     integrate_product,
-    lambda_class,
     multiply,
     verify_independence_degree6,
-    zero_class,
 )
-from epwcalc.qfield import ParametricScalar
+from epwcalc.qfield import ZERO, ParametricScalar
 
 Q = ParametricScalar.q()
+
+
+def zero_class(degree):
+    return HodgeClass(degree, (ZERO,) * len(BASIS[degree]))
+
+
+def lambda_class():
+    return basis_class(4, "lambda")
 
 
 def _random_q(rng):
