@@ -22,7 +22,6 @@ import re
 import sys
 from collections import namedtuple
 from fractions import Fraction
-from pathlib import Path
 
 from . import degeneration, fujiki, hodge_ring, lagrangian, llv, mukai
 
@@ -409,11 +408,12 @@ def run(argv=None) -> int:
         payload = report.to_json() if args.json else report.to_text()
     except (ValueError, ZeroDivisionError) as exc:
         return _error(exc)
-    if not args.out:
+    if args.out is None:
         sys.stdout.write(payload)
         return 0
     try:
-        Path(args.out).write_text(payload, encoding="utf-8")
+        with open(args.out, "w", encoding="utf-8") as f:
+            f.write(payload)
     except OSError as exc:
         return _error(exc)
     return 0

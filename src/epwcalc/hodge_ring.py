@@ -300,7 +300,8 @@ def chern_numbers_from_ring(q: Rational) -> tuple[Fraction, Fraction, Fraction]:
     """(c2^3, c2*c4, c6) recomputed by ring multiplication at the given q.
 
     The first two must come out independent of q; c6 is the stored
-    normalization (it is the top Chern class itself, not a product).
+    normalization (it is the top Chern class itself, not a product), which
+    the tests check against the LLV total ``llv.SIXFOLD_EULER``.
     """
     q = Fraction(q)
     if q <= 0:

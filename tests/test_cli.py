@@ -72,7 +72,8 @@ def test_pell_bound_is_capped_at_10_to_the_1000():
 
 def test_out_to_an_unwritable_path_is_an_error(tmp_path, capsys):
     for argv in (["ring", "--out", str(tmp_path / "no-such-dir" / "x")],
-                 ["report-all", "--out", str(tmp_path)]):
+                 ["report-all", "--out", str(tmp_path)],
+                 ["ring", "--out", ""], ["euler", "--out="]):
         assert run(argv) == 1
         out, err = capsys.readouterr()
         assert out == ""
@@ -181,16 +182,24 @@ def test_pell_lists_solutions():
     assert values["x[5]"] == "2" and values["y[5]"] == "3"
 
 
-def test_import_leaves_out_dataclasses_inspect_and_typing():
-    """Cold start: importing the CLI loads none of these modules.  ``-S``
-    skips ``site``, whose ``.pth`` files may import ``typing`` themselves."""
+def test_import_leaves_out_dataclasses_inspect_typing_and_pathlib():
+    """Cold start: importing ``llv`` loads no other ``epwcalc`` module (its
+    Euler characteristic 3200 is derived, not read from ``hodge_ring``), and
+    importing the CLI loads none of the stdlib modules below.  ``-S`` skips
+    ``site``, whose ``.pth`` files may import ``typing`` or ``pathlib``
+    themselves."""
     src = Path(__file__).resolve().parents[1] / "src"
-    code = ("import sys, epwcalc.cli; "
-            "print(*sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+    code = ("import sys, epwcalc.llv; "
+            "print(*sorted(m for m in sys.modules if m.startswith('epwcalc.')"
+            " and m != 'epwcalc.llv')); "
+            "import epwcalc.cli; "
+            "print(*sorted({'dataclasses', 'inspect', 'typing', 'pathlib'} & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == ""
+    others_with_llv, stdlib_with_cli = proc.stdout.splitlines()
+    assert others_with_llv == ""
+    assert stdlib_with_cli == ""
 
 
 def test_report_all_is_byte_deterministic():

@@ -1,77 +1,79 @@
+from math import comb
+
 import pytest
 
 from epwcalc.hodge_ring import CHERN_NUMBER_C6
 from epwcalc.llv import (
+    _SECOND,
+    _VERBITSKY,
     CASES,
-    SECOND,
     SIXFOLD_EULER,
     T_DIM,
-    VERBITSKY,
+    _power,
     betti_even,
     betti_of_quotient,
     euler_of_fixed_locus,
     euler_of_quotient,
     invariant_dimension,
-    rep_dimension,
-    summand_table,
 )
 
 EXPECTED_BETTI = (1, 23, 299, 2554, 299, 23, 1)
 
 
-def test_rep_dimension():
-    assert rep_dimension("sym", 23, 3) == 2300
-    assert rep_dimension("sym", 22, 2) == 253
-    assert rep_dimension("sym", 22, 3) == 2024
-    assert rep_dimension("sym", 7, 0) == 1
-    assert rep_dimension("alt", 22) == 231
-    assert rep_dimension("alt", 22, 1) == 22
-    with pytest.raises(ValueError):
-        rep_dimension("spin", 4)
-    with pytest.raises(ValueError):
-        rep_dimension("sym", -1)
+def _dimension(character, degree=None):
+    return sum(m for (d, _), m in character.items() if degree in (None, d))
+
+
+def test_lattice_power_dimensions():
+    """Sym^k and Alt^k of the 25-dimensional extended Mukai lattice have the
+    binomial dimensions, and their characters are symmetric in weight."""
+    rank = T_DIM + 3
+    for k in range(5):
+        for exterior, expected in ((False, comb(rank + k - 1, k)), (True, comb(rank, k))):
+            character = _power(k, exterior)
+            assert _dimension(character) == expected
+            assert all(character[12 - d, s] == m for (d, s), m in character.items())
 
 
 def test_summand_dimensions_fill_the_betti_numbers():
-    """Per-degree totals of the summand table are the even Betti numbers;
-    these are outputs of the binomial bookkeeping, not inputs."""
+    """Per-degree totals of the two summand characters are the even Betti
+    numbers; these are outputs of the lattice construction, not inputs."""
     assert betti_even() == EXPECTED_BETTI
-    table = summand_table()
     for i, degree in enumerate(range(0, 13, 2)):
-        total = sum(s.dimension for s in table if s.degree == degree)
+        total = _dimension(_VERBITSKY, degree) + _dimension(_SECOND, degree)
         assert total == EXPECTED_BETTI[i]
 
 
 def test_component_dimensions_in_the_middle():
-    table = summand_table()
-    verbitsky6 = sum(s.dimension for s in table
-                     if s.degree == 6 and s.component == VERBITSKY)
-    second6 = sum(s.dimension for s in table
-                  if s.degree == 6 and s.component == SECOND)
-    assert verbitsky6 == 2300
-    assert second6 == 254
-    second4 = sum(s.dimension for s in table
-                  if s.degree == 4 and s.component == SECOND)
-    assert second4 == T_DIM + 1
+    assert _dimension(_VERBITSKY, 6) == 2300
+    assert _dimension(_SECOND, 6) == 254
+    assert _dimension(_SECOND, 4) == T_DIM + 1
+    # Sym^3 T + h^2*T, and Alt^2 T + alpha^beta
+    assert _VERBITSKY[6, -1] == comb(T_DIM + 2, 3) + T_DIM == 2046
+    assert _SECOND[6, +1] == comb(T_DIM, 2) + 1
+    assert {d for d, _ in _SECOND} == {4, 6, 8}
 
 
 def test_signs_flip_exactly_on_the_second_component():
-    for s in summand_table():
-        assert s.sign_natural in (-1, +1)
-        if s.component == SECOND:
-            assert s.sign_opposite == -s.sign_natural
-        else:
-            assert s.sign_opposite == s.sign_natural
+    """The opposite case differs from the natural one only on Alt^2 of the
+    lattice: in every degree the invariants move by the second summand's
+    anti-invariant minus invariant dimension, which is nonzero only in
+    degrees 4, 6 and 8."""
+    shifts = {}
+    for degree in range(13):
+        shift = invariant_dimension("opposite", degree) - invariant_dimension("natural", degree)
+        assert shift == _SECOND[degree, -1] - _SECOND[degree, +1]
+        if shift:
+            shifts[degree] = shift
+    assert shifts == {4: 21, 6: -210, 8: 21}
 
 
 def test_invariant_plus_anti_is_total():
-    table = summand_table()
-    for case in CASES:
+    for case, twist in zip(CASES, (+1, -1)):
         for degree in range(0, 13, 2):
-            total = sum(s.dimension for s in table if s.degree == degree)
+            total = _dimension(_VERBITSKY, degree) + _dimension(_SECOND, degree)
             inv = invariant_dimension(case, degree)
-            anti = sum(s.dimension for s in table
-                       if s.degree == degree and s.sign(case) == -1)
+            anti = _VERBITSKY[degree, -1] + _SECOND[degree, -twist]
             assert inv + anti == total
 
 
@@ -83,14 +85,15 @@ def test_poincare_duality_of_the_action():
 
 
 def test_reference_invariant_dimensions():
-    assert invariant_dimension("natural", 6, VERBITSKY) == 254
-    assert invariant_dimension("opposite", 6, VERBITSKY) == 254
-    assert invariant_dimension("natural", 6, SECOND) == 232
-    assert invariant_dimension("opposite", 6, SECOND) == 22
+    # Verbitsky component: the same 254 invariants in both cases
+    assert _VERBITSKY[6, +1] == 254
+    # second summand: 232 invariants in the natural case, 22 in the opposite
+    assert _SECOND[6, +1] == 232
+    assert _SECOND[6, -1] == 22
+    assert invariant_dimension("natural", 6) == 254 + 232
+    assert invariant_dimension("opposite", 6) == 254 + 22
     with pytest.raises(ValueError):
         invariant_dimension("twisted", 6)
-    with pytest.raises(ValueError):
-        invariant_dimension("natural", 6, "third")
 
 
 def test_quotient_betti_numbers():
@@ -134,6 +137,9 @@ def _goettsche_poincare(n):
 
 
 def test_betti_numbers_match_goettsche_formula():
+    """Three independent sources agree on the Betti numbers and on 3200:
+    the LLV total from the extended Mukai lattice, Goettsche's product
+    formula, and the top Chern number c6 stored in ``hodge_ring``."""
     poincare = _goettsche_poincare(3)
     assert poincare[1::2] == [0] * 6
     assert tuple(poincare[::2]) == betti_even() == EXPECTED_BETTI
