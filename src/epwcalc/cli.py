@@ -105,7 +105,7 @@ def _rows_betti(case: str) -> list[Row]:
 def _rows_euler(case: str) -> list[Row]:
     return [
         ("chi quotient", llv.euler_of_quotient(case), f"invariant cohomology, {case} action"),
-        ("chi sixfold", llv.SIXFOLD_EULER, "top Chern number"),
+        ("chi sixfold", llv.SIXFOLD_EULER, "total dimension of the LLV character"),
         ("chi fixed locus", llv.euler_of_fixed_locus(case), "double-cover Euler relation"),
     ]
 

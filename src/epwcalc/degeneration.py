@@ -138,8 +138,7 @@ def ext_dimensions() -> dict[str, int]:
     """Ext^1 dimensions at the polystable sheaf T + F the wall contracts to:
     between the spherical factor and F, of F with itself (+2), and the
     dimension of the ambient moduli space (+2)."""
-    v, s = HILB_VECTOR, SPHERICAL_VECTOR
-    a = v - s
+    v, s, a = HILB_VECTOR, SPHERICAL_VECTOR, FOURFOLD_VECTOR
     return {
         "ext1(T,F)": mukai_pairing(s, a),
         "ext1(F,F)": mukai_pairing(a, a) + 2,

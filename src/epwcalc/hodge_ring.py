@@ -78,23 +78,36 @@ TOP_INTEGRALS: dict[str, ParametricScalar] = {
 _LAMBDA_INTEGRALS = {(4, 0, 1): 0, (2, 1, 1): 0, (2, 0, 2): ETA_SQUARE}
 
 
+def positive_q(q: Rational) -> Fraction:
+    """q as a Fraction; ValueError unless q > 0, as a polarization's BBF square."""
+    q = Fraction(q)
+    if q <= 0:
+        raise ValueError("the BBF square of a polarization must be positive")
+    return q
+
+
+def solve_2x2(rows, rhs) -> tuple[ParametricScalar, ParametricScalar]:
+    """(x, y) with rows[i][0]*x + rows[i][1]*y = rhs[i] for i = 0, 1, by
+    Cramer's rule over Laurent polynomials in q; the determinant must be a
+    single term in q."""
+    (a11, a12), (a21, a22) = rows
+    b1, b2 = rhs
+    det = a11 * a22 - a12 * a21
+    return (b1 * a22 - a12 * b2) / det, (a11 * b2 - a21 * b1) / det
+
+
 def derive_degree8_relation(q: Rational | None = None):
     """Coefficients (x, y) with c4 = x*h^4 + y*h^2*c2.
 
     Obtained by pairing both sides with h^2 and with c2 and solving the
     2x2 system exactly; symbolic in q when q is None, else specialized.
     """
-    a11, a12 = TOP_INTEGRALS["h^6"], TOP_INTEGRALS["h^4*c2"]
-    a21, a22 = TOP_INTEGRALS["h^4*c2"], TOP_INTEGRALS["h^2*c2^2"]
-    b1, b2 = TOP_INTEGRALS["h^2*c4"], ParametricScalar(CHERN_NUMBER_C2C4)
-    det = a11 * a22 - a12 * a21
-    x = (b1 * a22 - a12 * b2) / det
-    y = (a11 * b2 - a21 * b1) / det
+    top = TOP_INTEGRALS
+    x, y = solve_2x2(((top["h^6"], top["h^4*c2"]), (top["h^4*c2"], top["h^2*c2^2"])),
+                     (top["h^2*c4"], ParametricScalar(CHERN_NUMBER_C2C4)))
     if q is None:
         return x, y
-    q = Fraction(q)
-    if q == 0:
-        raise ValueError("degree-8 relation is singular at q=0")
+    q = positive_q(q)
     return x.evaluate(q), y.evaluate(q)
 
 
@@ -112,9 +125,7 @@ def derive_degree10_relations(q: Rational | None = None):
     )
     if q is None:
         return ratios
-    q = Fraction(q)
-    if q == 0:
-        raise ValueError("degree-10 relations are singular at q=0")
+    q = positive_q(q)
     return tuple(r.evaluate(q) for r in ratios)
 
 
@@ -285,9 +296,7 @@ def integrate_product(x: HodgeClass, y: HodgeClass) -> ParametricScalar:
 def verify_independence_degree6(q: Rational) -> tuple[bool, Fraction]:
     """Whether h^3 and h*c2 stay independent in the top pairing at q > 0,
     with the Gram determinant as witness."""
-    q = Fraction(q)
-    if q <= 0:
-        raise ValueError("the BBF square of a polarization must be positive")
+    q = positive_q(q)
     h3, hc2 = h_power(3), basis_class(6, "h*c2")
     g11 = integrate_product(h3, h3).evaluate(q)
     g12 = integrate_product(h3, hc2).evaluate(q)
@@ -303,9 +312,7 @@ def chern_numbers_from_ring(q: Rational) -> tuple[Fraction, Fraction, Fraction]:
     normalization (it is the top Chern class itself, not a product), which
     the tests check against the LLV total ``llv.SIXFOLD_EULER``.
     """
-    q = Fraction(q)
-    if q <= 0:
-        raise ValueError("the BBF square of a polarization must be positive")
+    q = positive_q(q)
     c2 = c2_class()
     c2_cubed = integrate(multiply(multiply(c2, c2), c2)).evaluate(q)
     c2_c4 = integrate(multiply(c2, c4_class())).evaluate(q)

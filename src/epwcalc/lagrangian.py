@@ -4,11 +4,15 @@ h*c2, its self-intersection, the choice between the two involution actions
 through Euler characteristics, and the Chern / Riemann-Roch invariants of
 the fixed locus of the EPW-cube involution.
 
-A Lagrangian class pairs to zero against h*sigma*sigbar (sigma the
-symplectic form), which together with the normalization h^3 . [W] = degree
-pins its projection to  a*h^3 + b*h*c2  with b = -degree/(72 q^2) and
-a = -12 b / q.  Whatever eta component c the full class carries enters
-only through eta^2 (``hodge_ring.ETA_SQUARE``), so
+The projection  a*h^3 + b*h*c2  of a Lagrangian class [W] is pinned by two
+linear conditions: [W] . h*sigma*sigbar = 0 (sigma the symplectic form) and
+the normalization [W] . h^3 = degree.  Their coefficients are Fujiki
+constants times powers of q (``fujiki.sigma_sigbar_integral`` and
+``TOP_INTEGRALS``), so the system is solved once, symbolically in q, at
+import; ``tests/fujiki_oracle.py`` holds the matching-sum reference, and
+``tests/test_lagrangian.py`` checks the solution against it and against its
+closed form.  Whatever eta component c the full class carries enters only
+through eta^2 (``hodge_ring.ETA_SQUARE``), so
 [W]^2 = (a h^3 + b h c2)^2 + eta^2 c^2.
 """
 
@@ -17,7 +21,9 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .hodge_ring import ETA_SQUARE, basis_class, eta_class, h_power, integrate, multiply
+from .fujiki import sigma_sigbar_integral
+from .hodge_ring import (ETA_SQUARE, TOP_INTEGRALS, basis_class, eta_class, h_power,
+                         integrate, multiply, positive_q, solve_2x2)
 from .llv import CASES, euler_of_fixed_locus
 from .qfield import Rational, rational_sqrt
 
@@ -27,16 +33,20 @@ EPW_Q = Fraction(4)
 #: k with canonical class K_W = k*h|_W on the fixed locus
 CANONICAL_MULTIPLE = 2
 
+#: (a, b) at degree 1, monomials in q: the two conditions above, solved
+_UNIT_PROJECTION = solve_2x2(
+    ((sigma_sigbar_integral("1"), sigma_sigbar_integral("c2")),
+     (TOP_INTEGRALS["h^6"], TOP_INTEGRALS["h^4*c2"])),
+    (0, 1))
+
 
 def project_lagrangian_class(degree: Rational, q: Rational) -> tuple[Fraction, Fraction]:
     """Coefficients (a, b) of the projection a*h^3 + b*h*c2 of a Lagrangian
     class with h^3 . [W] = degree, at BBF square q(h) = q > 0."""
-    q = Fraction(q)
-    if q <= 0:
-        raise ValueError("the BBF square of a polarization must be positive")
-    b = -Fraction(degree) / (72 * q ** 2)
-    a = -12 * b / q
-    return a, b
+    q = positive_q(q)
+    degree = Fraction(degree)
+    a, b = _UNIT_PROJECTION
+    return degree * a.evaluate(q), degree * b.evaluate(q)
 
 
 def _degree6_class(a: Rational, b: Rational, c: Rational):
@@ -48,9 +58,7 @@ def _degree6_class(a: Rational, b: Rational, c: Rational):
 
 def self_intersection(a: Rational, b: Rational, c: Rational, q: Rational) -> Fraction:
     """(a*h^3 + b*h*c2 + c*eta)^2 integrated over the sixfold at q."""
-    q = Fraction(q)
-    if q <= 0:
-        raise ValueError("the BBF square of a polarization must be positive")
+    q = positive_q(q)
     cls = _degree6_class(a, b, c)
     return integrate(multiply(cls, cls)).evaluate(q)
 
@@ -98,10 +106,6 @@ class FixedLocusInvariants(namedtuple(
 
     __slots__ = ()
 
-    def as_tuple(self):
-        return (self.c1c2, self.chi_structure, self.chi_one_forms, self.c3,
-                self.canonical_cube)
-
 
 def fixed_locus_invariants(degree: Rational = EPW_DEGREE,
                            q: Rational = EPW_Q) -> FixedLocusInvariants:
@@ -115,7 +119,6 @@ def fixed_locus_invariants(degree: Rational = EPW_DEGREE,
     chi(Omega^1) = chi(O) - chi_top/2 and K^3 = k^3*h^3 . [W].
     """
     case, eta, chi_top = disambiguate_involution_case(degree, q)
-    q = Fraction(q)
     a, b = project_lagrangian_class(degree, q)
     w = _degree6_class(a, b, 0)
     h3_w = integrate(multiply(h_power(3), w)).evaluate(q)

@@ -33,6 +33,7 @@ def test_exit_codes(capsys):
     # precondition violations surface as computation errors
     assert run(["ring", "--q", "-1"]) == 1
     assert run(["relations", "--q", "0"]) == 1
+    assert run(["relations", "--q", "-4"]) == 1
     assert run(["walls", "--beta", "-1"]) == 1
     assert run(["pell", "--bound", "0"]) == 1
     # a negative fraction is a value, not an unknown option

@@ -5,14 +5,9 @@ from math import factorial
 
 import pytest
 
-from epwcalc.fujiki import (
-    CODEGREE,
-    FUJIKI_CONSTANTS,
-    AbstractClassSpace,
-    enumerate_matchings,
-    fujiki_constant,
-    polarized_integral,
-)
+from epwcalc.fujiki import CODEGREE, FUJIKI_CONSTANTS, fujiki_constant, sigma_sigbar_integral
+from epwcalc.qfield import ParametricScalar
+from fujiki_oracle import AbstractClassSpace, enumerate_matchings, polarized_integral
 
 
 def polarized_integral_by_permutations(alpha, betas, space):
@@ -37,6 +32,8 @@ def test_constants():
     assert fujiki_constant("c2^2") / fujiki_constant("c4") == Fraction(5, 2)
     with pytest.raises(ValueError):
         fujiki_constant("c3")
+    with pytest.raises(ValueError):
+        sigma_sigbar_integral("c3")
 
 
 def test_matching_counts():
@@ -145,6 +142,21 @@ def test_polarized_reference_values():
     # an isotropic argument kills the one-matching cases
     zero_space = AbstractClassSpace.with_square("b", 0)
     assert polarized_integral("c4", ["b", "b"], zero_space) == 0
+
+
+def test_sigma_sigbar_integral_is_the_matching_sum():
+    """The closed form C(alpha) * q^j / (2j+1) against the matching sum with
+    h^(2j), sigma and sigbar as arguments, q(sigma, sigbar) = 1."""
+    assert sigma_sigbar_integral("1") == ParametricScalar({2: 3})
+    assert sigma_sigbar_integral("c2") == ParametricScalar({1: 36})
+    rng = random.Random(3141)
+    for _ in range(20):
+        q = Fraction(rng.choice([-1, 1]) * rng.randint(1, 90), rng.randint(1, 30))
+        space = AbstractClassSpace.polarized(q)
+        for alpha, need in CODEGREE.items():
+            betas = ["h"] * (need - 2) + ["sigma", "sigbar"]
+            assert sigma_sigbar_integral(alpha).evaluate(q) == \
+                polarized_integral(alpha, betas, space)
 
 
 def test_arity_and_label_errors():

@@ -1,10 +1,12 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from epwcalc import lagrangian
-from epwcalc.fujiki import AbstractClassSpace, polarized_integral
 from epwcalc.hodge_ring import TOP_INTEGRALS, basis_class, c2_class, h_power, integrate, multiply
 from epwcalc.lagrangian import (
     EPW_DEGREE,
@@ -16,6 +18,7 @@ from epwcalc.lagrangian import (
     project_lagrangian_class,
     self_intersection,
 )
+from fujiki_oracle import AbstractClassSpace, polarized_integral
 
 
 def test_projection_reference_values():
@@ -44,12 +47,58 @@ def _oracle_projection(degree, q):
     return (-m12 * degree) / det, (m11 * degree) / det
 
 
+def _closed_form_projection(degree, q):
+    """The solution in closed form: with C(1) = 15 and C(c2) = 108 the
+    orthogonality row is (3q^2, 36q) and the degree row (15q^3, 108q^2)."""
+    b = -Fraction(degree) / (72 * Fraction(q) ** 2)
+    return -12 * b / q, b
+
+
 def test_projection_against_linear_conditions():
     rng = random.Random(2718)
-    for _ in range(25):
+    for _ in range(200):
         degree = Fraction(rng.randint(-300, 300), rng.randint(1, 7))
         q = Fraction(rng.randint(1, 30), rng.randint(1, 9))
-        assert project_lagrangian_class(degree, q) == _oracle_projection(degree, q)
+        got = project_lagrangian_class(degree, q)
+        assert got == _closed_form_projection(degree, q)
+        assert got == _oracle_projection(degree, q)
+
+
+#: run in a fresh interpreter, so that the ring and the projection are built
+#: from the patched constant: argv is (tests directory, class, constant), and
+#: it prints h^3 . [W] through the ring and [W] . h*sigma*sigbar through the
+#: matching-sum oracle, at (EPW_DEGREE, EPW_Q)
+_PATCHED_CONSTANT = """
+import sys
+from fractions import Fraction
+sys.path.insert(0, sys.argv[1])
+from epwcalc import fujiki
+fujiki.FUJIKI_CONSTANTS[sys.argv[2]] = Fraction(sys.argv[3])
+from epwcalc.hodge_ring import basis_class, h_power, integrate, multiply
+from epwcalc.lagrangian import EPW_DEGREE, EPW_Q, project_lagrangian_class
+from fujiki_oracle import AbstractClassSpace, polarized_integral
+a, b = project_lagrangian_class(EPW_DEGREE, EPW_Q)
+w = a * h_power(3) + b * basis_class(6, "h*c2")
+space = AbstractClassSpace.polarized(EPW_Q)
+orthogonal = a * polarized_integral("1", ["h"] * 4 + ["sigma", "sigbar"], space) \
+    + b * polarized_integral("c2", ["h", "h", "sigma", "sigbar"], space)
+print(integrate(multiply(h_power(3), w)).evaluate(EPW_Q), orthogonal)
+"""
+
+
+@pytest.mark.parametrize("alpha, constant", [("c2", 109), ("1", 16)])
+def test_projection_follows_the_fujiki_constants(alpha, constant):
+    """With C(c2) or C(1) changed before the package is imported, the
+    projected class still has h^3-degree EPW_DEGREE and stays orthogonal to
+    h*sigma*sigbar: the projection is solved from the constants, not
+    copied in."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _PATCHED_CONSTANT, str(Path(__file__).parent), alpha,
+         str(constant)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [str(EPW_DEGREE), "0"]
 
 
 def test_projection_recovers_the_degree():
@@ -116,7 +165,7 @@ def test_disambiguation_can_fail():
 
 def test_fixed_locus_invariants():
     inv = fixed_locus_invariants()
-    assert inv.as_tuple() == (-3120, -130, 470, -1200, 5760)
+    assert inv[2:] == (-3120, -130, 470, -1200, 5760)
     assert (inv.case, inv.eta) == ("natural", 0)
     assert inv.c1c2 / 24 == inv.chi_structure
     assert hodge_symmetry_relation(inv.chi_structure, inv.chi_one_forms, inv.c3)

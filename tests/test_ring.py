@@ -4,7 +4,6 @@ from itertools import product
 
 import pytest
 
-from epwcalc.fujiki import AbstractClassSpace, polarized_integral
 from epwcalc.hodge_ring import (
     BASIS,
     CHERN_NUMBER_C2C4,
@@ -26,6 +25,7 @@ from epwcalc.hodge_ring import (
     verify_independence_degree6,
 )
 from epwcalc.qfield import ZERO, ParametricScalar
+from fujiki_oracle import AbstractClassSpace, polarized_integral
 
 Q = ParametricScalar.q()
 
