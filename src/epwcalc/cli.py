@@ -119,7 +119,7 @@ def _rows_lagrangian(degree: Fraction, q: Fraction) -> list[Row]:
         ("self-intersection of projection", base, "ring value of [W]^2 (eta part excluded)"),
     ]
     try:
-        case, c, chi_top = lagrangian.disambiguate_involution_case(degree, q)
+        case, c, chi_top = lagrangian.disambiguate_involution_case(base)
     except ValueError:
         return rows
     full = lagrangian.self_intersection(a, b, c, q)
@@ -274,15 +274,18 @@ def _bound(text: str) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reads "-5/2" after an option as its value: argparse's own test for
-    negative numbers knows only "-5" and "-2.5", and takes anything else
-    that starts with "-" for an option.  Rejects "--q=--", for which
-    argparse before Python 3.12 drops the "--" and hands the option an
-    empty list as its value.  Subparsers inherit the class."""
+    """Reads "-5/2" or "-15e-1" after an option as its value: argparse's own
+    test for negative numbers knows only "-5" and "-2.5", and takes anything
+    else that starts with "-" for an option.  Here every token that starts
+    with "-" and then a digit or ".digit" is a value, and the option's type
+    decides whether it is a valid one; no option name looks like that.
+    Rejects "--q=--", for which argparse before Python 3.12 drops the "--"
+    and hands the option an empty list as its value.  Subparsers inherit
+    the class."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def _get_values(self, action, arg_strings):
         if action.option_strings and action.nargs is None and arg_strings == ["--"]:

@@ -15,9 +15,10 @@ Basis by even degree (dimensions 1, 1, 3, 3, 3, 1, 1):
 Every basis label is a monomial h^i * c2^j * lambda^k, and the product of
 two basis classes is the sum of their exponents, rewritten onto the basis
 of its degree: c2^2 through the degree-8 relation and h^3*c2 through the
-degree-10 relation.  Both relations are derived at import time from the
-Fujiki constants and the Chern number c2*c4 = 14720, not copied in, so the
-solvers below are the single source of the multiplication table.
+degree-10 relation.  Both relations are solved once, at import and
+symbolically in q, from the Fujiki constants and the Chern number
+c2*c4 = 14720, not copied in: ``DEGREE8_RELATION`` and
+``DEGREE10_RELATIONS`` are the single source of the multiplication table.
 
 The classes lambda and eta sit outside the subring generated by h and c2
 and come only with pairing data: eta is orthogonal to h^3 and h*c2 and is
@@ -96,37 +97,28 @@ def solve_2x2(rows, rhs) -> tuple[ParametricScalar, ParametricScalar]:
     return (b1 * a22 - a12 * b2) / det, (a11 * b2 - a21 * b1) / det
 
 
-def derive_degree8_relation(q: Rational | None = None):
-    """Coefficients (x, y) with c4 = x*h^4 + y*h^2*c2.
+#: (x, y) with c4 = x*h^4 + y*h^2*c2, from pairing both sides with h^2 and c2
+DEGREE8_RELATION = solve_2x2(
+    ((TOP_INTEGRALS["h^6"], TOP_INTEGRALS["h^4*c2"]),
+     (TOP_INTEGRALS["h^4*c2"], TOP_INTEGRALS["h^2*c2^2"])),
+    (TOP_INTEGRALS["h^2*c4"], CHERN_NUMBER_C2C4))
 
-    Obtained by pairing both sides with h^2 and with c2 and solving the
-    2x2 system exactly; symbolic in q when q is None, else specialized.
-    """
-    top = TOP_INTEGRALS
-    x, y = solve_2x2(((top["h^6"], top["h^4*c2"]), (top["h^4*c2"], top["h^2*c2^2"])),
-                     (top["h^2*c4"], ParametricScalar(CHERN_NUMBER_C2C4)))
-    if q is None:
-        return x, y
+#: multiples of h^5 equal to h^3*c2, h*c2^2 and h*c4: pairing a degree-10
+#: class with h lands in the one-dimensional top degree
+DEGREE10_RELATIONS = tuple(TOP_INTEGRALS[m] / TOP_INTEGRALS["h^6"]
+                           for m in ("h^4*c2", "h^2*c2^2", "h^2*c4"))
+
+
+def derive_degree8_relation(q: Rational) -> tuple[Fraction, Fraction]:
+    """``DEGREE8_RELATION`` at q > 0."""
     q = positive_q(q)
-    return x.evaluate(q), y.evaluate(q)
+    return tuple(c.evaluate(q) for c in DEGREE8_RELATION)
 
 
-def derive_degree10_relations(q: Rational | None = None):
-    """Multiples of h^5 equal to h^3*c2, h*c2^2 and h*c4.
-
-    Each is the ratio of top integrals: pairing any degree-10 class with h
-    lands in the one-dimensional top degree.
-    """
-    top = TOP_INTEGRALS
-    ratios = (
-        top["h^4*c2"] / top["h^6"],
-        top["h^2*c2^2"] / top["h^6"],
-        top["h^2*c4"] / top["h^6"],
-    )
-    if q is None:
-        return ratios
+def derive_degree10_relations(q: Rational) -> tuple[Fraction, Fraction, Fraction]:
+    """``DEGREE10_RELATIONS`` at q > 0."""
     q = positive_q(q)
-    return tuple(r.evaluate(q) for r in ratios)
+    return tuple(r.evaluate(q) for r in DEGREE10_RELATIONS)
 
 
 class HodgeClass(Value):
@@ -213,9 +205,8 @@ def eta_class() -> HodgeClass:
 
 
 def c4_class() -> HodgeClass:
-    """c4 written on the degree-8 basis through the derived relation."""
-    x, y = derive_degree8_relation()
-    return HodgeClass(8, (x, y, ZERO))
+    """c4 written on the degree-8 basis through the degree-8 relation."""
+    return HodgeClass(8, (*DEGREE8_RELATION, ZERO))
 
 
 def c2_squared_class() -> HodgeClass:
@@ -232,7 +223,7 @@ def c2_squared_class() -> HodgeClass:
 
 def _build_product_table():
     c2_squared = c2_squared_class()
-    r_h3c2 = derive_degree10_relations()[0]
+    r_h3c2 = DEGREE10_RELATIONS[0]
 
     def rewrite(i: int, j: int, k: int) -> HodgeClass | None:
         """h^i * c2^j * lambda^k on the basis of its degree."""

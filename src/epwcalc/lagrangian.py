@@ -13,7 +13,8 @@ import; ``tests/fujiki_oracle.py`` holds the matching-sum reference, and
 ``tests/test_lagrangian.py`` checks the solution against it and against its
 closed form.  Whatever eta component c the full class carries enters only
 through eta^2 (``hodge_ring.ETA_SQUARE``), so
-[W]^2 = (a h^3 + b h c2)^2 + eta^2 c^2.
+[W]^2 = (a h^3 + b h c2)^2 + eta^2 c^2, and the involution case depends on
+the point (degree, q) only through the base square (a h^3 + b h c2)^2.
 """
 
 from __future__ import annotations
@@ -76,19 +77,17 @@ def eta_coefficient(base_square: Rational, chi_top: Rational) -> Fraction | None
     return rational_sqrt(c_sq)
 
 
-def disambiguate_involution_case(degree: Rational = EPW_DEGREE,
-                                 q: Rational = EPW_Q) -> tuple[str, Fraction, int]:
+def disambiguate_involution_case(base_square: Rational) -> tuple[str, Fraction, int]:
     """Pick the involution action whose fixed-locus Euler characteristic is
-    compatible with a rational eta coefficient.
+    compatible with a rational eta coefficient, given the square of the
+    class with its eta part left out.
 
     Returns (case, eta coefficient, chi_top).  Raises when neither or both
     cases are admissible."""
-    a, b = project_lagrangian_class(degree, q)
-    base = self_intersection(a, b, 0, q)
     admissible = []
     for case in CASES:
         chi = euler_of_fixed_locus(case)
-        c = eta_coefficient(base, chi)
+        c = eta_coefficient(base_square, chi)
         if c is not None:
             admissible.append((case, c, chi))
     if not admissible:
@@ -109,8 +108,9 @@ class FixedLocusInvariants(namedtuple(
 
 def fixed_locus_invariants(degree: Rational = EPW_DEGREE,
                            q: Rational = EPW_Q) -> FixedLocusInvariants:
-    """Invariants of the fixed locus from its class a*h^3 + b*h*c2, under
-    the involution case ``disambiguate_involution_case`` picks.
+    """Invariants of the fixed locus from its class [W] = a*h^3 + b*h*c2,
+    under the involution case ``disambiguate_involution_case`` picks from
+    the base square [W]^2 = a*(h^3 . [W]) + b*(h*c2 . [W]).
 
     With K_W = k*h| (k = ``CANONICAL_MULTIPLE``) and normal bundle Omega_W,
     the tangent Chern classes are c1 = -k*h|, c2 = (c2| + k^2*h^2|)/2 and
@@ -118,11 +118,11 @@ def fixed_locus_invariants(degree: Rational = EPW_DEGREE,
     c1*c2 = -(k/2)*(h*c2 + k^2*h^3) . [W], chi(O) = c1*c2/24,
     chi(Omega^1) = chi(O) - chi_top/2 and K^3 = k^3*h^3 . [W].
     """
-    case, eta, chi_top = disambiguate_involution_case(degree, q)
     a, b = project_lagrangian_class(degree, q)
     w = _degree6_class(a, b, 0)
     h3_w = integrate(multiply(h_power(3), w)).evaluate(q)
     hc2_w = integrate(multiply(basis_class(6, "h*c2"), w)).evaluate(q)
+    case, eta, chi_top = disambiguate_involution_case(a * h3_w + b * hc2_w)
     k = CANONICAL_MULTIPLE
     c1c2 = -Fraction(k, 2) * (hc2_w + k ** 2 * h3_w)
     chi_structure = c1c2 / 24

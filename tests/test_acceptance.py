@@ -29,6 +29,8 @@ from epwcalc.degeneration import (
 )
 from epwcalc.fujiki import CODEGREE, fujiki_constant
 from epwcalc.hodge_ring import (
+    DEGREE8_RELATION,
+    DEGREE10_RELATIONS,
     TOP_INTEGRALS,
     chern_numbers_from_ring,
     derive_degree8_relation,
@@ -77,11 +79,13 @@ def test_criterion_02_top_integrals_at_q4():
 
 
 def test_criterion_03_relation_solvers_symbolic():
-    x, y = derive_degree8_relation()
-    deg8_ok = (x, y) == (-160 / Q ** 2, 80 / (3 * Q))
-    deg10_ok = derive_degree10_relations() == (36 / (5 * Q), 80 / Q ** 2, 32 / Q ** 2)
-    _check("criterion 3: degree-8 solver gives (-160/q^2, 80/(3q)) and degree-10 "
-           "gives (36/(5q), 80/q^2, 32/q^2) symbolically", deg8_ok and deg10_ok)
+    deg8_ok = (DEGREE8_RELATION == (-160 / Q ** 2, 80 / (3 * Q))
+               and derive_degree8_relation(4) == (-10, Fraction(20, 3)))
+    deg10_ok = (DEGREE10_RELATIONS == (36 / (5 * Q), 80 / Q ** 2, 32 / Q ** 2)
+                and derive_degree10_relations(4) == (Fraction(9, 5), 5, 2))
+    _check("criterion 3: degree-8 relation is (-160/q^2, 80/(3q)) and degree-10 "
+           "is (36/(5q), 80/q^2, 32/q^2) symbolically, and the solvers evaluate "
+           "them at q=4", deg8_ok and deg10_ok)
 
 
 def test_criterion_04_chern_numbers_q_independent():
@@ -107,8 +111,8 @@ def test_criterion_05_betti_and_euler():
 
 
 def test_criterion_06_involution_disambiguation():
-    case, c, chi_top = disambiguate_involution_case()
     base = self_intersection(*project_lagrangian_class(720, 4), 0, 4)
+    case, c, chi_top = disambiguate_involution_case(base)
     four_c_sq = {cs: -euler_of_fixed_locus(cs) - base for cs in ("natural", "opposite")}
     ok = (
         (case, c, chi_top) == ("natural", 0, -1200)

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from epwcalc import hodge_ring, lagrangian
 from epwcalc.cli import build_parser, run
 
 GOLDEN = Path(__file__).parent / "golden" / "report_all.json"
@@ -39,10 +40,12 @@ def test_exit_codes(capsys):
     # a negative fraction is a value, not an unknown option
     assert run(["ring", "--q", "-1/2"]) == 1
     capsys.readouterr()
-    assert run(["walls", "--beta", "-5/2"]) == 0
-    split = capsys.readouterr().out
-    assert run(["walls", "--beta=-5/2"]) == 0
-    assert split == capsys.readouterr().out != ""
+    # so is a negative value in exponent notation
+    for value in ("-5/2", "-15e-1", "-1.5E0"):
+        assert run(["walls", "--beta", value]) == 0
+        split = capsys.readouterr().out
+        assert run(["walls", f"--beta={value}"]) == 0
+        assert split == capsys.readouterr().out != ""
     # a value too long to print is a computation error, not a traceback
     assert run(["ring", "--q", "1" + "0" * 2000]) == 1
     out, err = capsys.readouterr()
@@ -215,3 +218,44 @@ def test_report_all_matches_golden():
     code, out, _ = _capture(["report-all", "--json"])
     assert code == 0
     assert out == GOLDEN.read_text()
+
+
+def test_a_point_where_both_involution_cases_are_admissible(capsys):
+    """At q = 213 and degree 272214 both cases admit an eta coefficient:
+    fixed-locus cannot pick one and is an error, while lagrangian reports
+    the projection and its square only."""
+    point = ["--q", "213", "--degree", "272214"]
+    assert run(["fixed-locus", *point]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ambiguous") and err.count("\n") == 1
+    assert run(["lagrangian", *point, "--json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["results"]
+    assert [r["label"] for r in rows] == [
+        "a (h^3 coefficient)", "b (h*c2 coefficient)", "self-intersection of projection"]
+    assert rows[2]["value"] == "1136"
+
+
+def test_report_all_walks_the_fixed_locus_once_per_section(monkeypatch, capsys):
+    """A warm report-all projects the Lagrangian class once in the
+    lagrangian section and once in fixed-locus (f3 reads a cache), and
+    solves no ring relation: those are solved at import."""
+    assert run(["report-all", "--json"]) == 0
+    capsys.readouterr()
+    calls = []
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    count(lagrangian, "project_lagrangian_class")
+    count(hodge_ring, "solve_2x2")
+    count(lagrangian, "solve_2x2")
+    assert run(["report-all", "--json"]) == 0
+    assert capsys.readouterr().out == GOLDEN.read_text()
+    assert calls.count("project_lagrangian_class") <= 2
+    assert "solve_2x2" not in calls

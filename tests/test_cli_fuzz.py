@@ -1,7 +1,8 @@
-"""Property test of the command line: whatever the argv, ``run`` returns
+"""Property tests of the command line: whatever the argv, ``run`` returns
 0, 1 or 2, lets no exception escape and prints no traceback; a computation
 error is one ``error:`` line on stderr and nothing on stdout; every value of
-a JSON report is an exact rational."""
+a JSON report is an exact rational; and an option reads a value the same
+way whether it is written "--opt value" or "--opt=value"."""
 
 import io
 import json
@@ -25,7 +26,8 @@ OWN_OPTIONS = {
 OPTIONS = ("--q", "--degree", "--case", "--beta", "--bound", "--genus", "--json", "-h",
            "--nope")
 JUNK = ("", "x", "-", "--", "nan", "inf", "-inf", "1/0", "0/0", "1.5e3", "-2.5",
-        "natural", "opposite", "sideways", "0x10", "1_000", " 7", "+3", "-0", "3/-4")
+        "natural", "opposite", "sideways", "0x10", "1_000", " 7", "+3", "-0", "3/-4",
+        "-15e-1", "-1.5E0", "-.5e1", "-1e-4301", "-1_000", "-2.")
 
 
 def _digits(count: int, seed: int) -> str:
@@ -85,3 +87,31 @@ def test_run_never_escapes_its_exit_codes(argv):
     if code == 0 and "--json" in argv and "-h" not in argv:
         for row in json.loads(out)["results"]:
             Fraction(row["value"])
+
+
+def _run(argv):
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = run(argv)
+    return code, out.getvalue()
+
+
+#: (subcommand, option) for every option that takes a value
+VALUED = tuple((command, option) for command, options in OWN_OPTIONS.items()
+               for option in options)
+
+
+@st.composite
+def option_values(draw):
+    command, option = draw(st.sampled_from(VALUED))
+    return command, option, draw(BOUNDS if option == "--bound" else VALUES)
+
+
+@settings(max_examples=200, deadline=None)
+@given(option_values())
+@example(("walls", "--beta", "-15e-1"))
+def test_a_value_reads_alike_after_a_space_and_after_an_equals_sign(case):
+    command, option, value = case
+    joined = _run([command, f"{option}={value}"])
+    if joined[0] == 0:
+        assert _run([command, option, value]) == joined

@@ -151,16 +151,34 @@ def test_eta_coefficient_inverts_the_eta_part_of_the_ring():
 
 
 def test_disambiguation_picks_the_natural_action():
-    case, c, chi_top = disambiguate_involution_case()
-    assert (case, c, chi_top) == ("natural", 0, -1200)
-    assert disambiguate_involution_case(EPW_DEGREE, EPW_Q)[0] == "natural"
+    assert disambiguate_involution_case(1200) == ("natural", 0, -1200)
+    base = self_intersection(*project_lagrangian_class(EPW_DEGREE, EPW_Q), 0, EPW_Q)
+    assert base == 1200
+    assert disambiguate_involution_case(base)[0] == "natural"
 
 
 def test_disambiguation_can_fail():
     # with a degree that makes the base square irrational-incompatible for
     # both Euler characteristics, no case is admissible
-    with pytest.raises(ValueError):
-        disambiguate_involution_case(7, 4)
+    base = self_intersection(*project_lagrangian_class(7, 4), 0, 4)
+    with pytest.raises(ValueError, match="no involution case"):
+        disambiguate_involution_case(base)
+    with pytest.raises(ValueError, match="no involution case"):
+        fixed_locus_invariants(7, 4)
+
+
+def test_disambiguation_can_be_ambiguous():
+    """At q = 213 and degree 272214 the base square is 1136, and both
+    Euler characteristics admit an eta coefficient: 1136 + 4*4^2 = 1200
+    (natural) and 1136 + 4*10^2 = 1536 (opposite)."""
+    base = self_intersection(*project_lagrangian_class(272214, 213), 0, 213)
+    assert base == 1136
+    assert eta_coefficient(base, -1200) == 4
+    assert eta_coefficient(base, -1536) == 10
+    with pytest.raises(ValueError, match="ambiguous"):
+        disambiguate_involution_case(1136)
+    with pytest.raises(ValueError, match="ambiguous"):
+        fixed_locus_invariants(272214, 213)
 
 
 def test_fixed_locus_invariants():

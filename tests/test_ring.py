@@ -8,6 +8,8 @@ from epwcalc.hodge_ring import (
     BASIS,
     CHERN_NUMBER_C2C4,
     CHERN_NUMBER_C6,
+    DEGREE8_RELATION,
+    DEGREE10_RELATIONS,
     TOP_INTEGRALS,
     HodgeClass,
     basis_class,
@@ -55,7 +57,7 @@ def test_top_integrals_at_q4():
 
 
 def test_degree8_relation_solver():
-    x, y = derive_degree8_relation()
+    x, y = DEGREE8_RELATION
     assert x == -160 / Q ** 2
     assert y == 80 / (3 * Q)
     assert derive_degree8_relation(4) == (Fraction(-10), Fraction(20, 3))
@@ -65,7 +67,7 @@ def test_degree8_relation_solver():
 
 
 def test_degree10_relations():
-    r1, r2, r3 = derive_degree10_relations()
+    r1, r2, r3 = DEGREE10_RELATIONS
     assert r1 == 36 / (5 * Q)
     assert r2 == 80 / Q ** 2
     assert r3 == 32 / Q ** 2
