@@ -274,18 +274,18 @@ def _bound(text: str) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reads "-5/2" or "-15e-1" after an option as its value: argparse's own
-    test for negative numbers knows only "-5" and "-2.5", and takes anything
-    else that starts with "-" for an option.  Here every token that starts
-    with "-" and then a digit or ".digit" is a value, and the option's type
-    decides whether it is a valid one; no option name looks like that.
-    Rejects "--q=--", for which argparse before Python 3.12 drops the "--"
-    and hands the option an empty list as its value.  Subparsers inherit
-    the class."""
+    """Reads "-5/2", "-15e-1" or "-inf" after an option as its value:
+    argparse's own test for negative numbers knows only "-5" and "-2.5", and
+    takes anything else that starts with "-" for an option.  Here every
+    token that starts with one "-" and is not the help option "-h" is a
+    value, and the option's type decides whether it is a valid one; every
+    other option name starts with "--".  Rejects "--q=--", for which
+    argparse before Python 3.12 drops the "--" and hands the option an
+    empty list as its value.  Subparsers inherit the class."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-\.?\d")
+        self._negative_number_matcher = re.compile(r"^-[^-]")
 
     def _get_values(self, action, arg_strings):
         if action.option_strings and action.nargs is None and arg_strings == ["--"]:

@@ -26,6 +26,8 @@ normalized with eta^2 = 4.  Degree 12 is spanned by h^6, so the monomials
 in lambda whose integral that data fixes (h^4*lambda, h^2*c2*lambda and
 h^2*lambda^2) are that integral over the integral of h^6.  Products the
 pairing data does not determine raise an error instead of inventing values.
+``DEGREE6_FORM``, the top pairing on (h^3, h*c2, eta), is read off the
+ring once at import, and every pairing of degree-6 classes reads it.
 """
 
 from __future__ import annotations
@@ -280,28 +282,29 @@ def integrate(x: HodgeClass) -> ParametricScalar:
     return x.coefficient("h^6") * TOP_INTEGRALS["h^6"]
 
 
-def integrate_product(x: HodgeClass, y: HodgeClass) -> ParametricScalar:
-    return integrate(multiply(x, y))
+#: the top pairing on BASIS[6] = (h^3, h*c2, eta), read off the ring once:
+#: ((15q^3, 108q^2, 0), (108q^2, 1200q, 0), (0, 0, 4))
+DEGREE6_FORM = tuple(tuple(integrate(multiply(basis_class(6, x), basis_class(6, y)))
+                           for y in BASIS[6]) for x in BASIS[6])
 
 
 def verify_independence_degree6(q: Rational) -> tuple[bool, Fraction]:
     """Whether h^3 and h*c2 stay independent in the top pairing at q > 0,
-    with the Gram determinant as witness."""
+    with the Gram determinant of their minor of ``DEGREE6_FORM`` as witness."""
     q = positive_q(q)
-    h3, hc2 = h_power(3), basis_class(6, "h*c2")
-    g11 = integrate_product(h3, h3).evaluate(q)
-    g12 = integrate_product(h3, hc2).evaluate(q)
-    g22 = integrate_product(hc2, hc2).evaluate(q)
-    det = g11 * g22 - g12 * g12
+    (g11, g12, _), (_, g22, _), _ = DEGREE6_FORM
+    det = g11.evaluate(q) * g22.evaluate(q) - g12.evaluate(q) ** 2
     return det != 0, det
 
 
 def chern_numbers_from_ring(q: Rational) -> tuple[Fraction, Fraction, Fraction]:
     """(c2^3, c2*c4, c6) recomputed by ring multiplication at the given q.
 
-    The first two must come out independent of q; c6 is the stored
-    normalization (it is the top Chern class itself, not a product), which
-    the tests check against the LLV total ``llv.SIXFOLD_EULER``.
+    None of the three can fail as a check, whatever the inputs.  c2*c4
+    gives back ``CHERN_NUMBER_C2C4``, the second equation of the degree-8
+    solve, and c2^3 is C(c2^2)/C(c4) times it.  c6 is the stored
+    normalization (the top Chern class itself, not a product), which the
+    tests check against the LLV total ``llv.SIXFOLD_EULER``.
     """
     q = positive_q(q)
     c2 = c2_class()

@@ -2,14 +2,16 @@
 projection of the class of a Lagrangian threefold to the span of h^3 and
 h*c2, its self-intersection, the choice between the two involution actions
 through Euler characteristics, and the Chern / Riemann-Roch invariants of
-the fixed locus of the EPW-cube involution.
+the fixed locus of the EPW-cube involution.  All of it is computed on the
+degree-6 lattice: a class a*h^3 + b*h*c2 + c*eta is its vector (a, b, c),
+and every pairing is a value of the form ``hodge_ring.DEGREE6_FORM``.
 
 The projection  a*h^3 + b*h*c2  of a Lagrangian class [W] is pinned by two
 linear conditions: [W] . h*sigma*sigbar = 0 (sigma the symplectic form) and
 the normalization [W] . h^3 = degree.  Their coefficients are Fujiki
-constants times powers of q (``fujiki.sigma_sigbar_integral`` and
-``TOP_INTEGRALS``), so the system is solved once, symbolically in q, at
-import; ``tests/fujiki_oracle.py`` holds the matching-sum reference, and
+constants times powers of q (``fujiki.sigma_sigbar_integral`` and the h^3
+row of ``DEGREE6_FORM``), so the system is solved once, symbolically in q,
+at import; ``tests/fujiki_oracle.py`` holds the matching-sum reference, and
 ``tests/test_lagrangian.py`` checks the solution against it and against its
 closed form.  Whatever eta component c the full class carries enters only
 through eta^2 (``hodge_ring.ETA_SQUARE``), so
@@ -23,8 +25,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .fujiki import sigma_sigbar_integral
-from .hodge_ring import (ETA_SQUARE, TOP_INTEGRALS, basis_class, eta_class, h_power,
-                         integrate, multiply, positive_q, solve_2x2)
+from .hodge_ring import DEGREE6_FORM, ETA_SQUARE, positive_q, solve_2x2
 from .llv import CASES, euler_of_fixed_locus
 from .qfield import Rational, rational_sqrt
 
@@ -36,8 +37,7 @@ CANONICAL_MULTIPLE = 2
 
 #: (a, b) at degree 1, monomials in q: the two conditions above, solved
 _UNIT_PROJECTION = solve_2x2(
-    ((sigma_sigbar_integral("1"), sigma_sigbar_integral("c2")),
-     (TOP_INTEGRALS["h^6"], TOP_INTEGRALS["h^4*c2"])),
+    ((sigma_sigbar_integral("1"), sigma_sigbar_integral("c2")), DEGREE6_FORM[0][:2]),
     (0, 1))
 
 
@@ -50,18 +50,16 @@ def project_lagrangian_class(degree: Rational, q: Rational) -> tuple[Fraction, F
     return degree * a.evaluate(q), degree * b.evaluate(q)
 
 
-def _degree6_class(a: Rational, b: Rational, c: Rational):
-    cls = Fraction(a) * h_power(3) + Fraction(b) * basis_class(6, "h*c2")
-    if c:
-        cls = cls + Fraction(c) * eta_class()
-    return cls
+def _pairings(w, q) -> list[Fraction]:
+    """(h^3 . w, h*c2 . w, eta . w) for w = (a, b, c) at q: the form applied to w."""
+    return [sum(g.evaluate(q) * x for g, x in zip(row, w)) for row in DEGREE6_FORM]
 
 
 def self_intersection(a: Rational, b: Rational, c: Rational, q: Rational) -> Fraction:
     """(a*h^3 + b*h*c2 + c*eta)^2 integrated over the sixfold at q."""
     q = positive_q(q)
-    cls = _degree6_class(a, b, c)
-    return integrate(multiply(cls, cls)).evaluate(q)
+    w = (Fraction(a), Fraction(b), Fraction(c))
+    return sum(x * y for x, y in zip(w, _pairings(w, q)))
 
 
 def eta_coefficient(base_square: Rational, chi_top: Rational) -> Fraction | None:
@@ -119,9 +117,7 @@ def fixed_locus_invariants(degree: Rational = EPW_DEGREE,
     chi(Omega^1) = chi(O) - chi_top/2 and K^3 = k^3*h^3 . [W].
     """
     a, b = project_lagrangian_class(degree, q)
-    w = _degree6_class(a, b, 0)
-    h3_w = integrate(multiply(h_power(3), w)).evaluate(q)
-    hc2_w = integrate(multiply(basis_class(6, "h*c2"), w)).evaluate(q)
+    h3_w, hc2_w, _ = _pairings((a, b, 0), q)
     case, eta, chi_top = disambiguate_involution_case(a * h3_w + b * hc2_w)
     k = CANONICAL_MULTIPLE
     c1c2 = -Fraction(k, 2) * (hc2_w + k ** 2 * h3_w)

@@ -46,6 +46,14 @@ def test_exit_codes(capsys):
         split = capsys.readouterr().out
         assert run(["walls", f"--beta={value}"]) == 0
         assert split == capsys.readouterr().out != ""
+    # a value that starts with "-" but is no number is rejected as a value
+    for command, option, value in (("ring", "--q", "-inf"), ("ring", "--q", "-nan"),
+                                   ("walls", "--beta", "-Infinity")):
+        assert run([command, option, value]) == 2
+        split = capsys.readouterr().err
+        assert run([command, f"{option}={value}"]) == 2
+        assert split == capsys.readouterr().err
+        assert f"not a rational number: {value!r}" in split
     # a value too long to print is a computation error, not a traceback
     assert run(["ring", "--q", "1" + "0" * 2000]) == 1
     out, err = capsys.readouterr()
@@ -239,7 +247,9 @@ def test_a_point_where_both_involution_cases_are_admissible(capsys):
 def test_report_all_walks_the_fixed_locus_once_per_section(monkeypatch, capsys):
     """A warm report-all projects the Lagrangian class once in the
     lagrangian section and once in fixed-locus (f3 reads a cache), and
-    solves no ring relation: those are solved at import."""
+    solves no ring relation: those are solved at import.  It multiplies
+    ring classes only for the three products of the ring's Chern numbers:
+    every degree-6 pairing reads ``hodge_ring.DEGREE6_FORM``."""
     assert run(["report-all", "--json"]) == 0
     capsys.readouterr()
     calls = []
@@ -248,14 +258,20 @@ def test_report_all_walks_the_fixed_locus_once_per_section(monkeypatch, capsys):
         fn = getattr(module, name)
 
         def counted(*args, **kwargs):
-            calls.append(name)
+            calls.append(fn.__name__)
             return fn(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
 
     count(lagrangian, "project_lagrangian_class")
     count(hodge_ring, "solve_2x2")
     count(lagrangian, "solve_2x2")
+    multiply = hodge_ring.multiply
+    for module in [m for n, m in sys.modules.items() if n.startswith("epwcalc.")]:
+        for name, value in list(vars(module).items()):
+            if value is multiply:
+                count(module, name)
     assert run(["report-all", "--json"]) == 0
     assert capsys.readouterr().out == GOLDEN.read_text()
     assert calls.count("project_lagrangian_class") <= 2
     assert "solve_2x2" not in calls
+    assert calls.count("multiply") <= 3

@@ -131,6 +131,21 @@ def test_self_intersection_scales_quadratically():
             t ** 2 * self_intersection(a, b, c, q)
 
 
+def test_degree6_pairings_against_the_ring():
+    """self_intersection and the pairings fixed_locus_invariants reads off
+    ``DEGREE6_FORM`` equal the ring's products of
+    w = a*h^3 + b*h*c2 + c*eta with itself and with each basis class."""
+    rng = random.Random(6006)
+    basis = [basis_class(6, label) for label in ("h^3", "h*c2", "eta")]
+    for _ in range(40):
+        a, b, c = (Fraction(rng.randint(-40, 40), rng.randint(1, 9)) for _ in range(3))
+        q = Fraction(rng.randint(1, 40), rng.randint(1, 9))
+        w = a * basis[0] + b * basis[1] + c * basis[2]
+        assert self_intersection(a, b, c, q) == integrate(multiply(w, w)).evaluate(q)
+        assert lagrangian._pairings((a, b, c), q) == [
+            integrate(multiply(e, w)).evaluate(q) for e in basis]
+
+
 def test_eta_coefficient():
     assert eta_coefficient(1200, -1200) == 0
     assert eta_coefficient(1200, -1204) == 1      # hypothetical chi_top

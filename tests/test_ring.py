@@ -8,6 +8,7 @@ from epwcalc.hodge_ring import (
     BASIS,
     CHERN_NUMBER_C2C4,
     CHERN_NUMBER_C6,
+    DEGREE6_FORM,
     DEGREE8_RELATION,
     DEGREE10_RELATIONS,
     TOP_INTEGRALS,
@@ -22,7 +23,6 @@ from epwcalc.hodge_ring import (
     eta_class,
     h_power,
     integrate,
-    integrate_product,
     multiply,
     verify_independence_degree6,
 )
@@ -49,9 +49,9 @@ def test_basis_shape():
 
 
 def test_top_integrals_at_q4():
-    assert integrate_product(h_power(3), h_power(3)).evaluate(4) == 960
-    assert integrate_product(multiply(h_power(2), c2_class()), h_power(2)).evaluate(4) == 1728
-    assert integrate_product(basis_class(6, "h*c2"), h_power(3)).evaluate(4) == 1728
+    assert integrate(multiply(h_power(3), h_power(3))).evaluate(4) == 960
+    assert integrate(multiply(multiply(h_power(2), c2_class()), h_power(2))).evaluate(4) == 1728
+    assert integrate(multiply(basis_class(6, "h*c2"), h_power(3))).evaluate(4) == 1728
     assert integrate(multiply(multiply(c2_class(), c2_class()), h_power(2))).evaluate(4) == 4800
     assert integrate(multiply(c4_class(), h_power(2))).evaluate(4) == 1920
 
@@ -106,6 +106,13 @@ def test_chern_numbers_q_independent():
         assert chern_numbers_from_ring(q) == (36800, CHERN_NUMBER_C2C4, CHERN_NUMBER_C6)
     with pytest.raises(ValueError):
         chern_numbers_from_ring(-4)
+
+
+def test_degree6_form_symbolic():
+    """The top pairing on (h^3, h*c2, eta), as read off the ring."""
+    assert DEGREE6_FORM == ((15 * Q ** 3, 108 * Q ** 2, 0),
+                            (108 * Q ** 2, 1200 * Q, 0),
+                            (0, 0, 4))
 
 
 def test_independence_gram_determinant():
@@ -201,9 +208,9 @@ def test_associative_where_both_bracketings_are_defined():
 
 def test_eta_pairings():
     # eta is orthogonal to the rest of degree 6 and has square 4
-    assert integrate_product(eta_class(), h_power(3)) == 0
-    assert integrate_product(eta_class(), basis_class(6, "h*c2")) == 0
-    assert integrate_product(eta_class(), eta_class()) == 4
+    assert integrate(multiply(eta_class(), h_power(3))) == 0
+    assert integrate(multiply(eta_class(), basis_class(6, "h*c2"))) == 0
+    assert integrate(multiply(eta_class(), eta_class())) == 4
     assert multiply(eta_class(), eta_class()) == (4 / (15 * Q ** 3)) * h_power(6)
 
 
