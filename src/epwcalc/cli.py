@@ -7,21 +7,21 @@ encoded as +1/-1 or 1/0 with the meaning spelled out in the note field.
 Output is byte-deterministic: same arguments, same bytes.
 
 The subcommands come from one registry of sections, and ``report-all``
-walks an ordered table over it.  The parser is built once per process, on
-the first call of ``build_parser``; ``run`` can be called again and again in
-one process, and each call parses into a fresh namespace, so no option
-carries over from one call to the next.
+walks an ordered table over it.  ``run`` reads a well-formed argv straight
+from that registry (``_parse_fast``); help, abbreviations and every error go
+to the argparse parser of ``build_parser``, imported only then, which writes
+every help, usage and error message.  ``run`` can be called again and again
+in one process, and no option carries over from one call to the next.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
-import re
 import sys
 from collections import namedtuple
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import degeneration, fujiki, hodge_ring, lagrangian, llv, mukai
 
@@ -251,46 +251,31 @@ _MAX_EXPONENT = 4300
 _MAX_BOUND = 10 ** 1000
 
 
+def _invalid(message: str) -> Exception:
+    """The error argparse reports for a value its converter rejects."""
+    import argparse
+    return argparse.ArgumentTypeError(message)
+
+
 def _rational(text: str) -> Fraction:
     _, e, exponent = text.lower().rpartition("e")
     try:
         # a string with an "e" is a rational only if what follows is an int
         if e and abs(int(exponent)) > _MAX_EXPONENT:
-            raise argparse.ArgumentTypeError(
-                f"exponent beyond {_MAX_EXPONENT} in magnitude: {text!r}")
+            raise _invalid(f"exponent beyond {_MAX_EXPONENT} in magnitude: {text!r}")
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
+        raise _invalid(f"not a rational number: {text!r}") from None
 
 
 def _bound(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        raise _invalid(f"invalid int value: {text!r}") from None
     if value > _MAX_BOUND:
-        raise argparse.ArgumentTypeError(f"bound above 10^1000: {text!r}")
+        raise _invalid(f"bound above 10^1000: {text!r}")
     return value
-
-
-class _Parser(argparse.ArgumentParser):
-    """Reads "-5/2", "-15e-1" or "-inf" after an option as its value:
-    argparse's own test for negative numbers knows only "-5" and "-2.5", and
-    takes anything else that starts with "-" for an option.  Here every
-    token that starts with one "-" and is not the help option "-h" is a
-    value, and the option's type decides whether it is a valid one; every
-    other option name starts with "--".  Rejects "--q=--", for which
-    argparse before Python 3.12 drops the "--" and hands the option an
-    empty list as its value.  Subparsers inherit the class."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-[^-]")
-
-    def _get_values(self, action, arg_strings):
-        if action.option_strings and action.nargs is None and arg_strings == ["--"]:
-            raise argparse.ArgumentError(action, "expected one argument")
-        return super()._get_values(action, arg_strings)
 
 
 _Q = {"type": _rational, "default": lagrangian.EPW_Q,
@@ -371,9 +356,32 @@ _SECTIONS = {
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The parser of every subcommand, built on the first call and shared by
-    every later one; parsing leaves no state in it."""
+def build_parser():
+    """The argparse parser of every subcommand, built on the first call and
+    shared by every later one; parsing leaves no state in it.  ``run`` uses
+    it for every argv that ``_parse_fast`` does not read."""
+    import argparse
+    import re
+
+    class _Parser(argparse.ArgumentParser):
+        """Reads "-5/2", "-15e-1" or "-inf" after an option as its value:
+        argparse's own test for negative numbers knows only "-5" and "-2.5",
+        and takes anything else that starts with "-" for an option.  Here
+        every token that starts with one "-" and is not the help option "-h"
+        is a value, and the option's type decides whether it is a valid one;
+        every other option name starts with "--".  Rejects "--q=--", for
+        which argparse before Python 3.12 drops the "--" and hands the option
+        an empty list as its value.  Subparsers inherit the class."""
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self._negative_number_matcher = re.compile(r"^-[^-]")
+
+        def _get_values(self, action, arg_strings):
+            if action.option_strings and action.nargs is None and arg_strings == ["--"]:
+                raise argparse.ArgumentError(action, "expected one argument")
+            return super()._get_values(action, arg_strings)
+
     parser = _Parser(
         prog="epwcalc",
         description="Exact-arithmetic invariants of EPW cubes and the fixed "
@@ -390,15 +398,49 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_fast(argv):
+    """The namespace ``build_parser().parse_args(argv)`` gives, read straight
+    from ``_SECTIONS``, when argv is a section and then only ``--json``,
+    ``--opt=value`` or ``--opt value`` (value not starting with "-") for
+    ``--out`` and the section's options, each value taken by the option's
+    ``type`` and ``choices``; ``None`` for every other argv."""
+    if not argv or argv[0] not in _SECTIONS:
+        return None
+    specs = {"out": {"default": None}, **_SECTIONS[argv[0]][2]}
+    args = {"command": argv[0], "json": False}
+    args.update((name, spec["default"]) for name, spec in specs.items())
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token == "--json":
+            args["json"] = True
+            continue
+        option, eq, text = token.partition("=")
+        if not eq:
+            text = next(tokens, "-")  # no value left: as malformed as "-x"
+        name = option[2:] if option.startswith("--") else None
+        if name not in specs or text == "--" or not eq and text.startswith("-"):
+            return None
+        spec = specs[name]
+        try:
+            args[name] = spec.get("type", str)(text)
+        except Exception:  # argparse reports whatever the converter raised
+            return None
+        if "choices" in spec and args[name] not in spec["choices"]:
+            return None
+    return SimpleNamespace(**args)
+
+
 def _error(exc: Exception) -> int:
     print(f"error: {exc}", file=sys.stderr)
     return 1
 
 
 def run(argv=None) -> int:
-    """Entry point; returns the exit code (0 ok, 1 computation, 2 usage)."""
+    """Entry point; returns the exit code (0 ok, 1 computation, 2 usage).
+    ``_parse_fast`` reads the argv if it can, else ``build_parser``'s."""
+    args = _parse_fast(sys.argv[1:] if argv is None else argv)
     try:
-        args = build_parser().parse_args(argv)
+        args = args or build_parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2

@@ -197,21 +197,31 @@ def test_pell_lists_solutions():
 def test_import_leaves_out_dataclasses_inspect_typing_and_pathlib():
     """Cold start: importing ``llv`` loads no other ``epwcalc`` module (its
     Euler characteristic 3200 is derived, not read from ``hodge_ring``), and
-    importing the CLI loads none of the stdlib modules below.  ``-S`` skips
+    importing the CLI loads none of the stdlib modules below.  A successful
+    request loads no ``argparse``, ``gettext`` or ``shutil`` either; a usage
+    error does load ``argparse``, which writes the message.  ``-S`` skips
     ``site``, whose ``.pth`` files may import ``typing`` or ``pathlib``
     themselves."""
     src = Path(__file__).resolve().parents[1] / "src"
-    code = ("import sys, epwcalc.llv; "
+    code = ("import os, sys, epwcalc.llv; "
             "print(*sorted(m for m in sys.modules if m.startswith('epwcalc.')"
             " and m != 'epwcalc.llv')); "
             "import epwcalc.cli; "
-            "print(*sorted({'dataclasses', 'inspect', 'typing', 'pathlib'} & set(sys.modules)))")
+            "print(*sorted({'dataclasses', 'inspect', 'typing', 'pathlib'} & set(sys.modules))); "
+            "sys.stdout = open(os.devnull, 'w'); "
+            "code = epwcalc.cli.run(['report-all', '--json']); "
+            "sys.stdout = sys.__stdout__; "
+            "print(code, *sorted({'argparse', 'gettext', 'shutil'} & set(sys.modules))); "
+            "print(epwcalc.cli.run(['ring', '--q', 'x']), 'argparse' in sys.modules)")
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 0, proc.stderr
-    others_with_llv, stdlib_with_cli = proc.stdout.splitlines()
+    others_with_llv, stdlib_with_cli, after_success, after_error = proc.stdout.splitlines()
     assert others_with_llv == ""
     assert stdlib_with_cli == ""
+    assert after_success == "0"
+    assert after_error == "2 True"
+    assert "error: argument --q: not a rational number: 'x'" in proc.stderr
 
 
 def test_report_all_is_byte_deterministic():

@@ -1,19 +1,25 @@
 """Property tests of the command line: whatever the argv, ``run`` returns
 0, 1 or 2, lets no exception escape and prints no traceback; a computation
 error is one ``error:`` line on stderr and nothing on stdout; every value of
-a JSON report is an exact rational; and an option reads a value the same
-way whether it is written "--opt value" or "--opt=value"."""
+a JSON report is an exact rational; an option reads a value the same way
+whether it is written "--opt value" or "--opt=value"; and wherever the fast
+parser reads an argv, argparse reads it alike."""
 
+import importlib.util
 import io
+import itertools
 import json
 import random
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from epwcalc.cli import run
+from epwcalc.cli import _parse_fast, build_parser, run
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 #: subcommand -> its own options
 OWN_OPTIONS = {
@@ -115,3 +121,37 @@ def test_a_value_reads_alike_after_a_space_and_after_an_equals_sign(case):
     joined = _run([command, f"{option}={value}"])
     if joined[0] == 0:
         assert _run([command, option, value]) == joined
+
+
+@settings(max_examples=300, deadline=None)
+@given(argvs() | option_values().flatmap(
+    lambda case: st.sampled_from(([case[0], f"{case[1]}={case[2]}"], list(case)))))
+@example(["ring", "--q=--"])
+@example(["ring", "--q="])
+@example(["ring", "--q", "7", "--q=1/3"])
+@example(["ring", "--json=1"])
+@example(["lagrangian", "--deg", "7"])
+@example(["ring", "-h"])
+@example(["walls", "--beta", "-5/2"])
+@example(["ring", "--out", "-"])
+@example(["betti", "--case=sideways"])
+@example(["symprod", "--genus", " 7"])
+@example(["ring", "--out=--"])
+@example(["ring", "--out", "-h"])
+@example(["euler", "--out", "--json"])
+@example(["ring", "-q", "5"])
+def test_the_fast_parser_reads_an_argv_as_argparse_does(argv):
+    fast = _parse_fast(argv)
+    if fast is not None:
+        assert vars(fast) == vars(build_parser().parse_args(argv))
+
+
+def test_the_fast_parser_reads_every_benchmark_request():
+    """The first 1000 requests of each benchmark stream at seed 0 are all
+    well formed, so none of them loads argparse."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for name in workloads.STREAMS:
+        for argv in itertools.islice(workloads.stream(name, 0), 1000):
+            assert _parse_fast(argv) is not None, argv

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import comb, factorial, isqrt, perm
+from math import comb, factorial, isqrt, prod
 
 import pytest
 
@@ -191,10 +191,12 @@ def test_kuranishi_identity():
 
 
 def test_monomial_counts():
-    for g in (3, 7, 10):
+    """ACGH ch. VIII: theta^i * eta^(3-i) = g!/(g-i)! on the third symmetric
+    product, here the explicit product g(g-1)...(g-i+1)."""
+    for g in (3, 4, 7, 10, 25):
         for i in range(4):
             value = sym_prod_eval(SymProdClass.monomial(g, i))
-            assert value == perm(g, i)
+            assert value == prod(g - k for k in range(i))
     assert sym_prod_eval(SymProdClass.monomial(10, 3)) == 720
     assert sym_prod_eval(SymProdClass.monomial(10, 0)) == 1
 
@@ -279,6 +281,43 @@ def test_f3_relation_table_genus_override():
     assert table.h12_minus_h02_minus_h11 == 470
     with pytest.raises(ValueError):
         f3_hodge_relations(1)
+
+
+def _macdonald(genus: int, n: int) -> dict[tuple[int, int, int], int]:
+    """Macdonald's generating function (1+ut)^g (1+vt)^g / ((1-t)(1-uvt)) of
+    the Hodge numbers of the symmetric products of a genus-g curve, expanded
+    up to t^n by multiplying out its factors: (p, q, k) -> h^(p,q)(C^(k))."""
+    factors = ([{(0, 0, 0): 1, (1, 0, 1): 1}] * genus + [{(0, 0, 0): 1, (0, 1, 1): 1}] * genus
+               + [{(0, 0, k): 1 for k in range(n + 1)}, {(k, k, k): 1 for k in range(n + 1)}])
+    series = {(0, 0, 0): 1}
+    for factor in factors:
+        product: dict[tuple[int, int, int], int] = {}
+        for (p1, q1, k1), c1 in series.items():
+            for (p2, q2, k2), c2 in factor.items():
+                if k1 + k2 <= n:
+                    key = (p1 + p2, q1 + q2, k1 + k2)
+                    product[key] = product.get(key, 0) + c1 * c2
+        series = product
+    return series
+
+
+def test_f3_holomorphic_forms_against_macdonald():
+    """h^(0,2) and h^(0,3) of the third symmetric product, which
+    ``f3_hodge_relations`` takes as binomial coefficients, read off
+    Macdonald's generating function instead."""
+    for genus in (3, 4, 6, 10, 15):
+        hodge = _macdonald(genus, 3)
+        # the t^1 terms are the Hodge diamond of the curve itself
+        assert {key: h for key, h in hodge.items() if key[2] == 1} == {
+            (0, 0, 1): 1, (1, 0, 1): genus, (0, 1, 1): genus, (1, 1, 1): 1}
+        h02, h03 = hodge.get((0, 2, 3), 0), hodge.get((0, 3, 3), 0)
+        assert hodge[0, 0, 3] == 1 and hodge[0, 1, 3] == genus
+        table = f3_hodge_relations(genus)
+        assert table.h02_lower_bound == h02
+        assert table.h02_relation.startswith(f"h^(0,2) = {h02} + ")
+        assert table.h03_relation.startswith(f"h^(0,3) = {h03} + ")
+        if genus == 10:
+            assert (h02, h03) == (45, 120)
 
 
 def test_theta_characteristic_counts():

@@ -27,6 +27,8 @@ def test_tracer_installs_records_every_span_and_uninstalls(capsys):
         assert hodge_ring.multiply is not multiply
         assert cli.run(["report-all", "--json"]) == 0
         assert cli.run(["report-all"]) == 0
+        # a well-formed argv never reaches build_parser; an error does
+        assert cli.run(["ring", "--q", "x"]) == 2
     finally:
         tracer.uninstall()
     capsys.readouterr()
