@@ -348,7 +348,7 @@ _SECTIONS = {
     "symprod": ("symmetric-product intersection calculus", _rows_symprod,
                 {"genus": {"type": int, "default": 10, "help": "genus of the curve (default 10)"}}),
     "f3": ("Hodge-number relations for the fixed threefold", _rows_f3,
-           {"genus": {"type": int, "default": degeneration.plane_curve_genus(6),
+           {"genus": {"type": int, "default": degeneration.SEXTIC_GENUS,
                       "help": "genus override (default: plane sextic)"}}),
     "report-all": ("every headline number in one report", _rows_report_all,
                    {"q": _Q, "degree": _DEGREE}),

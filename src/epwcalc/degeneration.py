@@ -1,8 +1,9 @@
 """Arithmetic of the degeneration of an EPW cube to a moduli space on a
 degree-2 K3 surface: the circular wall in the stability half-plane, the
 Pell family of spherical classes on it, Ext dimensions at the contraction,
-the Kuranishi-space identity for the singularity type, and the symmetric-
-product intersection calculus on the limit threefold.
+the Kuranishi-space identity for the singularity type (decided by its
+factorisation, not by a general division), and the symmetric-product
+intersection calculus on the limit threefold.
 
 Central charges on the wall are evaluated exactly: a point has rational
 beta and rational alpha^2, and every charge is re + i*im*alpha, so pairs
@@ -14,6 +15,7 @@ from __future__ import annotations
 import functools
 from collections import namedtuple
 from fractions import Fraction
+from itertools import product
 from math import comb, perm
 
 from .lagrangian import fixed_locus_invariants
@@ -72,9 +74,6 @@ class WallCharge(Value):
     def __sub__(self, other: "WallCharge") -> "WallCharge":
         self._same_field(other)
         return WallCharge(self.re - other.re, self.im - other.im, self.alpha_sq)
-
-    def __neg__(self) -> "WallCharge":
-        return WallCharge(-self.re, -self.im, self.alpha_sq)
 
     def norm_sq(self) -> Fraction:
         return self.re ** 2 + self.im ** 2 * self.alpha_sq
@@ -150,53 +149,28 @@ def ext_dimensions() -> dict[str, int]:
 # Kuranishi identity: membership in a principal ideal
 # ---------------------------------------------------------------------------
 
-_KVARS = ("a1", "a2", "b1", "b2")
-
-
-def _grlex(mono: tuple[int, ...]):
-    return (sum(mono), mono)
-
-
-def _monomial(**powers: int) -> tuple[int, ...]:
-    """Exponent tuple over a1, a2, b1, b2."""
-    return tuple(powers.get(v, 0) for v in _KVARS)
-
-
-def _times(m1: tuple[int, ...], m2: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(e1 + e2 for e1, e2 in zip(m1, m2))
-
-
-def _add_term(poly: dict, mono: tuple[int, ...], coeff: Fraction) -> None:
-    coeff += poly.pop(mono, 0)
-    if coeff:
-        poly[mono] = coeff
-
-
 def kuranishi_identity_check(u2_sign: int = -1) -> bool:
     """Whether u1^2 - u2*u3 lies in the ideal (a1*b1 + a2*b2) after the
     substitution u1 = a1*b1, u2 = u2_sign*a1*b2, u3 = a2*b1.
 
-    A single generator is a Groebner basis of its ideal, so membership is
-    exact division by it in graded-lex order: the polynomial (a dict from
-    monomial to coefficient) lies in the ideal exactly when every leading
-    term met along the way is divisible by the generator's.  The sign is a
-    parameter so that the failure of the perturbed identity is testable;
-    the default matches the singularity type seen at the contraction."""
-    u1, u2, u3 = _monomial(a1=1, b1=1), _monomial(a1=1, b2=1), _monomial(a2=1, b1=1)
-    poly: dict[tuple[int, ...], Fraction] = {}
-    _add_term(poly, _times(u1, u1), Fraction(1))
-    _add_term(poly, _times(u2, u3), Fraction(-u2_sign))
-    generator = {_monomial(a1=1, b1=1): 1, _monomial(a2=1, b2=1): 1}
-    lead = max(generator, key=_grlex)
-    while poly:
-        mono = max(poly, key=_grlex)
-        shift = tuple(e - f for e, f in zip(mono, lead))
-        if min(shift) < 0:
-            return False
-        factor = poly[mono] / generator[lead]
-        for m, c in generator.items():
-            _add_term(poly, _times(shift, m), -factor * c)
-    return True
+    Membership is shown by the factorisation u1^2 - u2*u3 =
+    a1*b1 * (a1*b1 + a2*b2): no variable has degree above 2 on either side,
+    so agreement on the grid {0, 1, 2}^4 makes it an identity.  Otherwise
+    the point (1, 1, 1, -1), where the generator vanishes, is a witness
+    against membership if the form is nonzero there (it reads 1 + u2_sign).
+    The sign is a parameter so that the failure of the perturbed identity
+    is testable; the default matches the singularity type seen at the
+    contraction."""
+    def form(a1, a2, b1, b2):
+        u1, u2, u3 = a1 * b1, u2_sign * a1 * b2, a2 * b1
+        return u1 * u1 - u2 * u3
+
+    if all(form(a1, a2, b1, b2) == a1 * b1 * (a1 * b1 + a2 * b2)
+           for a1, a2, b1, b2 in product(range(3), repeat=4)):
+        return True
+    if form(1, 1, 1, -1):
+        return False
+    raise ValueError("neither the factorisation nor the witness point decides membership")
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +244,10 @@ def plane_curve_genus(degree: int) -> int:
     return (degree - 1) * (degree - 2) // 2
 
 
+#: genus of a plane sextic, the default curve of ``f3_hodge_relations``
+SEXTIC_GENUS = plane_curve_genus(6)
+
+
 class F3RelationTable(namedtuple(
         "F3RelationTable", "genus h1_structure h02_lower_bound h02_relation h03_relation"
                            " h03_minus_h02 h12_minus_h02_minus_h11")):
@@ -286,7 +264,7 @@ def _epw_fixed_locus_invariants():
     return fixed_locus_invariants()
 
 
-def f3_hodge_relations(genus: int | None = None) -> F3RelationTable:
+def f3_hodge_relations(genus: int = SEXTIC_GENUS) -> F3RelationTable:
     """Hodge-number relations forced by degenerating the fixed threefold to
     the third symmetric product of a plane sextic (genus 10 by default).
 
@@ -294,8 +272,6 @@ def f3_hodge_relations(genus: int | None = None) -> F3RelationTable:
     of the symmetric product that survive restriction; the differences
     involving h^(0,3) and h^(1,2) come from the two Euler characteristics,
     with the undetermined dimensions named rather than guessed."""
-    if genus is None:
-        genus = plane_curve_genus(6)
     if genus < 3:
         raise ValueError("the calculus needs genus >= 3")
     invariants = _epw_fixed_locus_invariants()

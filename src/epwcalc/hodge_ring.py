@@ -18,7 +18,8 @@ of its degree: c2^2 through the degree-8 relation and h^3*c2 through the
 degree-10 relation.  Both relations are solved once, at import and
 symbolically in q, from the Fujiki constants and the Chern number
 c2*c4 = 14720, not copied in: ``DEGREE8_RELATION`` and
-``DEGREE10_RELATIONS`` are the single source of the multiplication table.
+``DEGREE10_RELATIONS`` are the single source of ``_rewrite``, which puts a
+monomial on the basis the first time a product meets it.
 
 The classes lambda and eta sit outside the subring generated by h and c2
 and come only with pairing data: eta is orthogonal to h^3 and h*c2 and is
@@ -32,6 +33,7 @@ ring once at import, and every pairing of degree-6 classes reads it.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from .fujiki import fujiki_constant
@@ -129,13 +131,11 @@ class HodgeClass(Value):
     __slots__ = ("degree", "coeffs")
 
     def __init__(self, degree: int, coeffs: tuple[ParametricScalar, ...]):
-        # built hundreds of times per report: no generic field loop here
         if degree not in BASIS:
             raise ValueError(f"no Hodge classes in degree {degree}")
         if len(coeffs) != len(BASIS[degree]):
             raise ValueError(f"degree {degree} needs {len(BASIS[degree])} coefficients")
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "coeffs", coeffs)
+        super().__init__(degree, coeffs)
 
     # -- linear structure ---------------------------------------------------
 
@@ -158,14 +158,6 @@ class HodgeClass(Value):
             raise TypeError(f"cannot scale by {scalar!r}")
         return HodgeClass(self.degree, tuple(s * c for c in self.coeffs))
 
-    def __mul__(self, other):
-        if isinstance(other, HodgeClass):
-            return multiply(self, other)
-        try:
-            return self.scale(other)
-        except TypeError:
-            return NotImplemented
-
     def __rmul__(self, other):
         try:
             return self.scale(other)
@@ -179,10 +171,6 @@ class HodgeClass(Value):
 
     def _nonzero(self):
         return [(label, c) for label, c in zip(BASIS[self.degree], self.coeffs) if c]
-
-    def __str__(self):
-        parts = [f"({c})*{label}" for label, c in self._nonzero()]
-        return " + ".join(parts) if parts else f"0 (degree {self.degree})"
 
 
 def basis_class(degree: int, label: str) -> HodgeClass:
@@ -217,43 +205,25 @@ def c2_squared_class() -> HodgeClass:
     return c4_class().scale(ratio)
 
 
-# ---------------------------------------------------------------------------
-# multiplication table: (label, label) -> {target label: Laurent coefficient in q},
-# generated from the monomial of each product.  None marks products the
-# pairing data does not determine.
-# ---------------------------------------------------------------------------
-
-def _build_product_table():
-    c2_squared = c2_squared_class()
-    r_h3c2 = DEGREE10_RELATIONS[0]
-
-    def rewrite(i: int, j: int, k: int) -> HodgeClass | None:
-        """h^i * c2^j * lambda^k on the basis of its degree."""
-        if (i, j, k) in _LABEL:
-            return basis_class(_degree(i, j, k), _LABEL[i, j, k])
-        if k:
-            integral = _LAMBDA_INTEGRALS.get((i, j, k))
-            return None if integral is None else (integral / TOP_INTEGRALS["h^6"]) * h_power(6)
-        if j >= 2:  # c2^2 = (C(c2^2)/C(c4)) * (x*h^4 + y*h^2*c2)
-            return (c2_squared.coefficient("h^4") * rewrite(i + 4, j - 2, 0)
-                    + c2_squared.coefficient("h^2*c2") * rewrite(i + 2, j - 1, 0))
-        return r_h3c2 * h_power(i + 2)  # h^3*c2 = r*h^5, times h^(i-3)
-
-    positive = [(label, d) for d, labels in BASIS.items() if d for label in labels]
-    table: dict[tuple[str, str], dict[str, ParametricScalar] | None] = {}
-    for a, da in positive:
-        for b, db in positive:
-            if da + db <= 12:
-                rule = rewrite(*(s + t for s, t in zip(_EXPONENTS[a], _EXPONENTS[b])))
-                table[a, b] = None if rule is None else dict(rule._nonzero())
-    return table
-
-
-_PRODUCTS = _build_product_table()
+@functools.cache
+def _rewrite(i: int, j: int, k: int) -> HodgeClass | None:
+    """h^i * c2^j * lambda^k on the basis of its degree, or None when the
+    pairing data does not determine it."""
+    if (i, j, k) in _LABEL:
+        return basis_class(_degree(i, j, k), _LABEL[i, j, k])
+    if k:
+        integral = _LAMBDA_INTEGRALS.get((i, j, k))
+        return None if integral is None else (integral / TOP_INTEGRALS["h^6"]) * h_power(6)
+    if j >= 2:  # c2^2 = (C(c2^2)/C(c4)) * (x*h^4 + y*h^2*c2)
+        c2_squared = c2_squared_class()
+        return (c2_squared.coefficient("h^4") * _rewrite(i + 4, j - 2, 0)
+                + c2_squared.coefficient("h^2*c2") * _rewrite(i + 2, j - 1, 0))
+    return DEGREE10_RELATIONS[0] * h_power(i + 2)  # h^3*c2 = r*h^5, times h^(i-3)
 
 
 def multiply(x: HodgeClass, y: HodgeClass) -> HodgeClass:
-    """Product in the Hodge ring, rewritten onto the fixed basis.
+    """Product in the Hodge ring: each pair of basis monomials adds its
+    exponents, and ``_rewrite`` puts the sum on the basis.
 
     Raises ValueError for products the relations do not determine
     ("pairing-only class") and for total degree above 12.
@@ -264,15 +234,16 @@ def multiply(x: HodgeClass, y: HodgeClass) -> HodgeClass:
     degree = x.degree + y.degree
     if degree > 12:
         raise ValueError(f"product degree {degree} exceeds the top degree 12")
-    acc = {label: ZERO for label in BASIS[degree]}
+    acc = [ZERO] * len(BASIS[degree])
     for la, ca in x._nonzero():
         for lb, cb in y._nonzero():
-            rule = _PRODUCTS[la, lb]
+            rule = _rewrite(*(s + t for s, t in zip(_EXPONENTS[la], _EXPONENTS[lb])))
             if rule is None:
                 raise ValueError(f"pairing-only class: no product rule for {la} * {lb}")
-            for target, k in rule.items():
-                acc[target] = acc[target] + ca * cb * k
-    return HodgeClass(degree, tuple(acc.values()))
+            for n, k in enumerate(rule.coeffs):
+                if k:
+                    acc[n] = acc[n] + ca * cb * k
+    return HodgeClass(degree, tuple(acc))
 
 
 def integrate(x: HodgeClass) -> ParametricScalar:

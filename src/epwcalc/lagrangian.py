@@ -17,6 +17,15 @@ closed form.  Whatever eta component c the full class carries enters only
 through eta^2 (``hodge_ring.ETA_SQUARE``), so
 [W]^2 = (a h^3 + b h c2)^2 + eta^2 c^2, and the involution case depends on
 the point (degree, q) only through the base square (a h^3 + b h c2)^2.
+
+[W]^2 = -chi_top(W) is a theorem, not a sign convention: [W]^2 is c3 of
+the normal bundle, which for a Lagrangian is the cotangent bundle, and
+c3(Omega_W) = -c3(T_W).  The eta coefficient is 0 for two reasons that do
+not use the Euler characteristic.  Atomicity: W_A is an atomic Lagrangian,
+by Beckmann the Mukai vector of an atomic object lies in the Verbitsky
+component, and eta is the weight-0 image of alpha^beta in the second LLV
+summand Lambda^2 H~.  Invariance: iota*[W] = [W], while in the "opposite"
+case iota* sends eta to -eta.
 """
 
 from __future__ import annotations
@@ -67,8 +76,9 @@ def eta_coefficient(base_square: Rational, chi_top: Rational) -> Fraction | None
     or None when no rational c exists.
 
     The square of the fixed locus' class equals minus its topological Euler
-    characteristic, which forces eta^2 c^2 = -chi_top - base_square to be
-    the square of a rational (times eta^2)."""
+    characteristic (a theorem: see the module docstring), which forces
+    eta^2 c^2 = -chi_top - base_square to be the square of a rational
+    (times eta^2)."""
     c_sq = (-Fraction(chi_top) - Fraction(base_square)) / ETA_SQUARE
     if c_sq < 0:
         return None

@@ -61,18 +61,6 @@ class NSClass(Value):
 
     __slots__ = ("a", "b")
 
-    def __add__(self, other: "NSClass") -> "NSClass":
-        return NSClass(self.a + other.a, self.b + other.b)
-
-    def __sub__(self, other: "NSClass") -> "NSClass":
-        return NSClass(self.a - other.a, self.b - other.b)
-
-    def __neg__(self) -> "NSClass":
-        return NSClass(-self.a, -self.b)
-
-    def __rmul__(self, k: int) -> "NSClass":
-        return NSClass(k * self.a, k * self.b)
-
 
 def bbf_pairing(x: NSClass, y: NSClass) -> int:
     return 2 * x.a * y.a - 4 * x.b * y.b

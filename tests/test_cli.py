@@ -259,9 +259,11 @@ def test_report_all_walks_the_fixed_locus_once_per_section(monkeypatch, capsys):
     lagrangian section and once in fixed-locus (f3 reads a cache), and
     solves no ring relation: those are solved at import.  It multiplies
     ring classes only for the three products of the ring's Chern numbers:
-    every degree-6 pairing reads ``hodge_ring.DEGREE6_FORM``."""
+    every degree-6 pairing reads ``hodge_ring.DEGREE6_FORM``, and every
+    monomial they meet is already in the ``_rewrite`` cache."""
     assert run(["report-all", "--json"]) == 0
     capsys.readouterr()
+    rewrites = hodge_ring._rewrite.cache_info().misses
     calls = []
 
     def count(module, name):
@@ -285,3 +287,4 @@ def test_report_all_walks_the_fixed_locus_once_per_section(monkeypatch, capsys):
     assert calls.count("project_lagrangian_class") <= 2
     assert "solve_2x2" not in calls
     assert calls.count("multiply") <= 3
+    assert hodge_ring._rewrite.cache_info().misses == rewrites

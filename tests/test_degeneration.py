@@ -179,10 +179,11 @@ def test_ext_numbers_from_the_pairing():
 
 
 def test_kuranishi_identity():
+    """Only the minus sign puts u1^2 - u2*u3 in the ideal; u2_sign = 0 leaves
+    a1^2*b1^2, which is not a multiple of a1*b1 + a2*b2."""
     assert kuranishi_identity_check() is True
-    assert kuranishi_identity_check(u2_sign=+1) is False
-    # a1^2*b1^2 alone is not a multiple of a1*b1 + a2*b2
-    assert kuranishi_identity_check(u2_sign=0) is False
+    for sign in range(-3, 4):
+        assert kuranishi_identity_check(u2_sign=sign) is (sign == -1), sign
 
 
 # ---------------------------------------------------------------------------
