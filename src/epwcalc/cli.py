@@ -12,15 +12,17 @@ from that registry (``_parse_fast``); help, abbreviations and every error go
 to the argparse parser of ``build_parser``, imported only then, which writes
 every help, usage and error message.  ``run`` can be called again and again
 in one process, and no option carries over from one call to the next.
+``Report.to_json`` writes the indent-2 layout of ``json.dumps`` itself, with
+json's C string encoder: given an indent, ``json.dumps`` never uses its C one.
 """
 
 from __future__ import annotations
 
 import functools
-import json
 import sys
 from collections import namedtuple
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from types import SimpleNamespace
 
 from . import degeneration, fujiki, hodge_ring, lagrangian, llv, mukai
@@ -29,22 +31,26 @@ Row = tuple[str, Fraction | int, str]
 
 
 def _fmt(value) -> str:
-    return str(Fraction(value))
+    """A value as p/q or an integer; a bool goes through Fraction, not as "True"."""
+    return str(value if type(value) in (int, Fraction) else Fraction(value))
+
+
+def _nested(items: list[str], ends: str) -> str:
+    """Encoded items as an object or array one level deep in the indent-2 layout."""
+    return f"{ends[0]}\n    " + ",\n    ".join(items) + f"\n  {ends[1]}" if items else ends
 
 
 class Report(namedtuple("Report", "command params rows")):
     __slots__ = ()
 
     def to_json(self) -> str:
-        payload = {
-            "command": self.command,
-            "params": self.params,
-            "results": [
-                {"label": label, "value": _fmt(value), "paper_anchor": note}
-                for label, value, note in self.rows
-            ],
-        }
-        return json.dumps(payload, indent=2) + "\n"
+        """``json.dumps`` of the report's payload at ``indent=2``, and a newline."""
+        params = [f"{_quote(name)}: {_quote(value)}" for name, value in self.params.items()]
+        results = [f'{{\n      "label": {_quote(label)},\n      "value": {_quote(_fmt(value))},'
+                   f'\n      "paper_anchor": {_quote(note)}\n    }}'
+                   for label, value, note in self.rows]
+        return (f'{{\n  "command": {_quote(self.command)},\n  "params": {_nested(params, "{}")},'
+                f'\n  "results": {_nested(results, "[]")}\n}}\n')
 
     def to_text(self) -> str:
         head = self.command

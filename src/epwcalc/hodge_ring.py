@@ -28,7 +28,8 @@ in lambda whose integral that data fixes (h^4*lambda, h^2*c2*lambda and
 h^2*lambda^2) are that integral over the integral of h^6.  Products the
 pairing data does not determine raise an error instead of inventing values.
 ``DEGREE6_FORM``, the top pairing on (h^3, h*c2, eta), is read off the
-ring once at import, and every pairing of degree-6 classes reads it.
+ring once at import, and every pairing of degree-6 classes reads it; the
+Chern products c2^3 and c2*c4 are multiplied out once, on first use.
 """
 
 from __future__ import annotations
@@ -268,8 +269,16 @@ def verify_independence_degree6(q: Rational) -> tuple[bool, Fraction]:
     return det != 0, det
 
 
+@functools.cache
+def _chern_products() -> tuple[ParametricScalar, ParametricScalar]:
+    """The integrals of c2^3 and c2*c4, Laurent polynomials in q that depend
+    on no argument: multiplied out once, on first use rather than at import."""
+    c2 = c2_class()
+    return integrate(multiply(multiply(c2, c2), c2)), integrate(multiply(c2, c4_class()))
+
+
 def chern_numbers_from_ring(q: Rational) -> tuple[Fraction, Fraction, Fraction]:
-    """(c2^3, c2*c4, c6) recomputed by ring multiplication at the given q.
+    """(c2^3, c2*c4, c6) at the given q, the first two from ``_chern_products``.
 
     None of the three can fail as a check, whatever the inputs.  c2*c4
     gives back ``CHERN_NUMBER_C2C4``, the second equation of the degree-8
@@ -278,7 +287,4 @@ def chern_numbers_from_ring(q: Rational) -> tuple[Fraction, Fraction, Fraction]:
     tests check against the LLV total ``llv.SIXFOLD_EULER``.
     """
     q = positive_q(q)
-    c2 = c2_class()
-    c2_cubed = integrate(multiply(multiply(c2, c2), c2)).evaluate(q)
-    c2_c4 = integrate(multiply(c2, c4_class())).evaluate(q)
-    return c2_cubed, c2_c4, CHERN_NUMBER_C6
+    return (*(product.evaluate(q) for product in _chern_products()), CHERN_NUMBER_C6)

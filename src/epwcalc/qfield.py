@@ -29,6 +29,13 @@ def _pstr(terms: dict[int, Rational]) -> str:
     return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
+def rational_dot(coeffs, weights, divisor: int = 1) -> Fraction:
+    """sum(c * w for c, w in zip(coeffs, weights)) / divisor, added as integers."""
+    common = math.lcm(*(c.denominator for c in coeffs))
+    return Fraction(sum(c.numerator * (common // c.denominator) * w
+                        for c, w in zip(coeffs, weights)), common * divisor)
+
+
 def _lifted(method):
     """Binary operator on int, Fraction and ParametricScalar operands."""
     @functools.wraps(method)
@@ -98,10 +105,16 @@ class ParametricScalar(Value):
         return value if isinstance(value, ParametricScalar) else None
 
     def evaluate(self, value: Rational) -> Fraction:
-        x = Fraction(value)
-        if x == 0 and any(k < 0 for k in self.terms):
+        """The value at q = n/d, as one Fraction: with powers of q from low <= 0
+        to high >= 0, c*q^k is c * n^(k-low) * d^(high-k) / (n^-low * d^high).
+        ZeroDivisionError at q = 0 if a power is negative."""
+        n, d = value.as_integer_ratio()
+        low, high = min((0, *self.terms)), max((0, *self.terms))
+        if n == 0 and low < 0:
             raise ZeroDivisionError(f"negative power of q at q=0 in {self}")
-        return sum((c * x ** k for k, c in self.terms.items()), Fraction(0))
+        return rational_dot(self.terms.values(),
+                            (n ** (k - low) * d ** (high - k) for k in self.terms),
+                            n ** -low * d ** high)
 
     @_lifted
     def __add__(self, other):

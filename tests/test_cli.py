@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from epwcalc import hodge_ring, lagrangian
+from epwcalc import cli, hodge_ring, lagrangian
 from epwcalc.cli import build_parser, run
+from epwcalc.qfield import ParametricScalar
 
 GOLDEN = Path(__file__).parent / "golden" / "report_all.json"
 
@@ -257,10 +258,10 @@ def test_a_point_where_both_involution_cases_are_admissible(capsys):
 def test_report_all_walks_the_fixed_locus_once_per_section(monkeypatch, capsys):
     """A warm report-all projects the Lagrangian class once in the
     lagrangian section and once in fixed-locus (f3 reads a cache), and
-    solves no ring relation: those are solved at import.  It multiplies
-    ring classes only for the three products of the ring's Chern numbers:
-    every degree-6 pairing reads ``hodge_ring.DEGREE6_FORM``, and every
-    monomial they meet is already in the ``_rewrite`` cache."""
+    solves no ring relation: those are solved at import.  It multiplies no
+    ring classes and builds no ``ParametricScalar``: every degree-6 pairing
+    reads ``hodge_ring.DEGREE6_FORM``, the Chern products were multiplied
+    out by the first request, and ``evaluate`` works over the integers."""
     assert run(["report-all", "--json"]) == 0
     capsys.readouterr()
     rewrites = hodge_ring._rewrite.cache_info().misses
@@ -274,6 +275,7 @@ def test_report_all_walks_the_fixed_locus_once_per_section(monkeypatch, capsys):
             return fn(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
 
+    count(ParametricScalar, "__init__")
     count(lagrangian, "project_lagrangian_class")
     count(hodge_ring, "solve_2x2")
     count(lagrangian, "solve_2x2")
@@ -286,5 +288,23 @@ def test_report_all_walks_the_fixed_locus_once_per_section(monkeypatch, capsys):
     assert capsys.readouterr().out == GOLDEN.read_text()
     assert calls.count("project_lagrangian_class") <= 2
     assert "solve_2x2" not in calls
-    assert calls.count("multiply") <= 3
+    assert "multiply" not in calls
+    assert "__init__" not in calls
     assert hodge_ring._rewrite.cache_info().misses == rewrites
+
+
+def test_every_row_value_is_an_exact_int_or_fraction():
+    """The report prints an int or Fraction row value as ``str(value)``, so
+    every value is exactly one of the two, never a bool ("True")."""
+    calls = [(name, {option: spec["default"] for option, spec in options.items()})
+             for name, (_, _, options) in cli._SECTIONS.items()]
+    calls += [("betti", {"case": "opposite"}), ("euler", {"case": "opposite"}),
+              ("fixed-locus", {"degree": Fraction(5760), "q": Fraction(16)}),
+              ("lagrangian", {"degree": Fraction(5760), "q": Fraction(16)}),
+              ("lagrangian", {"degree": Fraction(72), "q": Fraction(1)}),
+              ("pell", {"bound": 10 ** 30})]
+    for name, kwargs in calls:
+        rows = cli._SECTIONS[name][1](**kwargs)
+        assert rows
+        for label, value, _ in rows:
+            assert type(value) in (int, Fraction), (name, label, value)

@@ -2,8 +2,9 @@
 0, 1 or 2, lets no exception escape and prints no traceback; a computation
 error is one ``error:`` line on stderr and nothing on stdout; every value of
 a JSON report is an exact rational; an option reads a value the same way
-whether it is written "--opt value" or "--opt=value"; and wherever the fast
-parser reads an argv, argparse reads it alike."""
+whether it is written "--opt value" or "--opt=value"; wherever the fast
+parser reads an argv, argparse reads it alike; and a report's JSON is
+``json.dumps`` of its payload, whatever its strings hold."""
 
 import importlib.util
 import io
@@ -17,7 +18,7 @@ from pathlib import Path
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from epwcalc.cli import _parse_fast, build_parser, run
+from epwcalc.cli import Report, _parse_fast, build_parser, run
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -155,3 +156,25 @@ def test_the_fast_parser_reads_every_benchmark_request():
     for name in workloads.STREAMS:
         for argv in itertools.islice(workloads.stream(name, 0), 1000):
             assert _parse_fast(argv) is not None, argv
+
+
+#: any text: quotes, backslashes, control characters, non-ASCII, lone surrogates
+TEXT = st.text(st.characters(exclude_categories=())
+               | st.sampled_from('"\\\x00\x1f\x7f\xe9\u2028\ud800\udfff'))
+ROW_VALUES = st.integers() | st.fractions() | st.booleans()
+
+
+@settings(max_examples=300, deadline=None)
+@given(TEXT, st.dictionaries(TEXT, TEXT, max_size=4),
+       st.lists(st.tuples(TEXT, ROW_VALUES, TEXT), max_size=4))
+@example("fujiki", {}, [])
+@example("ring", {"q": "4"}, [])
+@example("ext", {}, [("dim M(v)", 8, "")])
+def test_json_report_is_json_dumps_of_its_payload(command, params, rows):
+    payload = {
+        "command": command,
+        "params": params,
+        "results": [{"label": label, "value": str(Fraction(value)), "paper_anchor": note}
+                    for label, value, note in rows],
+    }
+    assert Report(command, params, rows).to_json() == json.dumps(payload, indent=2) + "\n"

@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
-from math import comb, factorial, isqrt, prod
+from math import comb, factorial, isqrt, perm, prod
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from epwcalc.degeneration import (
     CONTRACTED_RAY_VECTOR,
@@ -200,6 +202,16 @@ def test_monomial_counts():
             assert value == prod(g - k for k in range(i))
     assert sym_prod_eval(SymProdClass.monomial(10, 3)) == 720
     assert sym_prod_eval(SymProdClass.monomial(10, 0)) == 1
+
+
+_BIG = st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30), st.integers(1, 10 ** 30))
+
+
+@given(st.integers(3, 5000), st.tuples(_BIG, _BIG, _BIG, _BIG))
+def test_sym_prod_eval_matches_the_fraction_sum(genus, coeffs):
+    value = sym_prod_eval(SymProdClass(genus, coeffs))
+    assert type(value) is Fraction
+    assert value == sum(c * perm(genus, i) for i, c in enumerate(coeffs))
 
 
 def test_monomial_ratio_is_a_falling_factorial():

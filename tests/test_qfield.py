@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from epwcalc.qfield import ONE, ZERO, ParametricScalar, rational_sqrt
@@ -102,6 +102,33 @@ def test_evaluate_is_a_ring_homomorphism(a, b, m, x):
     assert (a - b).evaluate(x) == ax - bx
     assert (a * b).evaluate(x) == ax * bx
     assert (a / m).evaluate(x) == ax / mx
+
+
+def _fraction_sum(scalar, x):
+    """Reference for ``evaluate``: one Fraction per term, added as Fractions."""
+    return sum((c * x ** k for k, c in scalar.terms.items()), Fraction(0))
+
+
+_BIG = st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30), st.integers(1, 10 ** 30))
+_WIDE = st.dictionaries(st.integers(-6, 6), _BIG, max_size=13).map(ParametricScalar)
+_SIGNED_POINT = st.one_of(st.just(Fraction(0)), _BIG.filter(lambda x: x > 0),
+                          _BIG.filter(lambda x: x < 0))
+
+
+@given(_WIDE, _SIGNED_POINT)
+@example(ParametricScalar({-6: Fraction(10 ** 29 + 7, 3), 4: 1}), Fraction(0))
+@example(ParametricScalar({0: Fraction(-10 ** 30, 7), 6: 2}), Fraction(0))
+@example(ParametricScalar({-5: 3, 6: Fraction(1, 10 ** 30)}), Fraction(-10 ** 30, 3))
+def test_evaluate_matches_the_fraction_sum(scalar, x):
+    if x == 0 and any(k < 0 for k in scalar.terms):
+        with pytest.raises(ZeroDivisionError):
+            scalar.evaluate(x)
+        return
+    value = scalar.evaluate(x)
+    assert type(value) is Fraction
+    assert value == _fraction_sum(scalar, x)
+    if x == 0:
+        assert value == scalar.terms.get(0, 0)
 
 
 def test_rational_sqrt():
