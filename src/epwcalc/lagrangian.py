@@ -4,7 +4,8 @@ h*c2, its self-intersection, the choice between the two involution actions
 through Euler characteristics, and the Chern / Riemann-Roch invariants of
 the fixed locus of the EPW-cube involution.  All of it is computed on the
 degree-6 lattice: a class a*h^3 + b*h*c2 + c*eta is its vector (a, b, c),
-and every pairing is a value of the form ``hodge_ring.DEGREE6_FORM``.
+and every pairing is a value of the form ``hodge_ring.DEGREE6_FORM``, read
+through its nonzero entries only.
 
 The projection  a*h^3 + b*h*c2  of a Lagrangian class [W] is pinned by two
 linear conditions: [W] . h*sigma*sigbar = 0 (sigma the symplectic form) and
@@ -59,9 +60,19 @@ def project_lagrangian_class(degree: Rational, q: Rational) -> tuple[Fraction, F
     return degree * a.evaluate(q), degree * b.evaluate(q)
 
 
+#: the nonzero entries (i, j, form[i][j]) of ``DEGREE6_FORM``
+_FORM_ENTRIES = [(i, j, g) for i, row in enumerate(DEGREE6_FORM)
+                 for j, g in enumerate(row) if g]
+
+
 def _pairings(w, q) -> list[Fraction]:
-    """(h^3 . w, h*c2 . w, eta . w) for w = (a, b, c) at q: the form applied to w."""
-    return [sum(g.evaluate(q) * x for g, x in zip(row, w)) for row in DEGREE6_FORM]
+    """(h^3 . w, h*c2 . w, eta . w) for w = (a, b, c) at q: the form applied
+    to w, evaluating only the nonzero entries that meet a nonzero component."""
+    out = [Fraction(0)] * 3
+    for i, j, g in _FORM_ENTRIES:
+        if w[j]:
+            out[i] += g.evaluate(q) * w[j]
+    return out
 
 
 def self_intersection(a: Rational, b: Rational, c: Rational, q: Rational) -> Fraction:

@@ -105,10 +105,18 @@ class ParametricScalar(Value):
         return value if isinstance(value, ParametricScalar) else None
 
     def evaluate(self, value: Rational) -> Fraction:
-        """The value at q = n/d, as one Fraction: with powers of q from low <= 0
-        to high >= 0, c*q^k is c * n^(k-low) * d^(high-k) / (n^-low * d^high).
+        """The value at q = n/d, as one Fraction.  A single term c*q^k is
+        c*n^k / d^k, or c*d^-k / n^-k for k < 0.  Otherwise, with powers of q
+        from low <= 0 to high >= 0, c*q^k is
+        c * n^(k-low) * d^(high-k) / (n^-low * d^high).
         ZeroDivisionError at q = 0 if a power is negative."""
         n, d = value.as_integer_ratio()
+        if len(self.terms) == 1:
+            (k, c), = self.terms.items()
+            if k >= 0:
+                return Fraction(c.numerator * n ** k, c.denominator * d ** k)
+            if n:
+                return Fraction(c.numerator * d ** -k, c.denominator * n ** -k)
         low, high = min((0, *self.terms)), max((0, *self.terms))
         if n == 0 and low < 0:
             raise ZeroDivisionError(f"negative power of q at q=0 in {self}")

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from epwcalc import cli, hodge_ring, lagrangian
+from epwcalc import cli, degeneration, hodge_ring, lagrangian
 from epwcalc.cli import build_parser, run
 from epwcalc.qfield import ParametricScalar
 
@@ -195,6 +195,25 @@ def test_pell_lists_solutions():
     assert values["x[5]"] == "2" and values["y[5]"] == "3"
 
 
+def _violations(bound):
+    rows = {label: value for label, value, _ in cli._rows_pell(bound, list_solutions=False)}
+    return rows["negative-x effectivity violations"]
+
+
+def test_pell_violations_agree_with_the_effectivity_ratio(monkeypatch):
+    """The row counts x < 0 with x + y/2 >= 0 over the integers, as
+    ``effectivity_of_pell_class`` does over the rationals: on the Pell
+    solutions, and on a grid of points off the conic, where the ratio
+    x + y/2 itself is the reference (the conic has no violation at all)."""
+    for bound in (1, 10 ** 6, 10 ** 300):
+        assert _violations(bound) == sum(
+            1 for x, y in degeneration.pell_spherical_classes(bound)
+            if x < 0 and degeneration.effectivity_of_pell_class(x, y) >= 0)
+    grid = [(x, y) for x in range(-6, 7) for y in range(-3, 14)]
+    monkeypatch.setattr(degeneration, "pell_spherical_classes", lambda bound: grid)
+    assert _violations(1) == sum(1 for x, y in grid if x < 0 and x + Fraction(y, 2) >= 0) > 0
+
+
 def test_import_leaves_out_dataclasses_inspect_typing_and_pathlib():
     """Cold start: importing ``llv`` loads no other ``epwcalc`` module (its
     Euler characteristic 3200 is derived, not read from ``hodge_ring``), and
@@ -261,7 +280,10 @@ def test_report_all_walks_the_fixed_locus_once_per_section(monkeypatch, capsys):
     solves no ring relation: those are solved at import.  It multiplies no
     ring classes and builds no ``ParametricScalar``: every degree-6 pairing
     reads ``hodge_ring.DEGREE6_FORM``, the Chern products were multiplied
-    out by the first request, and ``evaluate`` works over the integers."""
+    out by the first request, and ``evaluate`` works over the integers.
+    The pairings evaluate only the form's nonzero entries that meet a
+    nonzero component, so the request makes at most 30 ``evaluate`` calls
+    (45 when every pairing read all 9 entries)."""
     assert run(["report-all", "--json"]) == 0
     capsys.readouterr()
     rewrites = hodge_ring._rewrite.cache_info().misses
@@ -276,6 +298,7 @@ def test_report_all_walks_the_fixed_locus_once_per_section(monkeypatch, capsys):
         monkeypatch.setattr(module, name, counted)
 
     count(ParametricScalar, "__init__")
+    count(ParametricScalar, "evaluate")
     count(lagrangian, "project_lagrangian_class")
     count(hodge_ring, "solve_2x2")
     count(lagrangian, "solve_2x2")
@@ -290,6 +313,7 @@ def test_report_all_walks_the_fixed_locus_once_per_section(monkeypatch, capsys):
     assert "solve_2x2" not in calls
     assert "multiply" not in calls
     assert "__init__" not in calls
+    assert calls.count("evaluate") <= 30
     assert hodge_ring._rewrite.cache_info().misses == rewrites
 
 

@@ -134,12 +134,20 @@ def test_self_intersection_scales_quadratically():
 def test_degree6_pairings_against_the_ring():
     """self_intersection and the pairings fixed_locus_invariants reads off
     ``DEGREE6_FORM`` equal the ring's products of
-    w = a*h^3 + b*h*c2 + c*eta with itself and with each basis class."""
+    w = a*h^3 + b*h*c2 + c*eta with itself and with each basis class, also
+    when some components of w are 0 and their entries are skipped."""
     rng = random.Random(6006)
     basis = [basis_class(6, label) for label in ("h^3", "h*c2", "eta")]
-    for _ in range(40):
+    for i in range(40):
         a, b, c = (Fraction(rng.randint(-40, 40), rng.randint(1, 9)) for _ in range(3))
         q = Fraction(rng.randint(1, 40), rng.randint(1, 9))
+        # zero components: c = 0 (as at the EPW point), a = b = 0, and w = 0
+        if i % 4 == 1:
+            c = Fraction(0)
+        elif i % 4 == 2:
+            a = b = Fraction(0)
+        elif i % 4 == 3:
+            a = b = c = Fraction(0)
         w = a * basis[0] + b * basis[1] + c * basis[2]
         assert self_intersection(a, b, c, q) == integrate(multiply(w, w)).evaluate(q)
         assert lagrangian._pairings((a, b, c), q) == [

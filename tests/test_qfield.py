@@ -119,9 +119,16 @@ _SIGNED_POINT = st.one_of(st.just(Fraction(0)), _BIG.filter(lambda x: x > 0),
 @example(ParametricScalar({-6: Fraction(10 ** 29 + 7, 3), 4: 1}), Fraction(0))
 @example(ParametricScalar({0: Fraction(-10 ** 30, 7), 6: 2}), Fraction(0))
 @example(ParametricScalar({-5: 3, 6: Fraction(1, 10 ** 30)}), Fraction(-10 ** 30, 3))
+# one term c*q^k: k < 0 at q = 0 and at q < 0, k > 0 with 30-digit
+# coefficients, k = 0 at q = 0, and the empty polynomial
+@example(ParametricScalar({-3: Fraction(5, 7)}), Fraction(0))
+@example(ParametricScalar({-3: Fraction(-5, 7)}), Fraction(-10 ** 30 + 1, 3))
+@example(ParametricScalar({5: Fraction(-10 ** 30 + 7, 10 ** 30 - 1)}), Fraction(10 ** 29, 3))
+@example(ParametricScalar({0: Fraction(-11, 10 ** 30)}), Fraction(0))
+@example(ParametricScalar({}), Fraction(-2, 3))
 def test_evaluate_matches_the_fraction_sum(scalar, x):
     if x == 0 and any(k < 0 for k in scalar.terms):
-        with pytest.raises(ZeroDivisionError):
+        with pytest.raises(ZeroDivisionError, match="negative power of q at q=0"):
             scalar.evaluate(x)
         return
     value = scalar.evaluate(x)
