@@ -462,7 +462,7 @@ def run(argv=None) -> int:
     try:
         with open(args.out, "w", encoding="utf-8") as f:
             f.write(payload)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL or a lone surrogate in the path
         return _error(exc)
     return 0
 

@@ -20,7 +20,7 @@ from math import comb, perm
 
 from .lagrangian import fixed_locus_invariants
 from .mukai import MukaiVector, mukai_pairing
-from .qfield import Rational, Value, rational_dot
+from .qfield import Rational, Value, rational_sum
 
 #: the Hilbert cube of the surface, as a moduli space
 HILB_VECTOR = MukaiVector(1, 0, -2)
@@ -219,7 +219,8 @@ class SymProdClass(Value):
 def sym_prod_eval(cls: SymProdClass) -> Fraction:
     """Evaluate against the fundamental class: theta^i * eta^(3-i) counts
     g!/(g-i)! on the third symmetric product."""
-    return rational_dot(cls.coeffs, (perm(cls.genus, i) for i in range(4)))
+    return rational_sum((c.numerator * perm(cls.genus, i), c.denominator)
+                        for i, c in enumerate(cls.coeffs))
 
 
 def jacobian_class_of_E(genus: int) -> int:

@@ -159,11 +159,7 @@ class HodgeClass(Value):
             raise TypeError(f"cannot scale by {scalar!r}")
         return HodgeClass(self.degree, tuple(s * c for c in self.coeffs))
 
-    def __rmul__(self, other):
-        try:
-            return self.scale(other)
-        except TypeError:
-            return NotImplemented
+    __rmul__ = scale
 
     # -- queries --------------------------------------------------------------
 
@@ -229,9 +225,6 @@ def multiply(x: HodgeClass, y: HodgeClass) -> HodgeClass:
     Raises ValueError for products the relations do not determine
     ("pairing-only class") and for total degree above 12.
     """
-    if x.degree == 0 or y.degree == 0:
-        scalar, other = (x, y) if x.degree == 0 else (y, x)
-        return other.scale(scalar.coeffs[0])
     degree = x.degree + y.degree
     if degree > 12:
         raise ValueError(f"product degree {degree} exceeds the top degree 12")

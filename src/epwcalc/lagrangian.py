@@ -90,10 +90,7 @@ def eta_coefficient(base_square: Rational, chi_top: Rational) -> Fraction | None
     characteristic (a theorem: see the module docstring), which forces
     eta^2 c^2 = -chi_top - base_square to be the square of a rational
     (times eta^2)."""
-    c_sq = (-Fraction(chi_top) - Fraction(base_square)) / ETA_SQUARE
-    if c_sq < 0:
-        return None
-    return rational_sqrt(c_sq)
+    return rational_sqrt((-chi_top - base_square) / ETA_SQUARE)
 
 
 def disambiguate_involution_case(base_square: Rational) -> tuple[str, Fraction, int]:

@@ -3,7 +3,8 @@
 Every intersection number is a Fujiki constant times a power of q, so the
 Hodge ring only ever divides by a single term; any other division raises.
 The form (exponent -> nonzero ``Fraction``) is unique, so equality is
-structural, which the symbolic checks rely on.
+structural, which the symbolic checks rely on.  ``rational_sum`` is the
+one integer-sum kernel, for values at q and for ``sym_prod_eval``.
 
 ``Value`` is the base of the package's immutable value types, this one
 among them."""
@@ -29,11 +30,13 @@ def _pstr(terms: dict[int, Rational]) -> str:
     return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
-def rational_dot(coeffs, weights, divisor: int = 1) -> Fraction:
-    """sum(c * w for c, w in zip(coeffs, weights)) / divisor, added as integers."""
-    common = math.lcm(*(c.denominator for c in coeffs))
-    return Fraction(sum(c.numerator * (common // c.denominator) * w
-                        for c, w in zip(coeffs, weights)), common * divisor)
+def rational_sum(pairs) -> Fraction:
+    """sum(a/b for a, b in pairs) over integer pairs (a, b), added as
+    integers and reduced once, at the end."""
+    num, den = 0, 1
+    for a, b in pairs:
+        num, den = num * b + a * den, den * b
+    return Fraction(num, den)
 
 
 def _lifted(method):
@@ -105,24 +108,19 @@ class ParametricScalar(Value):
         return value if isinstance(value, ParametricScalar) else None
 
     def evaluate(self, value: Rational) -> Fraction:
-        """The value at q = n/d, as one Fraction.  A single term c*q^k is
-        c*n^k / d^k, or c*d^-k / n^-k for k < 0.  Otherwise, with powers of q
-        from low <= 0 to high >= 0, c*q^k is
-        c * n^(k-low) * d^(high-k) / (n^-low * d^high).
-        ZeroDivisionError at q = 0 if a power is negative."""
+        """The value at q = n/d: ``rational_sum`` of the pairs
+        (c.numerator*n^k, c.denominator*d^k) of the terms c*q^k, with n and d
+        swapped for k < 0.  ZeroDivisionError at q = 0 if a power is negative."""
         n, d = value.as_integer_ratio()
-        if len(self.terms) == 1:
-            (k, c), = self.terms.items()
+        pairs = []
+        for k, c in self.terms.items():
             if k >= 0:
-                return Fraction(c.numerator * n ** k, c.denominator * d ** k)
-            if n:
-                return Fraction(c.numerator * d ** -k, c.denominator * n ** -k)
-        low, high = min((0, *self.terms)), max((0, *self.terms))
-        if n == 0 and low < 0:
-            raise ZeroDivisionError(f"negative power of q at q=0 in {self}")
-        return rational_dot(self.terms.values(),
-                            (n ** (k - low) * d ** (high - k) for k in self.terms),
-                            n ** -low * d ** high)
+                pairs.append((c.numerator * n ** k, c.denominator * d ** k))
+            elif n:
+                pairs.append((c.numerator * d ** -k, c.denominator * n ** -k))
+            else:
+                raise ZeroDivisionError(f"negative power of q at q=0 in {self}")
+        return rational_sum(pairs)
 
     @_lifted
     def __add__(self, other):
@@ -212,10 +210,8 @@ ONE = ParametricScalar(1)
 def rational_sqrt(value: Rational) -> Fraction | None:
     """Exact square root of a nonnegative rational, or None if it has none."""
     x = Fraction(value)
-    if x < 0:
-        return None
-    rn = math.isqrt(x.numerator)
-    rd = math.isqrt(x.denominator)
-    if rn * rn == x.numerator and rd * rd == x.denominator:
-        return Fraction(rn, rd)
+    if x >= 0:
+        rn, rd = math.isqrt(x.numerator), math.isqrt(x.denominator)
+        if rn * rn == x.numerator and rd * rd == x.denominator:
+            return Fraction(rn, rd)
     return None

@@ -86,7 +86,9 @@ def test_pell_bound_is_capped_at_10_to_the_1000():
 def test_out_to_an_unwritable_path_is_an_error(tmp_path, capsys):
     for argv in (["ring", "--out", str(tmp_path / "no-such-dir" / "x")],
                  ["report-all", "--out", str(tmp_path)],
-                 ["ring", "--out", ""], ["euler", "--out="]):
+                 ["ring", "--out", ""], ["euler", "--out="],
+                 # only an in-process argv can carry these: open raises ValueError
+                 ["fujiki", "--out", "a\x00b"], ["fujiki", "--out", "\ud800x"]):
         assert run(argv) == 1
         out, err = capsys.readouterr()
         assert out == ""

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from epwcalc.qfield import ONE, ZERO, ParametricScalar, rational_sqrt
+from epwcalc.qfield import ONE, ZERO, ParametricScalar, rational_sqrt, rational_sum
 
 Q = ParametricScalar.q()
 
@@ -136,6 +136,18 @@ def test_evaluate_matches_the_fraction_sum(scalar, x):
     assert value == _fraction_sum(scalar, x)
     if x == 0:
         assert value == scalar.terms.get(0, 0)
+
+
+_WIDE_INT = st.one_of(st.integers(-50, 50), st.integers(-10 ** 30, 10 ** 30))
+
+
+@given(st.lists(st.tuples(_WIDE_INT, _WIDE_INT.filter(bool)), max_size=8))
+@example([])
+@example([(0, -3), (-7, 2), (10 ** 30, -(10 ** 30 - 1))])
+def test_rational_sum_matches_the_fraction_sum(pairs):
+    total = rational_sum(pairs)
+    assert type(total) is Fraction and total.denominator > 0
+    assert total == sum((Fraction(a, b) for a, b in pairs), Fraction(0))
 
 
 def test_rational_sqrt():

@@ -255,6 +255,17 @@ def test_scalar_and_linear_structure():
         x + h_power(3)
 
 
+def test_degree0_factors_scale_on_either_side():
+    """s*1 times a basis class x, with 1 on the left or on the right, is s*x:
+    the label "1" has exponents (0, 0, 0), so the monomial loop covers it."""
+    for s in (0, 1, 3, Q, 1 / Q):
+        unit = s * h_power(0)
+        for degree in range(2, 13, 2):
+            for label in BASIS[degree]:
+                x = basis_class(degree, label)
+                assert multiply(unit, x) == multiply(x, unit) == s * x
+
+
 def test_ring_matches_fujiki_for_h_arguments():
     """integrate(alpha * h^k) must agree with the matching-sum integral
     when every degree-2 argument is h itself."""
