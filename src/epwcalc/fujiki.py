@@ -50,4 +50,4 @@ def sigma_sigbar_integral(alpha: str) -> ParametricScalar:
     divides the matching sum by (2j+1)!!."""
     constant = fujiki_constant(alpha)
     j = CODEGREE[alpha] // 2 - 1
-    return ParametricScalar({j: constant / (2 * j + 1)})
+    return ParametricScalar(constant / (2 * j + 1), j)

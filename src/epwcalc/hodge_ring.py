@@ -1,6 +1,6 @@
 """The graded ring of Hodge classes of a very general polarized
 hyper-Kähler sixfold of K3^[3] type, parametric in the BBF square q of the
-polarization h: every coefficient is a Laurent polynomial in q.
+polarization h: every coefficient is a single term c*q^w.
 
 Basis by even degree (dimensions 1, 1, 3, 3, 3, 1, 1):
 
@@ -94,8 +94,8 @@ def positive_q(q: Rational) -> Fraction:
 
 def solve_2x2(rows, rhs) -> tuple[ParametricScalar, ParametricScalar]:
     """(x, y) with rows[i][0]*x + rows[i][1]*y = rhs[i] for i = 0, 1, by
-    Cramer's rule over Laurent polynomials in q; the determinant must be a
-    single term in q."""
+    Cramer's rule over single terms c*q^w: the two products in the
+    determinant and in each numerator must share a weight."""
     (a11, a12), (a21, a22) = rows
     b1, b2 = rhs
     det = a11 * a22 - a12 * a21
@@ -223,7 +223,9 @@ def multiply(x: HodgeClass, y: HodgeClass) -> HodgeClass:
     exponents, and ``_rewrite`` puts the sum on the basis.
 
     Raises ValueError for products the relations do not determine
-    ("pairing-only class") and for total degree above 12.
+    ("pairing-only class"), for total degree above 12, and when terms of
+    different weight in q meet on one basis label (eta^2 carries no q, so
+    (h^3 + eta)^2 has no single-term coefficient).
     """
     degree = x.degree + y.degree
     if degree > 12:
@@ -241,7 +243,7 @@ def multiply(x: HodgeClass, y: HodgeClass) -> HodgeClass:
 
 
 def integrate(x: HodgeClass) -> ParametricScalar:
-    """Integral of a degree-12 class over the sixfold, a Laurent polynomial in q."""
+    """Integral of a degree-12 class over the sixfold, a single term c*q^w."""
     if x.degree != 12:
         raise ValueError("only degree-12 classes integrate to a number")
     return x.coefficient("h^6") * TOP_INTEGRALS["h^6"]
@@ -264,8 +266,8 @@ def verify_independence_degree6(q: Rational) -> tuple[bool, Fraction]:
 
 @functools.cache
 def _chern_products() -> tuple[ParametricScalar, ParametricScalar]:
-    """The integrals of c2^3 and c2*c4, Laurent polynomials in q that depend
-    on no argument: multiplied out once, on first use rather than at import."""
+    """The integrals of c2^3 and c2*c4, single terms c*q^w that depend on no
+    argument: multiplied out once, on first use rather than at import."""
     c2 = c2_class()
     return integrate(multiply(multiply(c2, c2), c2)), integrate(multiply(c2, c4_class()))
 

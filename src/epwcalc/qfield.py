@@ -1,10 +1,10 @@
-"""Exact scalars: Laurent polynomials in the BBF square q, over Q.
+"""Exact scalars: single terms c*q^w in the BBF square q, over Q.
 
-Every intersection number is a Fujiki constant times a power of q, so the
-Hodge ring only ever divides by a single term; any other division raises.
-The form (exponent -> nonzero ``Fraction``) is unique, so equality is
-structural, which the symbolic checks rely on.  ``rational_sum`` is the
-one integer-sum kernel, for values at q and for ``sym_prod_eval``.
+Every intersection number is a Fujiki constant times a power of q, so a
+scalar is one term: a ``Fraction`` coefficient and an integer weight, with
+zero at weight 0.  The form is unique, so equality is structural, which the
+symbolic checks rely on.  ``rational_sum`` is the integer-sum kernel of
+``sym_prod_eval``.
 
 ``Value`` is the base of the package's immutable value types, this one
 among them."""
@@ -18,16 +18,11 @@ from fractions import Fraction
 Rational = Fraction | int
 
 
-def _pstr(terms: dict[int, Rational]) -> str:
-    """Integer-coefficient terms, highest power first: 15*q^3 - q + 2."""
-    parts = []
-    for k in sorted(terms, reverse=True):
-        c = terms[k]
-        power = "" if k == 0 else "q" if k == 1 else f"q^{k}"
-        body = str(abs(c)) if not power else power if abs(c) == 1 else f"{abs(c)}*{power}"
-        parts.append(("- " if c < 0 else "+ ") + body)
-    text = " ".join(parts)
-    return text[2:] if text[0] == "+" else "-" + text[2:]
+def _term(c: int, k: int) -> str:
+    """The integer term c*q^k: 15*q^3, -q, 2."""
+    power = "" if k == 0 else "q" if k == 1 else f"q^{k}"
+    body = str(abs(c)) if not power else power if abs(c) == 1 else f"{abs(c)}*{power}"
+    return "-" + body if c < 0 else body
 
 
 def rational_sum(pairs) -> Fraction:
@@ -87,19 +82,20 @@ class Value:
 
 
 class ParametricScalar(Value):
-    """A Laurent polynomial in q: exponent -> nonzero Fraction coefficient."""
+    """A single term coeff*q^weight: a Fraction coefficient and an integer
+    weight, with zero at weight 0.  Zero adds to a term of any weight; two
+    nonzero terms of different weights do not add."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("coeff", "weight")
 
-    def __init__(self, terms: dict[int, Rational] | Rational = 0):
-        if isinstance(terms, (int, Fraction)):
-            terms = {0: terms}
-        object.__setattr__(self, "terms", {k: Fraction(c) for k, c in terms.items() if c})
+    def __init__(self, coeff: Rational = 0, weight: int = 0):
+        coeff = Fraction(coeff)
+        super().__init__(coeff, weight if coeff else 0)
 
     @classmethod
     def q(cls) -> "ParametricScalar":
         """The indeterminate itself."""
-        return cls({1: 1})
+        return cls(1, 1)
 
     @staticmethod
     def _coerce(value):
@@ -108,31 +104,27 @@ class ParametricScalar(Value):
         return value if isinstance(value, ParametricScalar) else None
 
     def evaluate(self, value: Rational) -> Fraction:
-        """The value at q = n/d: ``rational_sum`` of the pairs
-        (c.numerator*n^k, c.denominator*d^k) of the terms c*q^k, with n and d
-        swapped for k < 0.  ZeroDivisionError at q = 0 if a power is negative."""
+        """The value at q = n/d: c*q^k is (c.numerator*n^k)/(c.denominator*d^k),
+        with n and d swapped for k < 0.  ZeroDivisionError at q = 0 if k < 0."""
         n, d = value.as_integer_ratio()
-        pairs = []
-        for k, c in self.terms.items():
-            if k >= 0:
-                pairs.append((c.numerator * n ** k, c.denominator * d ** k))
-            elif n:
-                pairs.append((c.numerator * d ** -k, c.denominator * n ** -k))
-            else:
+        c, k = self.coeff, self.weight
+        if k < 0:
+            if not n:
                 raise ZeroDivisionError(f"negative power of q at q=0 in {self}")
-        return rational_sum(pairs)
+            n, d, k = d, n, -k
+        return Fraction(c.numerator * n ** k, c.denominator * d ** k)
 
     @_lifted
     def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, 0) + c
-        return ParametricScalar(out)
+        if self.coeff and other.coeff and self.weight != other.weight:
+            raise ValueError(f"cannot add {self} and {other}: terms of different weight in q")
+        weight = self.weight if self.coeff else other.weight
+        return ParametricScalar(self.coeff + other.coeff, weight)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ParametricScalar({k: -c for k, c in self.terms.items()})
+        return ParametricScalar(-self.coeff, self.weight)
 
     @_lifted
     def __sub__(self, other):
@@ -144,22 +136,15 @@ class ParametricScalar(Value):
 
     @_lifted
     def __mul__(self, other):
-        out: dict[int, Fraction] = {}
-        for i, a in self.terms.items():
-            for j, b in other.terms.items():
-                out[i + j] = out.get(i + j, 0) + a * b
-        return ParametricScalar(out)
+        return ParametricScalar(self.coeff * other.coeff, self.weight + other.weight)
 
     __rmul__ = __mul__
 
     @_lifted
     def __truediv__(self, other):
-        if not other.terms:
+        if not other.coeff:
             raise ZeroDivisionError("division by zero")
-        if len(other.terms) > 1:
-            raise ValueError(f"division by {other}, which is not a single term in q")
-        (j, b), = other.terms.items()
-        return ParametricScalar({k - j: c / b for k, c in self.terms.items()})
+        return ParametricScalar(self.coeff / other.coeff, self.weight - other.weight)
 
     @_lifted
     def __rtruediv__(self, other):
@@ -168,34 +153,28 @@ class ParametricScalar(Value):
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
             return NotImplemented
-        if exponent < 0:
-            return ONE / self ** -exponent
-        return functools.reduce(ParametricScalar.__mul__, [self] * exponent, ONE)
+        return ParametricScalar(self.coeff ** exponent, self.weight * exponent)
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.coeff)
 
     @_lifted
     def __eq__(self, other):
-        return self.terms == other.terms
+        return self._values() == other._values()
 
-    def __hash__(self):
-        if self.terms.keys() <= {0}:  # a constant equals its Fraction: hash alike
-            return hash(self.terms.get(0, 0))
-        return hash(frozenset(self.terms.items()))
+    def __hash__(self):  # a constant equals its Fraction: hash alike
+        return hash(self._values() if self.weight else self.coeff)
 
     def __str__(self):
-        if not self.terms:
+        """Integer numerator over integer denominator: 15*q^3, -160/q^2, 80/(3*q)."""
+        if not self.coeff:
             return "0"
-        # num / (d * q^shift) with integer coefficients, d = lcm of denominators
-        shift = max(0, -min(self.terms))
-        d = math.lcm(*(c.denominator for c in self.terms.values()))
-        top = _pstr({k + shift: c * d for k, c in self.terms.items()})
+        shift = max(0, -self.weight)
+        d = self.coeff.denominator
+        top = _term(self.coeff.numerator, self.weight + shift)
         if shift == 0 and d == 1:
             return top
-        if len(self.terms) > 1:
-            top = f"({top})"
-        bottom = _pstr({shift: d})
+        bottom = _term(d, shift)
         return f"{top}/{bottom}" if d == 1 else f"{top}/({bottom})"
 
     def __repr__(self):

@@ -147,8 +147,8 @@ def test_polarized_reference_values():
 def test_sigma_sigbar_integral_is_the_matching_sum():
     """The closed form C(alpha) * q^j / (2j+1) against the matching sum with
     h^(2j), sigma and sigbar as arguments, q(sigma, sigbar) = 1."""
-    assert sigma_sigbar_integral("1") == ParametricScalar({2: 3})
-    assert sigma_sigbar_integral("c2") == ParametricScalar({1: 36})
+    assert sigma_sigbar_integral("1") == ParametricScalar(3, 2)
+    assert sigma_sigbar_integral("c2") == ParametricScalar(36, 1)
     rng = random.Random(3141)
     for _ in range(20):
         q = Fraction(rng.choice([-1, 1]) * rng.randint(1, 90), rng.randint(1, 30))

@@ -7,7 +7,15 @@ from pathlib import Path
 import pytest
 
 from epwcalc import lagrangian
-from epwcalc.hodge_ring import TOP_INTEGRALS, basis_class, c2_class, h_power, integrate, multiply
+from epwcalc.hodge_ring import (
+    BASIS,
+    TOP_INTEGRALS,
+    basis_class,
+    c2_class,
+    h_power,
+    integrate,
+    multiply,
+)
 from epwcalc.lagrangian import (
     EPW_DEGREE,
     EPW_Q,
@@ -66,8 +74,9 @@ def test_projection_against_linear_conditions():
 
 #: run in a fresh interpreter, so that the ring and the projection are built
 #: from the patched constant: argv is (tests directory, class, constant), and
-#: it prints h^3 . [W] through the ring and [W] . h*sigma*sigbar through the
-#: matching-sum oracle, at (EPW_DEGREE, EPW_Q)
+#: it prints h^3 . [W] through the ring, with [W] built from the projection
+#: solved in q, and [W] . h*sigma*sigbar through the matching-sum oracle, at
+#: (EPW_DEGREE, EPW_Q)
 _PATCHED_CONSTANT = """
 import sys
 from fractions import Fraction
@@ -75,10 +84,11 @@ sys.path.insert(0, sys.argv[1])
 from epwcalc import fujiki
 fujiki.FUJIKI_CONSTANTS[sys.argv[2]] = Fraction(sys.argv[3])
 from epwcalc.hodge_ring import basis_class, h_power, integrate, multiply
-from epwcalc.lagrangian import EPW_DEGREE, EPW_Q, project_lagrangian_class
+from epwcalc.lagrangian import _UNIT_PROJECTION, EPW_DEGREE, EPW_Q, project_lagrangian_class
 from fujiki_oracle import AbstractClassSpace, polarized_integral
 a, b = project_lagrangian_class(EPW_DEGREE, EPW_Q)
-w = a * h_power(3) + b * basis_class(6, "h*c2")
+sa, sb = (EPW_DEGREE * c for c in _UNIT_PROJECTION)
+w = sa * h_power(3) + sb * basis_class(6, "h*c2")
 space = AbstractClassSpace.polarized(EPW_Q)
 orthogonal = a * polarized_integral("1", ["h"] * 4 + ["sigma", "sigbar"], space) \
     + b * polarized_integral("c2", ["h", "h", "sigma", "sigbar"], space)
@@ -133,9 +143,10 @@ def test_self_intersection_scales_quadratically():
 
 def test_degree6_pairings_against_the_ring():
     """self_intersection and the pairings fixed_locus_invariants reads off
-    ``DEGREE6_FORM`` equal the ring's products of
-    w = a*h^3 + b*h*c2 + c*eta with itself and with each basis class, also
-    when some components of w are 0 and their entries are skipped."""
+    ``DEGREE6_FORM`` equal the pairings of w = a*h^3 + b*h*c2 + c*eta with
+    itself and with each basis class, combined by bilinearity from the
+    ring's products of basis classes at q, also when some components of w
+    are 0 and their entries are skipped."""
     rng = random.Random(6006)
     basis = [basis_class(6, label) for label in ("h^3", "h*c2", "eta")]
     for i in range(40):
@@ -148,10 +159,11 @@ def test_degree6_pairings_against_the_ring():
             a = b = Fraction(0)
         elif i % 4 == 3:
             a = b = c = Fraction(0)
-        w = a * basis[0] + b * basis[1] + c * basis[2]
-        assert self_intersection(a, b, c, q) == integrate(multiply(w, w)).evaluate(q)
-        assert lagrangian._pairings((a, b, c), q) == [
-            integrate(multiply(e, w)).evaluate(q) for e in basis]
+        w = (a, b, c)
+        pairings = [sum(integrate(multiply(e, f)).evaluate(q) * t for f, t in zip(basis, w))
+                    for e in basis]
+        assert lagrangian._pairings(w, q) == pairings
+        assert self_intersection(a, b, c, q) == sum(t * p for t, p in zip(w, pairings))
 
 
 def test_eta_coefficient():
@@ -215,15 +227,20 @@ def test_fixed_locus_invariants():
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_canonical_multiple_enters_through_the_chern_classes(monkeypatch, k):
     """With K_W = k*h|, c1*c2 and K^3 equal the ring products of c1 = -k*h
-    and c2 = (c2| + k^2*h^2)/2 with the class of W."""
+    and c2 = (c2| + k^2*h^2)/2 with the class of W.  x . w is linear in x,
+    so each basis component of x meets the class of W, built from the
+    projection solved in q, on its own."""
     monkeypatch.setattr(lagrangian, "CANONICAL_MULTIPLE", k)
-    a, b = project_lagrangian_class(EPW_DEGREE, EPW_Q)
+    a, b = (EPW_DEGREE * c for c in lagrangian._UNIT_PROJECTION)
     w = a * h_power(3) + b * basis_class(6, "h*c2")
     c1 = -k * h_power(1)
     c2 = Fraction(1, 2) * (c2_class() + k ** 2 * h_power(2))
 
+    basis = [basis_class(6, label) for label in BASIS[6]]
+
     def on_w(x):
-        return integrate(multiply(x, w)).evaluate(EPW_Q)
+        return sum(s.evaluate(EPW_Q) * integrate(multiply(e, w)).evaluate(EPW_Q)
+                   for e, s in zip(basis, x.coeffs))
 
     inv = fixed_locus_invariants()
     assert inv.c1c2 == on_w(multiply(c1, c2))

@@ -129,14 +129,22 @@ def test_independence_gram_determinant():
         verify_independence_degree6(Fraction(-1, 3))
 
 
-def _random_subring_class(rng, degree):
-    """A random class in the subring generated by h and c2."""
+def _homogeneous_class(rng, degree, labels):
+    """A random class on ``labels`` of BASIS[degree], homogeneous in q: for
+    some W the coefficient of h^i * c2^j * lambda^k is a multiple of q^(W - i/2).
+    Within one degree i has a fixed parity, so every power is an integer."""
+    top = rng.randint(-2, 2)
     cls = zero_class(degree)
-    for label in BASIS[degree]:
-        if "lambda" in label or label == "eta":
-            continue
-        cls = cls + Fraction(rng.randint(-5, 5)) * basis_class(degree, label)
+    for label in labels:
+        weight = top - _monomial(label)[0] // 2
+        cls = cls + (rng.randint(-5, 5) * Q ** weight) * basis_class(degree, label)
     return cls
+
+
+def _random_subring_class(rng, degree):
+    """A random homogeneous class in the subring generated by h and c2."""
+    return _homogeneous_class(rng, degree, [label for label in BASIS[degree]
+                                            if "lambda" not in label and label != "eta"])
 
 
 def test_commutative_and_associative_on_the_h_c2_subring():
@@ -149,9 +157,16 @@ def test_commutative_and_associative_on_the_h_c2_subring():
 
 
 def test_commutativity_with_eta():
-    x = 2 * h_power(3) - 3 * basis_class(6, "h*c2") + 5 * eta_class()
-    y = -1 * h_power(3) + 7 * eta_class()
-    assert multiply(x, y) == multiply(y, x)
+    """Homogeneous classes with an eta component.  eta^2 = 4 carries no q
+    while h^6 integrates to 15q^3, so in a product of two degree-6 classes
+    eta*eta and h^3*h^3 land on h^6 with weights one apart: of two such
+    factors with an eta component, one is a multiple of eta."""
+    rng = random.Random(1515)
+    for _ in range(25):
+        x = _homogeneous_class(rng, 6, BASIS[6])
+        eta = (rng.randint(-5, 5) * Q ** rng.randint(-2, 2)) * eta_class()
+        for y in (eta, _homogeneous_class(rng, 2, BASIS[2]), _random_subring_class(rng, 6)):
+            assert multiply(x, y) == multiply(y, x)
 
 
 #: every basis class of positive degree, lambda and eta included
