@@ -118,7 +118,7 @@ def _rows_euler(case: str) -> list[Row]:
 
 def _rows_lagrangian(degree: Fraction, q: Fraction) -> list[Row]:
     a, b = lagrangian.project_lagrangian_class(degree, q)
-    base = lagrangian.self_intersection(a, b, 0, q)
+    base = lagrangian.projection_square(degree, q)
     rows: list[Row] = [
         ("a (h^3 coefficient)", a, "projection of the Lagrangian class"),
         ("b (h*c2 coefficient)", b, "projection of the Lagrangian class"),
@@ -170,8 +170,7 @@ def _rows_walls(beta: Fraction) -> list[Row]:
         ("Im Z(v) / alpha", z_v.im, "central charge of the Hilbert-cube class"),
         ("Re Z(s)", z_s.re, "central charge of the spherical class"),
         ("Im Z(s) / alpha", z_s.im, "central charge of the spherical class"),
-        ("Re(Z(s)/Z(v))", degeneration.effectivity_ratio(s, v, point),
-         "effectivity ratio on the wall"),
+        ("Re(Z(s)/Z(v))", z_s.ratio_real(z_v), "effectivity ratio on the wall"),
         ("gram(v,v)", gram[0][0], "rank-2 hyperbolic sublattice"),
         ("gram(v,s)", gram[0][1], "rank-2 hyperbolic sublattice"),
         ("gram(s,s)", gram[1][1], "rank-2 hyperbolic sublattice"),

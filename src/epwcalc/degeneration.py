@@ -8,7 +8,9 @@ intersection calculus on the limit threefold.
 Central charges on the wall are evaluated exactly: a point has rational
 beta and rational alpha^2, and every charge is re + i*im*alpha, so pairs
 (re, im) with the extension rule alpha^2 = alpha_sq close under the field
-operations that appear."""
+operations that appear.  At beta = n/d the wall gives alpha^2 a denominator
+dividing d^2, so a charge is computed on integers, re over d^2 and im over
+d, and the ratio of two charges is one quotient of integer sums."""
 
 from __future__ import annotations
 
@@ -44,7 +46,8 @@ class WallPoint(Value):
 
     def __init__(self, beta: Rational, alpha_sq: Rational):
         beta, alpha_sq = Fraction(beta), Fraction(alpha_sq)
-        if (beta + 2) ** 2 + alpha_sq != 2:
+        (n, d), (a, e) = beta.as_integer_ratio(), alpha_sq.as_integer_ratio()
+        if (n + 2 * d) ** 2 * e + a * d * d != 2 * d * d * e:
             raise ValueError("point is not on the wall (beta+2)^2 + alpha^2 = 2")
         if alpha_sq <= 0:
             raise ValueError("wall points need alpha > 0")
@@ -54,8 +57,10 @@ class WallPoint(Value):
 
     @classmethod
     def from_beta(cls, beta: Rational) -> "WallPoint":
+        """The point with alpha^2 = 2 - (beta+2)^2, over d^2 at beta = n/d."""
         beta = Fraction(beta)
-        return cls(beta, 2 - (beta + 2) ** 2)
+        n, d = beta.as_integer_ratio()
+        return cls(beta, Fraction(2 * d * d - (n + 2 * d) ** 2, d * d))
 
 
 class WallCharge(Value):
@@ -75,8 +80,14 @@ class WallCharge(Value):
         self._same_field(other)
         return WallCharge(self.re - other.re, self.im - other.im, self.alpha_sq)
 
+    def _dot(self, other: "WallCharge") -> Fraction:
+        """Re(self * conj(other)) = re*re' + im*im'*alpha^2, summed as integer pairs."""
+        (p, P), (r, R), (p2, P2), (r2, R2), (a, A) = (
+            x.as_integer_ratio() for x in (self.re, self.im, other.re, other.im, self.alpha_sq))
+        return rational_sum(((p * p2, P * P2), (r * r2 * a, R * R2 * A)))
+
     def norm_sq(self) -> Fraction:
-        return self.re ** 2 + self.im ** 2 * self.alpha_sq
+        return self._dot(self)
 
     def ratio_real(self, other: "WallCharge") -> Fraction:
         """Real part of self/other; rational because alpha^2 is."""
@@ -84,15 +95,17 @@ class WallCharge(Value):
         n = other.norm_sq()
         if n == 0:
             raise ValueError("cannot divide by a vanishing central charge")
-        return (self.re * other.re + self.im * other.im * self.alpha_sq) / n
+        return self._dot(other) / n
 
 
 def central_charge(v: MukaiVector, point: WallPoint) -> WallCharge:
-    """Z(v) = 2c*(beta + i alpha) - s - r*(beta + i alpha)^2 at the point."""
-    beta, a2 = point.beta, point.alpha_sq
-    re = 2 * v.c * beta - v.s - v.r * (beta ** 2 - a2)
-    im = 2 * v.c - 2 * v.r * beta
-    return WallCharge(Fraction(re), Fraction(im), a2)
+    """Z(v) = 2c*(beta + i alpha) - s - r*(beta + i alpha)^2 at the point:
+    at beta = n/d, re = (2c*n*d - s*d^2 - r*(n^2 - alpha^2*d^2))/d^2 and
+    im = (2c*d - 2r*n)/d, where alpha^2*d^2 is an integer on the wall."""
+    (n, d), (a, e) = point.beta.as_integer_ratio(), point.alpha_sq.as_integer_ratio()
+    re = 2 * v.c * n * d - v.s * d * d - v.r * (n * n - a * (d * d // e))
+    return WallCharge(Fraction(re, d * d), Fraction(2 * v.c * d - 2 * v.r * n, d),
+                      point.alpha_sq)
 
 
 def effectivity_ratio(u: MukaiVector, v: MukaiVector, point: WallPoint) -> Fraction:
@@ -149,6 +162,7 @@ def ext_dimensions() -> dict[str, int]:
 # Kuranishi identity: membership in a principal ideal
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def kuranishi_identity_check(u2_sign: int = -1) -> bool:
     """Whether u1^2 - u2*u3 lies in the ideal (a1*b1 + a2*b2) after the
     substitution u1 = a1*b1, u2 = u2_sign*a1*b2, u3 = a2*b1.
@@ -160,7 +174,8 @@ def kuranishi_identity_check(u2_sign: int = -1) -> bool:
     against membership if the form is nonzero there (it reads 1 + u2_sign).
     The sign is a parameter so that the failure of the perturbed identity
     is testable; the default matches the singularity type seen at the
-    contraction."""
+    contraction.  The answer depends on the sign alone, so the grid is
+    walked once per sign and process."""
     def form(a1, a2, b1, b2):
         u1, u2, u3 = a1 * b1, u2_sign * a1 * b2, a2 * b1
         return u1 * u1 - u2 * u3
@@ -197,13 +212,14 @@ class SymProdClass(Value):
     def monomial(cls, genus: int, theta_power: int) -> "SymProdClass":
         if theta_power not in (0, 1, 2, 3):
             raise ValueError("theta power must be 0..3")
-        return cls(genus, tuple(Fraction(int(i == theta_power)) for i in range(4)))
+        return cls(genus, tuple(int(i == theta_power) for i in range(4)))
 
     @classmethod
     def linear_form_cubed(cls, genus: int, theta_coeff: Rational,
                           eta_coeff: Rational) -> "SymProdClass":
-        """(t*theta + e*eta)^3 expanded on the monomial basis."""
-        t, e = Fraction(theta_coeff), Fraction(eta_coeff)
+        """(t*theta + e*eta)^3 expanded on the monomial basis, in integers
+        when t and e are integers."""
+        t, e = (x if isinstance(x, int) else Fraction(x) for x in (theta_coeff, eta_coeff))
         return cls(genus, tuple(comb(3, i) * t ** i * e ** (3 - i) for i in range(4)))
 
     def __add__(self, other: "SymProdClass") -> "SymProdClass":

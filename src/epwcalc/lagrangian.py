@@ -5,7 +5,7 @@ through Euler characteristics, and the Chern / Riemann-Roch invariants of
 the fixed locus of the EPW-cube involution.  All of it is computed on the
 degree-6 lattice: a class a*h^3 + b*h*c2 + c*eta is its vector (a, b, c),
 and every pairing is a value of the form ``hodge_ring.DEGREE6_FORM``, read
-through its nonzero entries only.
+through its nonzero entries only, as integer pairs.
 
 The projection  a*h^3 + b*h*c2  of a Lagrangian class [W] is pinned by two
 linear conditions: [W] . h*sigma*sigbar = 0 (sigma the symplectic form) and
@@ -14,10 +14,17 @@ constants times powers of q (``fujiki.sigma_sigbar_integral`` and the h^3
 row of ``DEGREE6_FORM``), so the system is solved once, symbolically in q,
 at import; ``tests/fujiki_oracle.py`` holds the matching-sum reference, and
 ``tests/test_lagrangian.py`` checks the solution against it and against its
-closed form.  Whatever eta component c the full class carries enters only
-through eta^2 (``hodge_ring.ETA_SQUARE``), so
-[W]^2 = (a h^3 + b h c2)^2 + eta^2 c^2, and the involution case depends on
-the point (degree, q) only through the base square (a h^3 + b h c2)^2.
+closed form.  Both conditions are linear in the class, so the projection
+is ``degree`` times the degree-1 one, and its pairings and square are
+degree^k times single terms in q, built once at import as well:
+``_UNIT_PAIRINGS`` = (h^3 . W, h*c2 . W) = (1, 4/(3q)) and
+``_UNIT_SQUARE`` = W^2 = 4/(27q^3) for the degree-1 projection W.  Each
+value at a point (degree, q) is then one ``pair_at`` and one ``Fraction``.
+Whatever eta component c the full class carries enters only through eta^2
+(``hodge_ring.ETA_SQUARE``), so [W]^2 = (a h^3 + b h c2)^2 + eta^2 c^2, and
+the involution case depends on the point (degree, q) only through the base
+square (a h^3 + b h c2)^2, held against the Euler characteristics
+``llv.FIXED_LOCUS_EULER``, which are constants.
 
 [W]^2 = -chi_top(W) is a theorem, not a sign convention: [W]^2 is c3 of
 the normal bundle, which for a Lagrangian is the cotangent bundle, and
@@ -36,8 +43,8 @@ from fractions import Fraction
 
 from .fujiki import sigma_sigbar_integral
 from .hodge_ring import DEGREE6_FORM, ETA_SQUARE, positive_q, solve_2x2
-from .llv import CASES, euler_of_fixed_locus
-from .qfield import Rational, rational_sqrt
+from .llv import FIXED_LOCUS_EULER
+from .qfield import ParametricScalar, Rational, rational_sqrt, rational_sum
 
 #: h^3-degree of the fixed locus inside an EPW cube, and the BBF square of h
 EPW_DEGREE = Fraction(720)
@@ -49,6 +56,18 @@ CANONICAL_MULTIPLE = 2
 _UNIT_PROJECTION = solve_2x2(
     ((sigma_sigbar_integral("1"), sigma_sigbar_integral("c2")), DEGREE6_FORM[0][:2]),
     (0, 1))
+#: (h^3 . W, h*c2 . W) and W^2 for the degree-1 projection W, single terms
+_UNIT_PAIRINGS = tuple(g0 * _UNIT_PROJECTION[0] + g1 * _UNIT_PROJECTION[1]
+                       for g0, g1, _ in DEGREE6_FORM[:2])
+_UNIT_SQUARE = sum(x * y for x, y in zip(_UNIT_PROJECTION, _UNIT_PAIRINGS))
+
+
+def _scaled(s: ParametricScalar, degree: Fraction, k: int, q: Fraction) -> Fraction:
+    """degree^k * s at q, as one Fraction: the value of a degree-1 quantity
+    of homogeneous degree k in the class."""
+    num, den = s.pair_at(q)
+    n, d = degree.as_integer_ratio()
+    return Fraction(num * n ** k, den * d ** k)
 
 
 def project_lagrangian_class(degree: Rational, q: Rational) -> tuple[Fraction, Fraction]:
@@ -56,8 +75,14 @@ def project_lagrangian_class(degree: Rational, q: Rational) -> tuple[Fraction, F
     class with h^3 . [W] = degree, at BBF square q(h) = q > 0."""
     q = positive_q(q)
     degree = Fraction(degree)
-    a, b = _UNIT_PROJECTION
-    return degree * a.evaluate(q), degree * b.evaluate(q)
+    return tuple(_scaled(c, degree, 1, q) for c in _UNIT_PROJECTION)
+
+
+def projection_square(degree: Rational, q: Rational) -> Fraction:
+    """(a*h^3 + b*h*c2)^2 for the projection at (degree, q), q > 0:
+    degree^2 times ``_UNIT_SQUARE``."""
+    q = positive_q(q)
+    return _scaled(_UNIT_SQUARE, Fraction(degree), 2, q)
 
 
 #: the nonzero entries (i, j, form[i][j]) of ``DEGREE6_FORM``
@@ -67,7 +92,9 @@ _FORM_ENTRIES = [(i, j, g) for i, row in enumerate(DEGREE6_FORM)
 
 def _pairings(w, q) -> list[Fraction]:
     """(h^3 . w, h*c2 . w, eta . w) for w = (a, b, c) at q: the form applied
-    to w, evaluating only the nonzero entries that meet a nonzero component."""
+    to w, evaluating only the nonzero entries that meet a nonzero component.
+    No report reads it: the tests check ``_UNIT_PAIRINGS`` and
+    ``fixed_locus_invariants`` against it, and it against the ring."""
     out = [Fraction(0)] * 3
     for i, j, g in _FORM_ENTRIES:
         if w[j]:
@@ -76,10 +103,17 @@ def _pairings(w, q) -> list[Fraction]:
 
 
 def self_intersection(a: Rational, b: Rational, c: Rational, q: Rational) -> Fraction:
-    """(a*h^3 + b*h*c2 + c*eta)^2 integrated over the sixfold at q."""
+    """(a*h^3 + b*h*c2 + c*eta)^2 integrated over the sixfold at q: the sum
+    of w_i*w_j*form[i][j] over the nonzero entries, added as integer pairs."""
     q = positive_q(q)
-    w = (Fraction(a), Fraction(b), Fraction(c))
-    return sum(x * y for x, y in zip(w, _pairings(w, q)))
+    w = [Fraction(x).as_integer_ratio() for x in (a, b, c)]
+    terms = []
+    for i, j, g in _FORM_ENTRIES:
+        (ni, di), (nj, dj) = w[i], w[j]
+        if ni and nj:
+            num, den = g.pair_at(q)
+            terms.append((ni * nj * num, di * dj * den))
+    return rational_sum(terms)
 
 
 def eta_coefficient(base_square: Rational, chi_top: Rational) -> Fraction | None:
@@ -101,8 +135,7 @@ def disambiguate_involution_case(base_square: Rational) -> tuple[str, Fraction, 
     Returns (case, eta coefficient, chi_top).  Raises when neither or both
     cases are admissible."""
     admissible = []
-    for case in CASES:
-        chi = euler_of_fixed_locus(case)
+    for case, chi in FIXED_LOCUS_EULER.items():
         c = eta_coefficient(base_square, chi)
         if c is not None:
             admissible.append((case, c, chi))
@@ -126,7 +159,9 @@ def fixed_locus_invariants(degree: Rational = EPW_DEGREE,
                            q: Rational = EPW_Q) -> FixedLocusInvariants:
     """Invariants of the fixed locus from its class [W] = a*h^3 + b*h*c2,
     under the involution case ``disambiguate_involution_case`` picks from
-    the base square [W]^2 = a*(h^3 . [W]) + b*(h*c2 . [W]).
+    the base square [W]^2 = a*(h^3 . [W]) + b*(h*c2 . [W]).  The pairings
+    and the square are degree^k times ``_UNIT_PAIRINGS`` and
+    ``_UNIT_SQUARE``.
 
     With K_W = k*h| (k = ``CANONICAL_MULTIPLE``) and normal bundle Omega_W,
     the tangent Chern classes are c1 = -k*h|, c2 = (c2| + k^2*h^2|)/2 and
@@ -134,9 +169,10 @@ def fixed_locus_invariants(degree: Rational = EPW_DEGREE,
     c1*c2 = -(k/2)*(h*c2 + k^2*h^3) . [W], chi(O) = c1*c2/24,
     chi(Omega^1) = chi(O) - chi_top/2 and K^3 = k^3*h^3 . [W].
     """
-    a, b = project_lagrangian_class(degree, q)
-    h3_w, hc2_w, _ = _pairings((a, b, 0), q)
-    case, eta, chi_top = disambiguate_involution_case(a * h3_w + b * hc2_w)
+    q = positive_q(q)
+    degree = Fraction(degree)
+    h3_w, hc2_w = (_scaled(s, degree, 1, q) for s in _UNIT_PAIRINGS)
+    case, eta, chi_top = disambiguate_involution_case(_scaled(_UNIT_SQUARE, degree, 2, q))
     k = CANONICAL_MULTIPLE
     c1c2 = -Fraction(k, 2) * (hc2_w + k ** 2 * h3_w)
     chi_structure = c1c2 / 24

@@ -89,3 +89,7 @@ def euler_of_fixed_locus(case: str) -> int:
     """Euler characteristic of the fixed locus via the double-cover relation
     chi(fixed) = 2*chi(quotient) - chi(sixfold)."""
     return 2 * euler_of_quotient(case) - SIXFOLD_EULER
+
+
+#: ``euler_of_fixed_locus`` per case, computed once
+FIXED_LOCUS_EULER = {case: euler_of_fixed_locus(case) for case in CASES}

@@ -3,8 +3,11 @@
 Every intersection number is a Fujiki constant times a power of q, so a
 scalar is one term: a ``Fraction`` coefficient and an integer weight, with
 zero at weight 0.  The form is unique, so equality is structural, which the
-symbolic checks rely on.  ``rational_sum`` is the integer-sum kernel of
-``sym_prod_eval``.
+symbolic checks rely on.  ``ParametricScalar.pair_at`` gives the value at a
+rational q as an integer pair, and ``evaluate`` reduces that pair to one
+``Fraction``; ``rational_sum`` adds such pairs as integers and reduces once,
+the kernel of ``lagrangian.self_intersection``, ``WallCharge.ratio_real``
+and ``sym_prod_eval``.
 
 ``Value`` is the base of the package's immutable value types, this one
 among them."""
@@ -103,16 +106,22 @@ class ParametricScalar(Value):
             return ParametricScalar(value)
         return value if isinstance(value, ParametricScalar) else None
 
-    def evaluate(self, value: Rational) -> Fraction:
-        """The value at q = n/d: c*q^k is (c.numerator*n^k)/(c.denominator*d^k),
-        with n and d swapped for k < 0.  ZeroDivisionError at q = 0 if k < 0."""
+    def pair_at(self, value: Rational) -> tuple[int, int]:
+        """The value at q = n/d as the integer pair
+        (c.numerator*n^k, c.denominator*d^k) for c*q^k, with n and d swapped
+        for k < 0; not reduced, and the second entry is nonzero but may be
+        negative.  ZeroDivisionError at q = 0 if k < 0."""
         n, d = value.as_integer_ratio()
         c, k = self.coeff, self.weight
         if k < 0:
             if not n:
                 raise ZeroDivisionError(f"negative power of q at q=0 in {self}")
             n, d, k = d, n, -k
-        return Fraction(c.numerator * n ** k, c.denominator * d ** k)
+        return c.numerator * n ** k, c.denominator * d ** k
+
+    def evaluate(self, value: Rational) -> Fraction:
+        """The value at q, ``pair_at`` reduced to one Fraction."""
+        return Fraction(*self.pair_at(value))
 
     @_lifted
     def __add__(self, other):
@@ -166,7 +175,8 @@ class ParametricScalar(Value):
         return hash(self._values() if self.weight else self.coeff)
 
     def __str__(self):
-        """Integer numerator over integer denominator: 15*q^3, -160/q^2, 80/(3*q)."""
+        """Integer numerator over integer denominator: 15*q^3, 1/2, -160/q^2,
+        80/(3*q); the denominator is in parentheses only when it is a product."""
         if not self.coeff:
             return "0"
         shift = max(0, -self.weight)
@@ -175,7 +185,7 @@ class ParametricScalar(Value):
         if shift == 0 and d == 1:
             return top
         bottom = _term(d, shift)
-        return f"{top}/{bottom}" if d == 1 else f"{top}/({bottom})"
+        return f"{top}/{bottom}" if d == 1 or shift == 0 else f"{top}/({bottom})"
 
     def __repr__(self):
         return f"ParametricScalar({self})"

@@ -277,15 +277,17 @@ def test_a_point_where_both_involution_cases_are_admissible(capsys):
 
 
 def test_report_all_walks_the_fixed_locus_once_per_section(monkeypatch, capsys):
-    """A warm report-all projects the Lagrangian class once in the
-    lagrangian section and once in fixed-locus (f3 reads a cache), and
-    solves no ring relation: those are solved at import.  It multiplies no
-    ring classes and builds no ``ParametricScalar``: every degree-6 pairing
-    reads ``hodge_ring.DEGREE6_FORM``, the Chern products were multiplied
-    out by the first request, and ``evaluate`` works over the integers.
-    The pairings evaluate only the form's nonzero entries that meet a
-    nonzero component, so the request makes at most 30 ``evaluate`` calls
-    (45 when every pairing read all 9 entries)."""
+    """A warm report-all projects the Lagrangian class once, in the
+    lagrangian section: fixed-locus reads its pairings and square as
+    degree^k times the single terms built at import and never walks the
+    form through ``_pairings``, and f3 reads a cache.  It solves no ring
+    relation: those are solved at import.  It multiplies no ring classes
+    and builds no ``ParametricScalar``: the Chern products were multiplied
+    out by the first request.  ``evaluate`` serves only the ring and
+    relations rows (14 calls, 30 before the Lagrangian values went through
+    the unit pairings); every scalar value, those included, is one
+    ``pair_at`` (24 calls).  The walls rows compute the two central charges
+    once, and the Kuranishi grid was walked by the first request."""
     assert run(["report-all", "--json"]) == 0
     capsys.readouterr()
     rewrites = hodge_ring._rewrite.cache_info().misses
@@ -301,9 +303,13 @@ def test_report_all_walks_the_fixed_locus_once_per_section(monkeypatch, capsys):
 
     count(ParametricScalar, "__init__")
     count(ParametricScalar, "evaluate")
+    count(ParametricScalar, "pair_at")
     count(lagrangian, "project_lagrangian_class")
+    count(lagrangian, "_pairings")
     count(hodge_ring, "solve_2x2")
     count(lagrangian, "solve_2x2")
+    count(degeneration, "central_charge")
+    count(degeneration, "product")
     multiply = hodge_ring.multiply
     for module in [m for n, m in sys.modules.items() if n.startswith("epwcalc.")]:
         for name, value in list(vars(module).items()):
@@ -311,11 +317,15 @@ def test_report_all_walks_the_fixed_locus_once_per_section(monkeypatch, capsys):
                 count(module, name)
     assert run(["report-all", "--json"]) == 0
     assert capsys.readouterr().out == GOLDEN.read_text()
-    assert calls.count("project_lagrangian_class") <= 2
+    assert calls.count("project_lagrangian_class") == 1
+    assert "_pairings" not in calls
     assert "solve_2x2" not in calls
     assert "multiply" not in calls
     assert "__init__" not in calls
-    assert calls.count("evaluate") <= 30
+    assert calls.count("evaluate") <= 14
+    assert calls.count("pair_at") <= 24
+    assert calls.count("central_charge") == 2
+    assert "product" not in calls
     assert hodge_ring._rewrite.cache_info().misses == rewrites
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import comb, factorial, isqrt, perm, prod
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from epwcalc.degeneration import (
@@ -88,6 +88,44 @@ def test_ratio_real_is_exact():
     other_field = WallCharge(Fraction(1), Fraction(0), Fraction(3))
     with pytest.raises(ValueError):
         z_v.ratio_real(other_field)
+
+
+#: beta on the branch -2 - sqrt(2) < beta < -1, denominators up to 10^30
+_BRANCH_BETA = st.fractions(min_value=Fraction(-3414213562373095, 10 ** 15), max_value=-1,
+                            max_denominator=10 ** 30).filter(lambda b: b != -1)
+_VECTOR = st.builds(MukaiVector, *[st.integers(-10 ** 30, 10 ** 30)] * 3)
+
+
+@given(_BRANCH_BETA, _VECTOR, _VECTOR)
+@example(Fraction(-2), HILB_VECTOR, SPHERICAL_VECTOR)
+@example(Fraction(-3, 2), SPHERICAL_VECTOR, HILB_VECTOR)
+@example(Fraction(-10 ** 30 - 1, 10 ** 30), HILB_VECTOR, MukaiVector(0, 0, 0))
+@example(Fraction(-341 * 10 ** 28 + 7, 10 ** 30), MukaiVector(-3, 10 ** 30, 5), HILB_VECTOR)
+def test_central_charge_matches_the_fraction_formula(beta, u, v):
+    """Z(v) = (2c*beta - s - r*(beta^2 - alpha^2)) + i*(2c - 2r*beta)*alpha and
+    Re(Z(u)/Z(v)) in Fraction arithmetic, with alpha^2 = 2 - (beta+2)^2."""
+    alpha_sq = 2 - (beta + 2) ** 2
+    point = WallPoint.from_beta(beta)
+    assert point == WallPoint(beta, alpha_sq) and point.alpha_sq == alpha_sq
+    charges = []
+    for w in (u, v):
+        z = central_charge(w, point)
+        assert type(z.re) is Fraction and type(z.im) is Fraction
+        assert z.re == 2 * w.c * beta - w.s - w.r * (beta ** 2 - alpha_sq)
+        assert z.im == 2 * w.c - 2 * w.r * beta
+        assert z.alpha_sq == alpha_sq
+        charges.append(z)
+    z_u, z_v = charges
+    norm = z_v.re ** 2 + z_v.im ** 2 * alpha_sq
+    assert z_v.norm_sq() == norm
+    if norm:
+        assert z_u.ratio_real(z_v) == (z_u.re * z_v.re + z_u.im * z_v.im * alpha_sq) / norm
+        assert effectivity_ratio(u, v, point) == z_u.ratio_real(z_v)
+    else:
+        with pytest.raises(ValueError, match="vanishing central charge"):
+            z_u.ratio_real(z_v)
+    with pytest.raises(ValueError, match="not on the wall"):
+        WallPoint(beta, alpha_sq + Fraction(1, beta.denominator ** 2 + 1))
 
 
 def test_effectivity_is_linear_in_the_pell_coordinates():
@@ -225,6 +263,11 @@ def test_monomial_ratio_is_a_falling_factorial():
 def test_cube_of_the_branch_class():
     cube = SymProdClass.linear_form_cubed(10, 1, -6)
     assert cube.coeffs == (-216, 108, -18, 1)
+    assert all(type(c) is Fraction for c in cube.coeffs)
+    assert all(type(c) is Fraction for c in SymProdClass.monomial(10, 2).coeffs)
+    half = SymProdClass.linear_form_cubed(10, Fraction(1, 2), Fraction(-3, 7))
+    assert half.coeffs == tuple(comb(3, i) * Fraction(1, 2) ** i * Fraction(-3, 7) ** (3 - i)
+                                for i in range(4))
     assert sym_prod_eval(cube) == -36
     # term by term: -216*1 + 108*10 - 18*90 + 720
     assert (-216 * 1 + 108 * 10 - 18 * 90 + 720) == -36

@@ -5,10 +5,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from epwcalc import lagrangian
 from epwcalc.hodge_ring import (
     BASIS,
+    DEGREE6_FORM,
     TOP_INTEGRALS,
     basis_class,
     c2_class,
@@ -19,6 +22,7 @@ from epwcalc.hodge_ring import (
 from epwcalc.lagrangian import (
     EPW_DEGREE,
     EPW_Q,
+    FixedLocusInvariants,
     disambiguate_involution_case,
     eta_coefficient,
     fixed_locus_invariants,
@@ -164,6 +168,86 @@ def test_degree6_pairings_against_the_ring():
                     for e in basis]
         assert lagrangian._pairings(w, q) == pairings
         assert self_intersection(a, b, c, q) == sum(t * p for t, p in zip(w, pairings))
+
+
+_BIG = st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30), st.integers(1, 10 ** 30))
+#: a class component: zero, a small or 30-digit integer, or a 30-digit fraction
+_COMPONENT = st.one_of(st.just(0), st.integers(-50, 50), st.integers(-10 ** 30, 10 ** 30), _BIG)
+_POSITIVE_Q = st.one_of(st.integers(1, 50).map(Fraction),
+                        st.builds(Fraction, st.integers(1, 10 ** 30), st.integers(1, 10 ** 30)))
+
+
+@given(_COMPONENT, _COMPONENT, _COMPONENT, _POSITIVE_Q)
+@example(0, 0, 0, Fraction(10 ** 30 - 1, 7))
+@example(Fraction(-10 ** 29, 3), 0, Fraction(5, 10 ** 30), Fraction(10 ** 30, 10 ** 30 - 3))
+@example(0, -10 ** 30, 0, Fraction(1, 10 ** 30))
+@example(Fraction(15, 8), Fraction(-5, 8), 0, Fraction(4))
+def test_self_intersection_matches_the_fraction_sum(a, b, c, q):
+    """sum of w_i*w_j*g_ij(q) over the whole form, each entry c*q^k taken in
+    Fraction arithmetic, zero entries and zero components included."""
+    w = (a, b, c)
+    expected = sum((w[i] * w[j] * g.coeff * q ** g.weight
+                    for i, row in enumerate(DEGREE6_FORM) for j, g in enumerate(row)),
+                   Fraction(0))
+    value = self_intersection(a, b, c, q)
+    assert type(value) is Fraction
+    assert value == expected
+
+
+def _invariants_through_the_pairings(degree, q):
+    """The invariants with [W]'s pairings and base square read off the form
+    at the projection through ``_pairings``, in Fraction arithmetic."""
+    a, b = project_lagrangian_class(degree, q)
+    h3_w, hc2_w, _ = lagrangian._pairings((a, b, 0), q)
+    case, eta, chi_top = disambiguate_involution_case(a * h3_w + b * hc2_w)
+    k = lagrangian.CANONICAL_MULTIPLE
+    c1c2 = -Fraction(k, 2) * (hc2_w + k ** 2 * h3_w)
+    return FixedLocusInvariants(case, eta, c1c2, c1c2 / 24, c1c2 / 24 - Fraction(chi_top, 2),
+                                Fraction(chi_top), k ** 3 * h3_w)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@given(_POSITIVE_Q, st.one_of(st.none(), _BIG, _POSITIVE_Q))
+@example(Fraction(1), None)
+@example(Fraction(2), None)
+@example(Fraction(10 ** 30 - 1, 10 ** 29 + 3), None)
+@example(Fraction(1), Fraction(7))
+@example(Fraction(1), Fraction(0))
+def test_fixed_locus_invariants_match_the_pairings(m, degree):
+    """At EPW-like points (720m^3, 4m^2) one case is admissible and every
+    invariant agrees with the pairings walked through the form; at any
+    other degree (q = 4m^2 kept) both succeed or both raise the same
+    ValueError, q <= 0 included.  The projection's square read off
+    ``_UNIT_SQUARE`` is the ring's."""
+    q = 4 * m * m
+    epw_like = degree is None
+    if epw_like:
+        degree = 720 * m ** 3
+    got = _outcome(fixed_locus_invariants, degree, q)
+    assert got == _outcome(_invariants_through_the_pairings, degree, q)
+    a, b = project_lagrangian_class(degree, q)
+    assert lagrangian.projection_square(degree, q) == self_intersection(a, b, 0, q)
+    if epw_like:
+        assert got.case == "natural" and got.eta == 0 and got.c3 == -1200
+    for bad_q in (0, -q):
+        assert _outcome(fixed_locus_invariants, degree, bad_q) == \
+            _outcome(_invariants_through_the_pairings, degree, bad_q)
+
+
+@pytest.mark.parametrize("degree, q, message", [
+    (7, 4, "no involution case admits a rational eta coefficient"),
+    (272214, 213, "ambiguous: both involution cases admit a rational eta coefficient"),
+])
+def test_fixed_locus_invariants_fail_as_the_pairings_do(degree, q, message):
+    for point in ((degree, q), (Fraction(degree), Fraction(q))):
+        assert _outcome(fixed_locus_invariants, *point) == f"ValueError: {message}"
+        assert _outcome(_invariants_through_the_pairings, *point) == f"ValueError: {message}"
 
 
 def test_eta_coefficient():

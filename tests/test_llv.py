@@ -7,6 +7,7 @@ from epwcalc.llv import (
     _SECOND,
     _VERBITSKY,
     CASES,
+    FIXED_LOCUS_EULER,
     SIXFOLD_EULER,
     T_DIM,
     _power,
@@ -107,6 +108,8 @@ def test_euler_characteristics():
     assert SIXFOLD_EULER == 3200
     assert euler_of_fixed_locus("natural") == -1200
     assert euler_of_fixed_locus("opposite") == -1536
+    assert FIXED_LOCUS_EULER == {case: euler_of_fixed_locus(case) for case in CASES}
+    assert list(FIXED_LOCUS_EULER) == list(CASES)
 
 
 def test_euler_consistency_over_all_degrees():

@@ -82,6 +82,15 @@ def test_str_clears_denominators():
     assert str(80 / (3 * Q)) == "80/(3*q)"
     assert str(15 * Q ** 3) == "15*q^3"
     assert str(ZERO) == "0"
+    # a q-free denominator prints bare; only a product is parenthesised
+    assert str(ParametricScalar(Fraction(1, 2))) == "1/2"
+    assert str(ParametricScalar(Fraction(-7, 3))) == "-7/3"
+    assert str(15 * Q ** 3 / 2) == "15*q^3/2"
+    assert str(-Q / 5) == "-q/5"
+    assert str(1 / Q) == "1/q"
+    assert str(ParametricScalar(Fraction(-1, 2), -2)) == "-1/(2*q^2)"
+    with pytest.raises(ValueError, match=r"cannot add q and 1/2:"):
+        Q + Fraction(1, 2)
 
 
 def test_hash_matches_equality():
