@@ -2,33 +2,30 @@
 hyper-Kähler sixfold of K3^[3] type, parametric in the BBF square q of the
 polarization h: every coefficient is a single term c*q^w.
 
-Basis by even degree (dimensions 1, 1, 3, 3, 3, 1, 1):
+Basis by even degree (dimensions 1, 1, 2, 2, 2, 1, 1):
 
     0:  1
     2:  h
-    4:  h^2, c2, lambda
-    6:  h^3, h*c2, eta            (eta = h*lambda)
-    8:  h^4, h^2*c2, h^2*lambda
+    4:  h^2, c2
+    6:  h^3, h*c2
+    8:  h^4, h^2*c2
     10: h^5
     12: h^6
 
-Every basis label is a monomial h^i * c2^j * lambda^k, and the product of
-two basis classes is the sum of their exponents, rewritten onto the basis
-of its degree: c2^2 through the degree-8 relation and h^3*c2 through the
+Every basis label is a monomial h^i * c2^j, and the product of two basis
+classes is the sum of their exponents, rewritten onto the basis of its
+degree: c2^2 through the degree-8 relation and h^3*c2 through the
 degree-10 relation.  Both relations are solved once, at import and
 symbolically in q, from the Fujiki constants and the Chern number
 c2*c4 = 14720, not copied in: ``DEGREE8_RELATION`` and
 ``DEGREE10_RELATIONS`` are the single source of ``_rewrite``, which puts a
 monomial on the basis the first time a product meets it.
 
-The classes lambda and eta sit outside the subring generated by h and c2
-and come only with pairing data: eta is orthogonal to h^3 and h*c2 and is
-normalized with eta^2 = 4.  Degree 12 is spanned by h^6, so the monomials
-in lambda whose integral that data fixes (h^4*lambda, h^2*c2*lambda and
-h^2*lambda^2) are that integral over the integral of h^6.  Products the
-pairing data does not determine raise an error instead of inventing values.
-``DEGREE6_FORM``, the top pairing on (h^3, h*c2, eta), is read off the
-ring once at import, and every pairing of degree-6 classes reads it; the
+The degree-6 class eta lies outside this subring and is data: it is
+orthogonal to h^3 and h*c2, with eta^2 = ``ETA_SQUARE``.
+``DEGREE6_FORM``, the top pairing on (h^3, h*c2, eta), is stated from
+``TOP_INTEGRALS`` and ``ETA_SQUARE``, and every pairing of degree-6 classes
+reads it; the tests check its (h^3, h*c2) block against the ring.  The
 Chern products c2^3 and c2*c4 are multiplied out once, on first use.
 """
 
@@ -40,21 +37,21 @@ from fractions import Fraction
 from .fujiki import fujiki_constant
 from .qfield import ONE, ZERO, ParametricScalar, Rational, Value
 
-#: exponents of each basis label in (h, c2, lambda), in basis order
-_EXPONENTS: dict[str, tuple[int, int, int]] = {
-    "1": (0, 0, 0),
-    "h": (1, 0, 0),
-    "h^2": (2, 0, 0), "c2": (0, 1, 0), "lambda": (0, 0, 1),
-    "h^3": (3, 0, 0), "h*c2": (1, 1, 0), "eta": (1, 0, 1),
-    "h^4": (4, 0, 0), "h^2*c2": (2, 1, 0), "h^2*lambda": (2, 0, 1),
-    "h^5": (5, 0, 0),
-    "h^6": (6, 0, 0),
+#: exponents of each basis label in (h, c2), in basis order
+_EXPONENTS: dict[str, tuple[int, int]] = {
+    "1": (0, 0),
+    "h": (1, 0),
+    "h^2": (2, 0), "c2": (0, 1),
+    "h^3": (3, 0), "h*c2": (1, 1),
+    "h^4": (4, 0), "h^2*c2": (2, 1),
+    "h^5": (5, 0),
+    "h^6": (6, 0),
 }
 _LABEL = {exponents: label for label, exponents in _EXPONENTS.items()}
 
 
-def _degree(i: int, j: int, k: int) -> int:
-    return 2 * i + 4 * (j + k)
+def _degree(i: int, j: int) -> int:
+    return 2 * i + 4 * j
 
 
 BASIS: dict[int, tuple[str, ...]] = {
@@ -66,7 +63,7 @@ BASIS: dict[int, tuple[str, ...]] = {
 CHERN_NUMBER_C2C4 = Fraction(14720)
 CHERN_NUMBER_C6 = Fraction(3200)
 
-#: self-pairing of the extra degree-6 class
+#: self-pairing of the degree-6 class eta
 ETA_SQUARE = Fraction(4)
 
 _Q = ParametricScalar.q()
@@ -79,14 +76,18 @@ TOP_INTEGRALS: dict[str, ParametricScalar] = {
     "h^2*c4": fujiki_constant("c4") * _Q,
 }
 
-#: integrals of the degree-12 monomials in lambda that the pairing data fixes:
-#: h^4*lambda = h^3*eta and h^2*c2*lambda = h*c2*eta give 0, h^2*lambda^2 = eta^2
-_LAMBDA_INTEGRALS = {(4, 0, 1): 0, (2, 1, 1): 0, (2, 0, 2): ETA_SQUARE}
+#: the top pairing on (h^3, h*c2, eta): ((15q^3, 108q^2, 0),
+#: (108q^2, 1200q, 0), (0, 0, 4)), eta being orthogonal to h^3 and h*c2
+DEGREE6_FORM = ((TOP_INTEGRALS["h^6"], TOP_INTEGRALS["h^4*c2"], ZERO),
+                (TOP_INTEGRALS["h^4*c2"], TOP_INTEGRALS["h^2*c2^2"], ZERO),
+                (ZERO, ZERO, ParametricScalar(ETA_SQUARE)))
 
 
 def positive_q(q: Rational) -> Fraction:
-    """q as a Fraction; ValueError unless q > 0, as a polarization's BBF square."""
-    q = Fraction(q)
+    """q as a Fraction, a Fraction argument itself; ValueError unless q > 0,
+    as a polarization's BBF square."""
+    if not isinstance(q, Fraction):
+        q = Fraction(q)
     if q <= 0:
         raise ValueError("the BBF square of a polarization must be positive")
     return q
@@ -180,20 +181,16 @@ def h_power(k: int) -> HodgeClass:
     """h^k as a basis class (k = 0..6)."""
     if not 0 <= k <= 6:
         raise ValueError("h powers live in degrees 0..6")
-    return basis_class(2 * k, _LABEL[k, 0, 0])
+    return basis_class(2 * k, _LABEL[k, 0])
 
 
 def c2_class() -> HodgeClass:
     return basis_class(4, "c2")
 
 
-def eta_class() -> HodgeClass:
-    return basis_class(6, "eta")
-
-
 def c4_class() -> HodgeClass:
     """c4 written on the degree-8 basis through the degree-8 relation."""
-    return HodgeClass(8, (*DEGREE8_RELATION, ZERO))
+    return HodgeClass(8, DEGREE8_RELATION)
 
 
 def c2_squared_class() -> HodgeClass:
@@ -203,18 +200,14 @@ def c2_squared_class() -> HodgeClass:
 
 
 @functools.cache
-def _rewrite(i: int, j: int, k: int) -> HodgeClass | None:
-    """h^i * c2^j * lambda^k on the basis of its degree, or None when the
-    pairing data does not determine it."""
-    if (i, j, k) in _LABEL:
-        return basis_class(_degree(i, j, k), _LABEL[i, j, k])
-    if k:
-        integral = _LAMBDA_INTEGRALS.get((i, j, k))
-        return None if integral is None else (integral / TOP_INTEGRALS["h^6"]) * h_power(6)
+def _rewrite(i: int, j: int) -> HodgeClass:
+    """h^i * c2^j on the basis of its degree."""
+    if (i, j) in _LABEL:
+        return basis_class(_degree(i, j), _LABEL[i, j])
     if j >= 2:  # c2^2 = (C(c2^2)/C(c4)) * (x*h^4 + y*h^2*c2)
         c2_squared = c2_squared_class()
-        return (c2_squared.coefficient("h^4") * _rewrite(i + 4, j - 2, 0)
-                + c2_squared.coefficient("h^2*c2") * _rewrite(i + 2, j - 1, 0))
+        return (c2_squared.coefficient("h^4") * _rewrite(i + 4, j - 2)
+                + c2_squared.coefficient("h^2*c2") * _rewrite(i + 2, j - 1))
     return DEGREE10_RELATIONS[0] * h_power(i + 2)  # h^3*c2 = r*h^5, times h^(i-3)
 
 
@@ -222,10 +215,10 @@ def multiply(x: HodgeClass, y: HodgeClass) -> HodgeClass:
     """Product in the Hodge ring: each pair of basis monomials adds its
     exponents, and ``_rewrite`` puts the sum on the basis.
 
-    Raises ValueError for products the relations do not determine
-    ("pairing-only class"), for total degree above 12, and when terms of
-    different weight in q meet on one basis label (eta^2 carries no q, so
-    (h^3 + eta)^2 has no single-term coefficient).
+    Raises ValueError for total degree above 12, and when terms of
+    different weight in q meet on one basis label: h^3*h^3 = h^6 and
+    h^3*h*c2 = (36/(5q))*h^6, so (h^3 + h*c2)^2 has no single-term
+    coefficient.
     """
     degree = x.degree + y.degree
     if degree > 12:
@@ -234,8 +227,6 @@ def multiply(x: HodgeClass, y: HodgeClass) -> HodgeClass:
     for la, ca in x._nonzero():
         for lb, cb in y._nonzero():
             rule = _rewrite(*(s + t for s, t in zip(_EXPONENTS[la], _EXPONENTS[lb])))
-            if rule is None:
-                raise ValueError(f"pairing-only class: no product rule for {la} * {lb}")
             for n, k in enumerate(rule.coeffs):
                 if k:
                     acc[n] = acc[n] + ca * cb * k
@@ -247,12 +238,6 @@ def integrate(x: HodgeClass) -> ParametricScalar:
     if x.degree != 12:
         raise ValueError("only degree-12 classes integrate to a number")
     return x.coefficient("h^6") * TOP_INTEGRALS["h^6"]
-
-
-#: the top pairing on BASIS[6] = (h^3, h*c2, eta), read off the ring once:
-#: ((15q^3, 108q^2, 0), (108q^2, 1200q, 0), (0, 0, 4))
-DEGREE6_FORM = tuple(tuple(integrate(multiply(basis_class(6, x), basis_class(6, y)))
-                           for y in BASIS[6]) for x in BASIS[6])
 
 
 def verify_independence_degree6(q: Rational) -> tuple[bool, Fraction]:

@@ -5,7 +5,9 @@ through Euler characteristics, and the Chern / Riemann-Roch invariants of
 the fixed locus of the EPW-cube involution.  All of it is computed on the
 degree-6 lattice: a class a*h^3 + b*h*c2 + c*eta is its vector (a, b, c),
 and every pairing is a value of the form ``hodge_ring.DEGREE6_FORM``, read
-through its nonzero entries only, as integer pairs.
+through its nonzero entries only, as integer pairs.  The pairings of a
+class with the basis, walked through the form in Fraction arithmetic, are
+the tests' reference (``_pairings`` in ``tests/test_lagrangian.py``).
 
 The projection  a*h^3 + b*h*c2  of a Lagrangian class [W] is pinned by two
 linear conditions: [W] . h*sigma*sigbar = 0 (sigma the symplectic form) and
@@ -19,7 +21,8 @@ is ``degree`` times the degree-1 one, and its pairings and square are
 degree^k times single terms in q, built once at import as well:
 ``_UNIT_PAIRINGS`` = (h^3 . W, h*c2 . W) = (1, 4/(3q)) and
 ``_UNIT_SQUARE`` = W^2 = 4/(27q^3) for the degree-1 projection W.  Each
-value at a point (degree, q) is then one ``pair_at`` and one ``Fraction``.
+value at a point (degree, q) is then one ``pair_at`` and one ``Fraction``;
+an int or Fraction argument is read as it is, not copied.
 Whatever eta component c the full class carries enters only through eta^2
 (``hodge_ring.ETA_SQUARE``), so [W]^2 = (a h^3 + b h c2)^2 + eta^2 c^2, and
 the involution case depends on the point (degree, q) only through the base
@@ -62,7 +65,7 @@ _UNIT_PAIRINGS = tuple(g0 * _UNIT_PROJECTION[0] + g1 * _UNIT_PROJECTION[1]
 _UNIT_SQUARE = sum(x * y for x, y in zip(_UNIT_PROJECTION, _UNIT_PAIRINGS))
 
 
-def _scaled(s: ParametricScalar, degree: Fraction, k: int, q: Fraction) -> Fraction:
+def _scaled(s: ParametricScalar, degree: Rational, k: int, q: Fraction) -> Fraction:
     """degree^k * s at q, as one Fraction: the value of a degree-1 quantity
     of homogeneous degree k in the class."""
     num, den = s.pair_at(q)
@@ -74,7 +77,6 @@ def project_lagrangian_class(degree: Rational, q: Rational) -> tuple[Fraction, F
     """Coefficients (a, b) of the projection a*h^3 + b*h*c2 of a Lagrangian
     class with h^3 . [W] = degree, at BBF square q(h) = q > 0."""
     q = positive_q(q)
-    degree = Fraction(degree)
     return tuple(_scaled(c, degree, 1, q) for c in _UNIT_PROJECTION)
 
 
@@ -82,7 +84,7 @@ def projection_square(degree: Rational, q: Rational) -> Fraction:
     """(a*h^3 + b*h*c2)^2 for the projection at (degree, q), q > 0:
     degree^2 times ``_UNIT_SQUARE``."""
     q = positive_q(q)
-    return _scaled(_UNIT_SQUARE, Fraction(degree), 2, q)
+    return _scaled(_UNIT_SQUARE, degree, 2, q)
 
 
 #: the nonzero entries (i, j, form[i][j]) of ``DEGREE6_FORM``
@@ -90,23 +92,11 @@ _FORM_ENTRIES = [(i, j, g) for i, row in enumerate(DEGREE6_FORM)
                  for j, g in enumerate(row) if g]
 
 
-def _pairings(w, q) -> list[Fraction]:
-    """(h^3 . w, h*c2 . w, eta . w) for w = (a, b, c) at q: the form applied
-    to w, evaluating only the nonzero entries that meet a nonzero component.
-    No report reads it: the tests check ``_UNIT_PAIRINGS`` and
-    ``fixed_locus_invariants`` against it, and it against the ring."""
-    out = [Fraction(0)] * 3
-    for i, j, g in _FORM_ENTRIES:
-        if w[j]:
-            out[i] += g.evaluate(q) * w[j]
-    return out
-
-
 def self_intersection(a: Rational, b: Rational, c: Rational, q: Rational) -> Fraction:
     """(a*h^3 + b*h*c2 + c*eta)^2 integrated over the sixfold at q: the sum
     of w_i*w_j*form[i][j] over the nonzero entries, added as integer pairs."""
     q = positive_q(q)
-    w = [Fraction(x).as_integer_ratio() for x in (a, b, c)]
+    w = [x.as_integer_ratio() for x in (a, b, c)]
     terms = []
     for i, j, g in _FORM_ENTRIES:
         (ni, di), (nj, dj) = w[i], w[j]
@@ -170,7 +160,6 @@ def fixed_locus_invariants(degree: Rational = EPW_DEGREE,
     chi(Omega^1) = chi(O) - chi_top/2 and K^3 = k^3*h^3 . [W].
     """
     q = positive_q(q)
-    degree = Fraction(degree)
     h3_w, hc2_w = (_scaled(s, degree, 1, q) for s in _UNIT_PAIRINGS)
     case, eta, chi_top = disambiguate_involution_case(_scaled(_UNIT_SQUARE, degree, 2, q))
     k = CANONICAL_MULTIPLE

@@ -279,11 +279,10 @@ def test_a_point_where_both_involution_cases_are_admissible(capsys):
 def test_report_all_walks_the_fixed_locus_once_per_section(monkeypatch, capsys):
     """A warm report-all projects the Lagrangian class once, in the
     lagrangian section: fixed-locus reads its pairings and square as
-    degree^k times the single terms built at import and never walks the
-    form through ``_pairings``, and f3 reads a cache.  It solves no ring
-    relation: those are solved at import.  It multiplies no ring classes
-    and builds no ``ParametricScalar``: the Chern products were multiplied
-    out by the first request.  ``evaluate`` serves only the ring and
+    degree^k times the single terms built at import, and f3 reads a cache.
+    It solves no ring relation: those are solved at import.  It multiplies
+    no ring classes and builds no ``ParametricScalar``: the Chern products
+    were multiplied out by the first request.  ``evaluate`` serves only the ring and
     relations rows (14 calls, 30 before the Lagrangian values went through
     the unit pairings); every scalar value, those included, is one
     ``pair_at`` (24 calls).  The walls rows compute the two central charges
@@ -305,7 +304,6 @@ def test_report_all_walks_the_fixed_locus_once_per_section(monkeypatch, capsys):
     count(ParametricScalar, "evaluate")
     count(ParametricScalar, "pair_at")
     count(lagrangian, "project_lagrangian_class")
-    count(lagrangian, "_pairings")
     count(hodge_ring, "solve_2x2")
     count(lagrangian, "solve_2x2")
     count(degeneration, "central_charge")
@@ -318,7 +316,6 @@ def test_report_all_walks_the_fixed_locus_once_per_section(monkeypatch, capsys):
     assert run(["report-all", "--json"]) == 0
     assert capsys.readouterr().out == GOLDEN.read_text()
     assert calls.count("project_lagrangian_class") == 1
-    assert "_pairings" not in calls
     assert "solve_2x2" not in calls
     assert "multiply" not in calls
     assert "__init__" not in calls

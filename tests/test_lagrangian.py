@@ -18,6 +18,7 @@ from epwcalc.hodge_ring import (
     h_power,
     integrate,
     multiply,
+    positive_q,
 )
 from epwcalc.lagrangian import (
     EPW_DEGREE,
@@ -126,6 +127,26 @@ def test_projection_recovers_the_degree():
         assert h3_pairing == degree
 
 
+_NOT_POSITIVE = "^the BBF square of a polarization must be positive$"
+
+
+def test_every_entry_validates_q():
+    """A Fraction q is read as it is, not copied, and still validated at
+    each public entry; an int q is converted, and q <= 0 of either type
+    raises the same text."""
+    q = Fraction(7, 3)
+    assert positive_q(q) is q
+    assert positive_q(4) == 4 and type(positive_q(4)) is Fraction
+    entries = (project_lagrangian_class, lagrangian.projection_square, fixed_locus_invariants,
+               lambda degree, q: self_intersection(degree, 1, 0, q))
+    for bad in (0, -4, Fraction(0), Fraction(-1, 3)):
+        with pytest.raises(ValueError, match=_NOT_POSITIVE):
+            positive_q(bad)
+        for entry in entries:
+            with pytest.raises(ValueError, match=_NOT_POSITIVE):
+                entry(EPW_DEGREE, bad)
+
+
 def test_self_intersection_reference_values():
     assert self_intersection(Fraction(15, 8), Fraction(-5, 8), 0, 4) == 1200
     assert self_intersection(1, 0, 0, 4) == 960
@@ -145,14 +166,25 @@ def test_self_intersection_scales_quadratically():
             t ** 2 * self_intersection(a, b, c, q)
 
 
+def _pairings(w, q):
+    """(h^3 . w, h*c2 . w, eta . w) for w = (a, b, c) at q: ``DEGREE6_FORM``
+    applied to w, every entry evaluated, in Fraction arithmetic.  The
+    reference for the pairings ``fixed_locus_invariants`` reads as
+    degree^k times single terms."""
+    return [sum(g.evaluate(q) * t for g, t in zip(row, w)) for row in DEGREE6_FORM]
+
+
 def test_degree6_pairings_against_the_ring():
-    """self_intersection and the pairings fixed_locus_invariants reads off
-    ``DEGREE6_FORM`` equal the pairings of w = a*h^3 + b*h*c2 + c*eta with
-    itself and with each basis class, combined by bilinearity from the
-    ring's products of basis classes at q, also when some components of w
-    are 0 and their entries are skipped."""
+    """self_intersection and ``_pairings`` equal the pairings of
+    w = a*h^3 + b*h*c2 + c*eta with itself and with each of h^3, h*c2 and
+    eta, combined by bilinearity: the (h^3, h*c2) block from the ring's
+    products of basis classes at q, eta's row and column from the stated
+    form (pinned as (0, 0, 4) in ``test_ring``), also when some components
+    of w are 0 and self_intersection skips their entries."""
+    basis = [basis_class(6, label) for label in BASIS[6]]
+    ring = [[integrate(multiply(e, f)) for f in basis] for e in basis]
+    gram = [ring[0] + [DEGREE6_FORM[0][2]], ring[1] + [DEGREE6_FORM[1][2]], DEGREE6_FORM[2]]
     rng = random.Random(6006)
-    basis = [basis_class(6, label) for label in ("h^3", "h*c2", "eta")]
     for i in range(40):
         a, b, c = (Fraction(rng.randint(-40, 40), rng.randint(1, 9)) for _ in range(3))
         q = Fraction(rng.randint(1, 40), rng.randint(1, 9))
@@ -164,9 +196,8 @@ def test_degree6_pairings_against_the_ring():
         elif i % 4 == 3:
             a = b = c = Fraction(0)
         w = (a, b, c)
-        pairings = [sum(integrate(multiply(e, f)).evaluate(q) * t for f, t in zip(basis, w))
-                    for e in basis]
-        assert lagrangian._pairings(w, q) == pairings
+        pairings = [sum(g.evaluate(q) * t for g, t in zip(row, w)) for row in gram]
+        assert _pairings(w, q) == pairings
         assert self_intersection(a, b, c, q) == sum(t * p for t, p in zip(w, pairings))
 
 
@@ -198,7 +229,7 @@ def _invariants_through_the_pairings(degree, q):
     """The invariants with [W]'s pairings and base square read off the form
     at the projection through ``_pairings``, in Fraction arithmetic."""
     a, b = project_lagrangian_class(degree, q)
-    h3_w, hc2_w, _ = lagrangian._pairings((a, b, 0), q)
+    h3_w, hc2_w, _ = _pairings((a, b, 0), q)
     case, eta, chi_top = disambiguate_involution_case(a * h3_w + b * hc2_w)
     k = lagrangian.CANONICAL_MULTIPLE
     c1c2 = -Fraction(k, 2) * (hc2_w + k ** 2 * h3_w)

@@ -120,30 +120,50 @@ def test_euler_consistency_over_all_degrees():
         assert full == euler_of_quotient(case)
 
 
-def _goettsche_poincare(n):
-    """Coefficients of z^0, z^1, ..., z^(4n) in the Poincare polynomial of
-    K3^[n], from Goettsche's formula: the t^n coefficient of
-    prod_k 1/((1 - z^(2k-2) t^k) (1 - z^(2k) t^k)^22 (1 - z^(2k+2) t^k)),
-    22 being b_2 of the K3 surface."""
-    series = {(0, 0): 1}  # (power of t, power of z) -> integer coefficient
+#: the nonzero Hodge numbers h^{p,q} of a K3 surface, all at even p + q
+_K3_HODGE = {(0, 0): 1, (2, 0): 1, (0, 2): 1, (1, 1): 20, (2, 2): 1}
+
+
+def _goettsche_soergel_hodge(n):
+    """Hodge numbers of K3^[n] as rows p = 0..2n of h^{p,q}, q = 0..2n, from
+    the Goettsche-Soergel formula: the t^n coefficient of
+    prod_k prod_{p,q} (1 - x^(p+k-1) y^(q+k-1) t^k)^(-h^{p,q}(K3)), the
+    signs (-1)^(p+q) of the general formula being +1 for a K3 surface."""
+    series = {(0, 0, 0): 1}  # (power of t, of x, of y) -> integer coefficient
     for k in range(1, n + 1):
-        for z_step, multiplicity in ((2 * k - 2, 1), (2 * k, 22), (2 * k + 2, 1)):
+        for (p, q), multiplicity in _K3_HODGE.items():
             for _ in range(multiplicity):
-                # times 1/(1 - z^z_step t^k) = sum_j (z^z_step t^k)^j, cut at t^n
+                # times 1/(1 - x^(p+k-1) y^(q+k-1) t^k) = sum_j (...)^j, cut at t^n
                 out = {}
-                for (t, z), c in series.items():
+                for (t, a, b), c in series.items():
                     for j in range((n - t) // k + 1):
-                        key = (t + j * k, z + j * z_step)
+                        key = (t + j * k, a + j * (p + k - 1), b + j * (q + k - 1))
                         out[key] = out.get(key, 0) + c
                 series = out
-    return [series.get((n, z), 0) for z in range(4 * n + 1)]
+    return [[series.get((n, p, q), 0) for q in range(2 * n + 1)] for p in range(2 * n + 1)]
+
+
+def test_hodge_numbers_match_goettsche_soergel():
+    """The Hodge diamond of K3^[3] and its chi_y coefficients
+    chi^p = sum_q (-1)^q h^{p,q}."""
+    h = _goettsche_soergel_hodge(3)
+    assert (h[1][1], h[3][1], h[2][2], h[4][2], h[5][1], h[3][3]) == \
+        (21, 22, 253, 253, 21, 2004)
+    assert h[0] == [1, 0, 1, 0, 1, 0, 1]
+    assert all(h[p][q] == 0 for p in range(7) for q in range(7) if (p + q) % 2)
+    assert all(h[p][q] == h[q][p] == h[6 - p][6 - q] for p in range(7) for q in range(7))
+    assert [sum((-1) ** q * x for q, x in enumerate(row)) for row in h] == \
+        [4, -64, 508, -2048, 508, -64, 4]
 
 
 def test_betti_numbers_match_goettsche_formula():
     """Three independent sources agree on the Betti numbers and on 3200:
-    the LLV total from the extended Mukai lattice, Goettsche's product
-    formula, and the top Chern number c6 stored in ``hodge_ring``."""
-    poincare = _goettsche_poincare(3)
+    the LLV total from the extended Mukai lattice, the Goettsche-Soergel
+    Hodge numbers summed along p + q = k, and the top Chern number c6
+    stored in ``hodge_ring``."""
+    h = _goettsche_soergel_hodge(3)
+    poincare = [sum(h[p][k - p] for p in range(max(0, k - 6), min(k, 6) + 1))
+                for k in range(13)]
     assert poincare[1::2] == [0] * 6
     assert tuple(poincare[::2]) == betti_even() == EXPECTED_BETTI
     assert sum(poincare) == 3200 == SIXFOLD_EULER == CHERN_NUMBER_C6

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -20,7 +21,6 @@ from epwcalc.hodge_ring import (
     chern_numbers_from_ring,
     derive_degree8_relation,
     derive_degree10_relations,
-    eta_class,
     h_power,
     integrate,
     multiply,
@@ -36,16 +36,12 @@ def zero_class(degree):
     return HodgeClass(degree, (ZERO,) * len(BASIS[degree]))
 
 
-def lambda_class():
-    return basis_class(4, "lambda")
-
-
 def _random_q(rng):
     return Fraction(rng.randint(1, 60), rng.randint(1, 12))
 
 
 def test_basis_shape():
-    assert [len(BASIS[d]) for d in sorted(BASIS)] == [1, 1, 3, 3, 3, 1, 1]
+    assert [len(BASIS[d]) for d in sorted(BASIS)] == [1, 1, 2, 2, 2, 1, 1]
 
 
 def test_top_integrals_at_q4():
@@ -96,7 +92,6 @@ def test_c2_squared_coefficients():
     prod = multiply(c2_class(), c2_class())
     assert prod.coefficient("h^4") == -400 / Q ** 2
     assert prod.coefficient("h^2*c2") == 200 / (3 * Q)
-    assert prod.coefficient("h^2*lambda") == 0
 
 
 def test_chern_numbers_q_independent():
@@ -109,10 +104,20 @@ def test_chern_numbers_q_independent():
 
 
 def test_degree6_form_symbolic():
-    """The top pairing on (h^3, h*c2, eta), as read off the ring."""
+    """The top pairing on (h^3, h*c2, eta), as stated: the eta row is data."""
     assert DEGREE6_FORM == ((15 * Q ** 3, 108 * Q ** 2, 0),
                             (108 * Q ** 2, 1200 * Q, 0),
                             (0, 0, 4))
+
+
+def test_degree6_form_block_is_the_ring_pairing():
+    """The (h^3, h*c2) block of ``DEGREE6_FORM``, stated from
+    ``TOP_INTEGRALS``, is the ring's top pairing of the two basis classes,
+    whose products go through the degree-8 and degree-10 relations."""
+    assert BASIS[6] == ("h^3", "h*c2")
+    block = tuple(tuple(integrate(multiply(basis_class(6, x), basis_class(6, y)))
+                        for y in BASIS[6]) for x in BASIS[6])
+    assert block == tuple(row[:2] for row in DEGREE6_FORM[:2])
 
 
 def test_independence_gram_determinant():
@@ -129,22 +134,16 @@ def test_independence_gram_determinant():
         verify_independence_degree6(Fraction(-1, 3))
 
 
-def _homogeneous_class(rng, degree, labels):
-    """A random class on ``labels`` of BASIS[degree], homogeneous in q: for
-    some W the coefficient of h^i * c2^j * lambda^k is a multiple of q^(W - i/2).
-    Within one degree i has a fixed parity, so every power is an integer."""
+def _random_subring_class(rng, degree):
+    """A random class of the given degree, homogeneous in q: for some W the
+    coefficient of h^i * c2^j is a multiple of q^(W - i/2).  Within one
+    degree i has a fixed parity, so every power is an integer."""
     top = rng.randint(-2, 2)
     cls = zero_class(degree)
-    for label in labels:
+    for label in BASIS[degree]:
         weight = top - _monomial(label)[0] // 2
         cls = cls + (rng.randint(-5, 5) * Q ** weight) * basis_class(degree, label)
     return cls
-
-
-def _random_subring_class(rng, degree):
-    """A random homogeneous class in the subring generated by h and c2."""
-    return _homogeneous_class(rng, degree, [label for label in BASIS[degree]
-                                            if "lambda" not in label and label != "eta"])
 
 
 def test_commutative_and_associative_on_the_h_c2_subring():
@@ -156,28 +155,15 @@ def test_commutative_and_associative_on_the_h_c2_subring():
         assert multiply(multiply(x, y), z) == multiply(x, multiply(y, z))
 
 
-def test_commutativity_with_eta():
-    """Homogeneous classes with an eta component.  eta^2 = 4 carries no q
-    while h^6 integrates to 15q^3, so in a product of two degree-6 classes
-    eta*eta and h^3*h^3 land on h^6 with weights one apart: of two such
-    factors with an eta component, one is a multiple of eta."""
-    rng = random.Random(1515)
-    for _ in range(25):
-        x = _homogeneous_class(rng, 6, BASIS[6])
-        eta = (rng.randint(-5, 5) * Q ** rng.randint(-2, 2)) * eta_class()
-        for y in (eta, _homogeneous_class(rng, 2, BASIS[2]), _random_subring_class(rng, 6)):
-            assert multiply(x, y) == multiply(y, x)
-
-
-#: every basis class of positive degree, lambda and eta included
+#: every basis class of positive degree
 BASIS_CLASSES = [(label, basis_class(d, label)) for d, labels in BASIS.items() if d
                  for label in labels]
 
 
 def _monomial(label):
-    """Exponents of a basis label in (h, c2, lambda), read off the label."""
-    powers = {"h": 0, "c2": 0, "lambda": 0}
-    for factor in label.replace("eta", "h*lambda").split("*"):
+    """Exponents of a basis label in (h, c2), read off the label."""
+    powers = {"h": 0, "c2": 0}
+    for factor in label.split("*"):
         base, _, power = factor.partition("^")
         if base != "1":
             powers[base] += int(power or 1)
@@ -185,7 +171,7 @@ def _monomial(label):
 
 
 def _product(x, y):
-    """multiply(x, y), or None where it raises."""
+    """multiply(x, y), or None where it raises (above the top degree)."""
     try:
         return multiply(x, y)
     except ValueError:
@@ -199,12 +185,12 @@ def test_commutative_on_basis_classes():
 
 def test_products_depend_only_on_the_monomial():
     """Two pairs of basis classes with the same monomial give the same
-    product, or both raise."""
+    product."""
     by_monomial = {}
     for (la, x), (lb, y) in product(BASIS_CLASSES, repeat=2):
         if x.degree + y.degree <= 12:
             monomial = tuple(a + b for a, b in zip(_monomial(la), _monomial(lb)))
-            by_monomial.setdefault(monomial, {})[la, lb] = _product(x, y)
+            by_monomial.setdefault(monomial, {})[la, lb] = multiply(x, y)
     for monomial, products in by_monomial.items():
         assert len(set(products.values())) == 1, (monomial, products)
 
@@ -221,32 +207,13 @@ def test_associative_where_both_bracketings_are_defined():
     assert checked > 50
 
 
-def test_eta_pairings():
-    # eta is orthogonal to the rest of degree 6 and has square 4
-    assert integrate(multiply(eta_class(), h_power(3))) == 0
-    assert integrate(multiply(eta_class(), basis_class(6, "h*c2"))) == 0
-    assert integrate(multiply(eta_class(), eta_class())) == 4
-    assert multiply(eta_class(), eta_class()) == (4 / (15 * Q ** 3)) * h_power(6)
-
-
-def test_lambda_products():
-    assert multiply(h_power(1), lambda_class()) == eta_class()
-    assert multiply(h_power(1), eta_class()) == basis_class(8, "h^2*lambda")
-    assert multiply(h_power(2), lambda_class()) == basis_class(8, "h^2*lambda")
-
-
-def test_pairing_only_errors():
-    undetermined = [
-        (lambda_class(), lambda_class()),
-        (c2_class(), lambda_class()),
-        (c2_class(), eta_class()),
-        (h_power(2), eta_class()),
-        (basis_class(8, "h^2*lambda"), h_power(1)),
-        (lambda_class(), h_power(3)),
-    ]
-    for x, y in undetermined:
-        with pytest.raises(ValueError, match="pairing-only"):
-            multiply(x, y)
+def test_terms_of_different_weight_do_not_add():
+    """(h^3 + h*c2)^2 puts h^3*h^3 = h^6 and h^3*h*c2 = (36/(5q))*h^6 on
+    the one label h^6, with weights in q one apart."""
+    x = h_power(3) + basis_class(6, "h*c2")
+    message = "cannot add 1 and 36/(5*q): terms of different weight in q"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        multiply(x, x)
 
 
 def test_degree_bounds():
@@ -272,7 +239,7 @@ def test_scalar_and_linear_structure():
 
 def test_degree0_factors_scale_on_either_side():
     """s*1 times a basis class x, with 1 on the left or on the right, is s*x:
-    the label "1" has exponents (0, 0, 0), so the monomial loop covers it."""
+    the label "1" has exponents (0, 0), so the monomial loop covers it."""
     for s in (0, 1, 3, Q, 1 / Q):
         unit = s * h_power(0)
         for degree in range(2, 13, 2):
