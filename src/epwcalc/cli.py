@@ -19,6 +19,7 @@ json's C string encoder: given an indent, ``json.dumps`` never uses its C one.
 from __future__ import annotations
 
 import functools
+import os
 import sys
 from collections import namedtuple
 from fractions import Fraction
@@ -46,7 +47,8 @@ class Report(namedtuple("Report", "command params rows")):
     def to_json(self) -> str:
         """``json.dumps`` of the report's payload at ``indent=2``, and a newline."""
         params = [f"{_quote(name)}: {_quote(value)}" for name, value in self.params.items()]
-        results = [f'{{\n      "label": {_quote(label)},\n      "value": {_quote(_fmt(value))},'
+        # _fmt yields only "-", digits and "/": nothing for _quote to escape
+        results = [f'{{\n      "label": {_quote(label)},\n      "value": "{_fmt(value)}",'
                    f'\n      "paper_anchor": {_quote(note)}\n    }}'
                    for label, value, note in self.rows]
         return (f'{{\n  "command": {_quote(self.command)},\n  "params": {_nested(params, "{}")},'
@@ -69,7 +71,8 @@ class Report(namedtuple("Report", "command params rows")):
 
 def _rows_fujiki() -> list[Row]:
     note = "generalized Fujiki constant"
-    return [(f"C({alpha})", c, note) for alpha, c in fujiki.FUJIKI_CONSTANTS.items()]
+    return [(f"C({alpha})", fujiki.fujiki_constant(alpha), note)
+            for alpha in fujiki.FUJIKI_CONSTANTS]
 
 
 def _rows_ring(q: Fraction) -> list[Row]:
@@ -90,12 +93,12 @@ def _rows_ring(q: Fraction) -> list[Row]:
 
 def _rows_relations(q: Fraction) -> list[Row]:
     x, y = hodge_ring.derive_degree8_relation(q)
-    ratio = fujiki.fujiki_constant("c2^2") / fujiki.fujiki_constant("c4")
     r_h3c2, r_hc2sq, r_hc4 = hodge_ring.derive_degree10_relations(q)
     return [
         ("c4 -> h^4 coefficient", x, "degree-8 relation solved from the pairing system"),
         ("c4 -> h^2*c2 coefficient", y, "degree-8 relation solved from the pairing system"),
-        ("c2^2 / c4 ratio", ratio, "both degree-8 classes are proportional"),
+        ("c2^2 / c4 ratio", hodge_ring.C2_SQUARED_OVER_C4,
+         "both degree-8 classes are proportional"),
         ("h^3*c2 -> h^5 coefficient", r_h3c2, "degree-10 relation from top-integral ratios"),
         ("h*c2^2 -> h^5 coefficient", r_hc2sq, "degree-10 relation from top-integral ratios"),
         ("h*c4 -> h^5 coefficient", r_hc4, "degree-10 relation from top-integral ratios"),
@@ -129,9 +132,10 @@ def _rows_lagrangian(degree: Fraction, q: Fraction) -> list[Row]:
     except ValueError:
         return rows
     full = lagrangian.self_intersection(a, b, c, q)
+    num, den = full.as_integer_ratio()
     rows.append(("[W]^2 (ring value)", full, "with the eta contribution 4c^2"))
     rows.append(("chi_top", chi_top, f"fixed-locus Euler characteristic ({case} action)"))
-    rows.append(("sign convention chi_top/[W]^2", Fraction(chi_top) / full,
+    rows.append(("sign convention chi_top/[W]^2", Fraction(chi_top * den, num),
                  "the ring square and the Euler characteristic differ by sign;"
                  " both are reported rather than reconciled"))
     return rows
@@ -288,37 +292,14 @@ _CASE = {"choices": llv.CASES, "default": llv.CASES[0],
          "help": "involution action on the non-Verbitsky summand"}
 
 
-#: (label prefix, section, arguments beyond the section's options) in report
-#: order.  A table rather than a walk over the registry, because the report
-#: interleaves the betti and euler rows of the two involution cases.
-_REPORT_ALL = (
-    ("fujiki", "fujiki", {}),
-    ("ring", "ring", {}),
-    ("relations", "relations", {}),
-    *((f"{name} {case}", name, {"case": case})
-      for case in llv.CASES for name in ("betti", "euler")),
-    ("lagrangian", "lagrangian", {}),
-    ("fixed-locus", "fixed-locus", {}),
-    ("walls", "walls", {}),
-    ("pell", "pell", {"list_solutions": False}),
-    ("ext", "ext", {}),
-    ("kuranishi", "kuranishi", {}),
-    ("symprod", "symprod", {}),
-    ("f3", "f3", {}),
-)
-
-
 def _rows_report_all(q: Fraction, degree: Fraction) -> list[Row]:
     """Every section of ``_REPORT_ALL`` at its defaults, except that q and
     degree pass down to the sections that take them."""
     shared = {"q": q, "degree": degree}
     rows: list[Row] = []
-    for prefix, name, arguments in _REPORT_ALL:
-        _, section_rows, options = _SECTIONS[name]
-        kwargs = {opt: shared.get(opt, spec["default"]) for opt, spec in options.items()}
-        kwargs.update(arguments)
-        rows.extend((f"{prefix}: {label}", value, note)
-                    for label, value, note in section_rows(**kwargs))
+    for head, section_rows, defaults in _REPORT_ALL:
+        kwargs = {name: shared.get(name, value) for name, value in defaults.items()}
+        rows.extend((head + label, value, note) for label, value, note in section_rows(**kwargs))
     return rows
 
 
@@ -355,6 +336,32 @@ _SECTIONS = {
     "report-all": ("every headline number in one report", _rows_report_all,
                    {"q": _Q, "degree": _DEGREE}),
 }
+
+
+#: (label prefix and ": ", rows function, keyword arguments) in report
+#: order, resolved once, at import, from a table of (label prefix, section,
+#: arguments beyond the section's options): the keyword arguments are the
+#: section's defaults and those arguments, and a request substitutes only q
+#: and degree.  A table rather than a walk over the registry, because the
+#: report interleaves the betti and euler rows of the two involution cases.
+_REPORT_ALL = tuple(
+    (prefix + ": ", _SECTIONS[name][1],
+     {**{opt: spec["default"] for opt, spec in _SECTIONS[name][2].items()}, **arguments})
+    for prefix, name, arguments in (
+        ("fujiki", "fujiki", {}),
+        ("ring", "ring", {}),
+        ("relations", "relations", {}),
+        *((f"{name} {case}", name, {"case": case})
+          for case in llv.CASES for name in ("betti", "euler")),
+        ("lagrangian", "lagrangian", {}),
+        ("fixed-locus", "fixed-locus", {}),
+        ("walls", "walls", {}),
+        ("pell", "pell", {"list_solutions": False}),
+        ("ext", "ext", {}),
+        ("kuranishi", "kuranishi", {}),
+        ("symprod", "symprod", {}),
+        ("f3", "f3", {}),
+    ))
 
 
 @functools.cache
@@ -432,9 +439,25 @@ def _parse_fast(argv):
     return SimpleNamespace(**args)
 
 
-def _error(exc: Exception) -> int:
+def _error(exc: Exception | str) -> int:
     print(f"error: {exc}", file=sys.stderr)
     return 1
+
+
+def _write_stdout(payload: str) -> int:
+    """Write and flush the report to stdout; 1, with no traceback, when
+    stdout is closed (None) or its reader has gone.  After a broken pipe
+    stdout points at ``os.devnull``, as the Python docs advise for SIGPIPE,
+    so that the flush at exit cannot raise again."""
+    if sys.stdout is None:
+        return _error("standard output is closed")
+    try:
+        sys.stdout.write(payload)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return 0
 
 
 def run(argv=None) -> int:
@@ -456,8 +479,7 @@ def run(argv=None) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         return _error(exc)
     if args.out is None:
-        sys.stdout.write(payload)
-        return 0
+        return _write_stdout(payload)
     try:
         with open(args.out, "w", encoding="utf-8") as f:
             f.write(payload)

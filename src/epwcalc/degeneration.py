@@ -122,16 +122,21 @@ def pell_spherical_classes(bound: int) -> list[tuple[int, int]]:
     """All integer pairs (x, y) with 2x^2 - y^2 = -1 and |x| <= bound,
     sorted.
 
-    Generated from the fundamental solution (0, 1) by the automorphism
-    (x, y) -> (3x + 2y, 4x + 3y) of the form, plus the sign symmetries."""
+    The solutions with x > 0 and y > 0 are the images (2, 3), (12, 17), ...
+    of the fundamental solution (0, 1) under the automorphism
+    (x, y) -> (3x + 2y, 4x + 3y) of the form, in increasing x; one walk
+    of that branch gives the list in order, with no set and no sort: the
+    negative-x pairs in reverse, then (0, -1) and (0, 1), then the
+    positive-x pairs, each x with -y before y."""
     if bound < 1:
         raise ValueError("bound must be a positive integer")
-    solutions: set[tuple[int, int]] = set()
-    x, y = 0, 1
+    branch = []
+    x, y = 2, 3
     while x <= bound:
-        solutions.update({(x, y), (x, -y), (-x, y), (-x, -y)})
+        branch.append((x, y))
         x, y = 3 * x + 2 * y, 4 * x + 3 * y
-    return sorted(solutions)
+    return ([p for x, y in reversed(branch) for p in ((-x, -y), (-x, y))]
+            + [(0, -1), (0, 1)] + [p for x, y in branch for p in ((x, -y), (x, y))])
 
 
 def effectivity_of_pell_class(x: int, y: int) -> Fraction:

@@ -35,7 +35,7 @@ import functools
 from fractions import Fraction
 
 from .fujiki import fujiki_constant
-from .qfield import ONE, ZERO, ParametricScalar, Rational, Value
+from .qfield import ONE, ZERO, ParametricScalar, Rational, Value, rational_sum
 
 #: exponents of each basis label in (h, c2), in basis order
 _EXPONENTS: dict[str, tuple[int, int]] = {
@@ -62,6 +62,9 @@ BASIS: dict[int, tuple[str, ...]] = {
 #: Chern numbers that are inputs to the ring (the remaining ones are outputs).
 CHERN_NUMBER_C2C4 = Fraction(14720)
 CHERN_NUMBER_C6 = Fraction(3200)
+
+#: C(c2^2)/C(c4): both degree-8 classes are multiples of c4 in the ring
+C2_SQUARED_OVER_C4 = fujiki_constant("c2^2") / fujiki_constant("c4")
 
 #: self-pairing of the degree-6 class eta
 ETA_SQUARE = Fraction(4)
@@ -195,8 +198,7 @@ def c4_class() -> HodgeClass:
 
 def c2_squared_class() -> HodgeClass:
     """c2^2 = (C(c2^2)/C(c4)) * c4 on the degree-8 basis."""
-    ratio = fujiki_constant("c2^2") / fujiki_constant("c4")
-    return c4_class().scale(ratio)
+    return c4_class().scale(C2_SQUARED_OVER_C4)
 
 
 @functools.cache
@@ -242,10 +244,12 @@ def integrate(x: HodgeClass) -> ParametricScalar:
 
 def verify_independence_degree6(q: Rational) -> tuple[bool, Fraction]:
     """Whether h^3 and h*c2 stay independent in the top pairing at q > 0,
-    with the Gram determinant of their minor of ``DEGREE6_FORM`` as witness."""
+    with the Gram determinant g11*g22 - g12^2 of their minor of
+    ``DEGREE6_FORM`` as witness, added from the entries' integer pairs."""
     q = positive_q(q)
     (g11, g12, _), (_, g22, _), _ = DEGREE6_FORM
-    det = g11.evaluate(q) * g22.evaluate(q) - g12.evaluate(q) ** 2
+    (a, b), (c, d), (e, f) = (g.pair_at(q) for g in (g11, g22, g12))
+    det = rational_sum(((a * c, b * d), (-e * e, f * f)))
     return det != 0, det
 
 

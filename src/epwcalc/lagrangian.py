@@ -27,7 +27,11 @@ Whatever eta component c the full class carries enters only through eta^2
 (``hodge_ring.ETA_SQUARE``), so [W]^2 = (a h^3 + b h c2)^2 + eta^2 c^2, and
 the involution case depends on the point (degree, q) only through the base
 square (a h^3 + b h c2)^2, held against the Euler characteristics
-``llv.FIXED_LOCUS_EULER``, which are constants.
+``llv.FIXED_LOCUS_EULER``, which are constants.  The case is decided on
+integers: the eta coefficient of each case is the square root of one
+integer pair, reduced once and tested with ``isqrt``
+(``qfield.ratio_sqrt``), and the fixed-locus invariants are integer
+numerators over integer denominators, one Fraction per value.
 
 [W]^2 = -chi_top(W) is a theorem, not a sign convention: [W]^2 is c3 of
 the normal bundle, which for a Lagrangian is the cotangent bundle, and
@@ -47,7 +51,7 @@ from fractions import Fraction
 from .fujiki import sigma_sigbar_integral
 from .hodge_ring import DEGREE6_FORM, ETA_SQUARE, positive_q, solve_2x2
 from .llv import FIXED_LOCUS_EULER
-from .qfield import ParametricScalar, Rational, rational_sqrt, rational_sum
+from .qfield import ParametricScalar, Rational, ratio_sqrt, rational_sum
 
 #: h^3-degree of the fixed locus inside an EPW cube, and the BBF square of h
 EPW_DEGREE = Fraction(720)
@@ -113,14 +117,20 @@ def eta_coefficient(base_square: Rational, chi_top: Rational) -> Fraction | None
     The square of the fixed locus' class equals minus its topological Euler
     characteristic (a theorem: see the module docstring), which forces
     eta^2 c^2 = -chi_top - base_square to be the square of a rational
-    (times eta^2)."""
-    return rational_sqrt((-chi_top - base_square) / ETA_SQUARE)
+    (times eta^2).  Decided on integers: with base_square = n/d and
+    chi_top = m/e, c^2 = -(m*d + n*e)/(eta^2*d*e) is one integer pair,
+    and ``ratio_sqrt`` reduces it once and tests it with ``isqrt``."""
+    n, d = base_square.as_integer_ratio()
+    m, e = chi_top.as_integer_ratio()
+    s, t = ETA_SQUARE.as_integer_ratio()
+    return ratio_sqrt(-(m * d + n * e) * t, s * d * e)
 
 
 def disambiguate_involution_case(base_square: Rational) -> tuple[str, Fraction, int]:
     """Pick the involution action whose fixed-locus Euler characteristic is
     compatible with a rational eta coefficient, given the square of the
-    class with its eta part left out.
+    class with its eta part left out; each case is decided on integers by
+    ``eta_coefficient``.
 
     Returns (case, eta coefficient, chi_top).  Raises when neither or both
     cases are admissible."""
@@ -157,21 +167,28 @@ def fixed_locus_invariants(degree: Rational = EPW_DEGREE,
     the tangent Chern classes are c1 = -k*h|, c2 = (c2| + k^2*h^2|)/2 and
     c3 = chi_top, so every invariant is a pairing with the class itself:
     c1*c2 = -(k/2)*(h*c2 + k^2*h^3) . [W], chi(O) = c1*c2/24,
-    chi(Omega^1) = chi(O) - chi_top/2 and K^3 = k^3*h^3 . [W].
+    chi(Omega^1) = chi(O) - chi_top/2 and K^3 = k^3*h^3 . [W].  With
+    degree = n/d, h^3 . [W] = n*p/(d*r) and h*c2 . [W] = n*u/(d*v) for the
+    pairs (p, r) and (u, v) of ``_UNIT_PAIRINGS`` at q, so c1*c2 is the
+    integer numerator -k*n*(u*r + k^2*p*v) over 2*d*r*v, and each field is
+    one Fraction of integers.
     """
     q = positive_q(q)
-    h3_w, hc2_w = (_scaled(s, degree, 1, q) for s in _UNIT_PAIRINGS)
     case, eta, chi_top = disambiguate_involution_case(_scaled(_UNIT_SQUARE, degree, 2, q))
+    n, d = degree.as_integer_ratio()
+    (p, r), (u, v) = (s.pair_at(q) for s in _UNIT_PAIRINGS)
     k = CANONICAL_MULTIPLE
-    c1c2 = -Fraction(k, 2) * (hc2_w + k ** 2 * h3_w)
-    chi_structure = c1c2 / 24
-    chi_one_forms = chi_structure - Fraction(chi_top) / 2
-    return FixedLocusInvariants(case, eta, c1c2, chi_structure, chi_one_forms,
-                                Fraction(chi_top), k ** 3 * h3_w)
+    num, den = -k * n * (u * r + k * k * p * v), 2 * d * r * v
+    return FixedLocusInvariants(case, eta, Fraction(num, den), Fraction(num, 24 * den),
+                                Fraction(num - 12 * chi_top * den, 24 * den),
+                                Fraction(chi_top), Fraction(k ** 3 * n * p, d * r))
 
 
 def hodge_symmetry_relation(chi_structure: Rational, chi_one_forms: Rational,
                             chi_top: Rational) -> bool:
     """Check chi_top/2 = chi(O) - chi(Omega^1), the Euler-characteristic
-    shadow of Hodge symmetry on a threefold."""
-    return Fraction(chi_top) / 2 == Fraction(chi_structure) - Fraction(chi_one_forms)
+    shadow of Hodge symmetry on a threefold, cross-multiplied over the
+    (positive) denominators of the three values."""
+    (a, b), (c, d), (e, f) = (x.as_integer_ratio()
+                              for x in (chi_structure, chi_one_forms, chi_top))
+    return e * b * d == 2 * f * (a * d - c * b)

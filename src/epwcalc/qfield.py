@@ -6,8 +6,11 @@ zero at weight 0.  The form is unique, so equality is structural, which the
 symbolic checks rely on.  ``ParametricScalar.pair_at`` gives the value at a
 rational q as an integer pair, and ``evaluate`` reduces that pair to one
 ``Fraction``; ``rational_sum`` adds such pairs as integers and reduces once,
-the kernel of ``lagrangian.self_intersection``, ``WallCharge.ratio_real``
-and ``sym_prod_eval``.
+the kernel of ``hodge_ring.verify_independence_degree6``,
+``lagrangian.self_intersection``, ``WallCharge.ratio_real`` and
+``sym_prod_eval``.  ``ratio_sqrt`` takes the exact square root of an
+integer pair, the kernel of ``rational_sqrt`` and
+``lagrangian.eta_coefficient``.
 
 ``Value`` is the base of the package's immutable value types, this one
 among them."""
@@ -196,11 +199,23 @@ ZERO = ParametricScalar(0)
 ONE = ParametricScalar(1)
 
 
-def rational_sqrt(value: Rational) -> Fraction | None:
-    """Exact square root of a nonnegative rational, or None if it has none."""
-    x = Fraction(value)
-    if x >= 0:
-        rn, rd = math.isqrt(x.numerator), math.isqrt(x.denominator)
-        if rn * rn == x.numerator and rd * rd == x.denominator:
-            return Fraction(rn, rd)
+def ratio_sqrt(num: int, den: int) -> Fraction | None:
+    """Exact square root of num/den (den nonzero, the pair not necessarily
+    reduced), or None if it has none: the pair is reduced once and each
+    part tested with ``isqrt``; the root is the one Fraction built."""
+    if den < 0:
+        num, den = -num, -den
+    if num < 0:
+        return None
+    g = math.gcd(num, den)
+    num, den = num // g, den // g
+    rn, rd = math.isqrt(num), math.isqrt(den)
+    if rn * rn == num and rd * rd == den:
+        return Fraction(rn, rd)
     return None
+
+
+def rational_sqrt(value: Rational) -> Fraction | None:
+    """Exact square root of a nonnegative rational, or None if it has none:
+    ``ratio_sqrt`` of ``value.as_integer_ratio()``, with no copy of value."""
+    return ratio_sqrt(*value.as_integer_ratio())

@@ -62,6 +62,45 @@ def test_exit_codes(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("section", ["report-all", "fujiki"])
+def test_a_broken_pipe_exits_1_without_a_traceback(section):
+    """As in ``epwcalc report-all | true``: the reader of stdout is gone
+    before the report is written.  Exit 1 and print nothing, and the flush
+    at exit does not raise again.  stdout is block-buffered, as it is by
+    default for a pipe, and the fujiki report fits in its buffer, so only a
+    flush inside ``run`` sees the broken pipe."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "epwcalc.cli", section],
+                              stdout=write, stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (1, "")
+
+
+def test_a_closed_stdout_is_an_error_not_a_traceback():
+    """As in ``epwcalc report-all >&-``: ``sys.stdout`` is None."""
+    proc = subprocess.run(["sh", "-c", 'exec "$0" -m epwcalc.cli report-all >&-',
+                           sys.executable], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: standard output is closed\n"
+
+
+def test_run_without_stdout(monkeypatch, capsys, tmp_path):
+    """In process, with ``sys.stdout`` None: a report for stdout is an
+    error, and one for ``--out`` is still written."""
+    target = tmp_path / "ring.txt"
+    with monkeypatch.context() as patch:
+        patch.setattr(sys, "stdout", None)
+        codes = run(["report-all"]), run(["ring", "--out", str(target)])
+    assert codes == (1, 0)
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: standard output is closed\n")
+    assert target.read_text() == _capture(["ring"])[1]
+
+
 def test_exponent_notation_is_bounded():
     parse = build_parser().parse_args
     assert parse(["ring", "--q", "1.5e3"]).q == 1500
@@ -282,15 +321,26 @@ def test_report_all_walks_the_fixed_locus_once_per_section(monkeypatch, capsys):
     degree^k times the single terms built at import, and f3 reads a cache.
     It solves no ring relation: those are solved at import.  It multiplies
     no ring classes and builds no ``ParametricScalar``: the Chern products
-    were multiplied out by the first request.  ``evaluate`` serves only the ring and
-    relations rows (14 calls, 30 before the Lagrangian values went through
-    the unit pairings); every scalar value, those included, is one
-    ``pair_at`` (24 calls).  The walls rows compute the two central charges
-    once, and the Kuranishi grid was walked by the first request."""
+    were multiplied out by the first request.  ``evaluate`` serves only the
+    integral, Chern-number and relation rows (11 calls: 30 before the
+    Lagrangian values went through the unit pairings, 14 before the Gram
+    determinant read its entries' pairs); every scalar value, those
+    included, is one ``pair_at`` (24 calls).  The walls rows compute the two
+    central charges once, and the Kuranishi grid was walked by the first
+    request.  The request builds at most 62 ``Fraction``s for its 81 rows
+    (94 before the involution case, the fixed-locus numbers and the Gram
+    determinant were computed on integers; 61 on Python 3.12 and later,
+    whose Fraction arithmetic builds some results without ``__new__``)."""
     assert run(["report-all", "--json"]) == 0
     capsys.readouterr()
     rewrites = hodge_ring._rewrite.cache_info().misses
     calls = []
+    built = []
+    new = Fraction.__new__
+
+    def counted_new(cls, *args, **kwargs):
+        built.append(cls)
+        return new(cls, *args, **kwargs)
 
     def count(module, name):
         fn = getattr(module, name)
@@ -313,17 +363,35 @@ def test_report_all_walks_the_fixed_locus_once_per_section(monkeypatch, capsys):
         for name, value in list(vars(module).items()):
             if value is multiply:
                 count(module, name)
+    monkeypatch.setattr(Fraction, "__new__", counted_new)
     assert run(["report-all", "--json"]) == 0
+    fractions_built = len(built)
+    monkeypatch.undo()
     assert capsys.readouterr().out == GOLDEN.read_text()
+    assert fractions_built <= 62
     assert calls.count("project_lagrangian_class") == 1
     assert "solve_2x2" not in calls
     assert "multiply" not in calls
     assert "__init__" not in calls
-    assert calls.count("evaluate") <= 14
-    assert calls.count("pair_at") <= 24
+    assert calls.count("evaluate") == 11
+    assert calls.count("pair_at") == 24
     assert calls.count("central_charge") == 2
     assert "product" not in calls
     assert hodge_ring._rewrite.cache_info().misses == rewrites
+
+
+def test_report_all_passes_q_and_degree_down():
+    """Away from the defaults, each section that takes q or degree reports
+    at the requested point, and the others at their defaults."""
+    point = {"q": Fraction(16), "degree": Fraction(5760)}
+    rows = cli._rows_report_all(**point)
+    for name in ("ring", "relations", "lagrangian", "fixed-locus", "walls"):
+        _, section_rows, options = cli._SECTIONS[name]
+        kwargs = {opt: point.get(opt, spec["default"]) for opt, spec in options.items()}
+        expected = [(f"{name}: {label}", value, note)
+                    for label, value, note in section_rows(**kwargs)]
+        assert [row for row in rows if row[0].startswith(f"{name}: ")] == expected
+    assert ("ring: integral h^6", 15 * 16 ** 3, "degree-12 monomial integral at q(h)=q") in rows
 
 
 def test_every_row_value_is_an_exact_int_or_fraction():

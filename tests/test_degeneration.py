@@ -168,6 +168,45 @@ def test_pell_small_bounds():
         pell_spherical_classes(0)
 
 
+def _pell_set_and_sort(bound):
+    """The reference construction: every sign image of each solution on the
+    walk from (0, 1), gathered in a set and sorted."""
+    if bound < 1:
+        raise ValueError("bound must be a positive integer")
+    solutions = set()
+    x, y = 0, 1
+    while x <= bound:
+        solutions.update({(x, y), (x, -y), (-x, y), (-x, -y)})
+        x, y = 3 * x + 2 * y, 4 * x + 3 * y
+    return sorted(solutions)
+
+
+def _pell_branch_x(limit):
+    """x_1 = 2 < x_2 = 12 < ... <= limit on the positive branch."""
+    xs, x, y = [], 2, 3
+    while x <= limit:
+        xs.append(x)
+        x, y = 3 * x + 2 * y, 4 * x + 3 * y
+    return xs
+
+
+def test_pell_order_at_every_branch_point():
+    """Each x_k up to 10^300 adds four pairs to the list, and x_k - 1 is the
+    largest bound without them."""
+    xs = _pell_branch_x(10 ** 300)
+    assert len(xs) == 392
+    for x in xs:
+        for bound in (x - 1, x):
+            assert pell_spherical_classes(bound) == _pell_set_and_sort(bound)
+
+
+@given(st.integers(1, 10 ** 300))
+@example(1)
+@example(2)
+def test_pell_order_matches_set_and_sort(bound):
+    assert pell_spherical_classes(bound) == _pell_set_and_sort(bound)
+
+
 def test_pell_against_brute_force():
     assert pell_spherical_classes(300) == _pell_brute(300)
 

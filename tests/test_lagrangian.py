@@ -2,6 +2,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import isqrt
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ from epwcalc import lagrangian
 from epwcalc.hodge_ring import (
     BASIS,
     DEGREE6_FORM,
+    ETA_SQUARE,
     TOP_INTEGRALS,
     basis_class,
     c2_class,
@@ -31,6 +33,7 @@ from epwcalc.lagrangian import (
     project_lagrangian_class,
     self_intersection,
 )
+from epwcalc.llv import FIXED_LOCUS_EULER
 from fujiki_oracle import AbstractClassSpace, polarized_integral
 
 
@@ -262,6 +265,8 @@ def test_fixed_locus_invariants_match_the_pairings(m, degree):
         degree = 720 * m ** 3
     got = _outcome(fixed_locus_invariants, degree, q)
     assert got == _outcome(_invariants_through_the_pairings, degree, q)
+    if not isinstance(got, str):
+        assert all(type(value) is Fraction for value in got[1:])
     a, b = project_lagrangian_class(degree, q)
     assert lagrangian.projection_square(degree, q) == self_intersection(a, b, 0, q)
     if epw_like:
@@ -287,6 +292,82 @@ def test_eta_coefficient():
     assert eta_coefficient(1200, -1536) is None   # 4c^2 = 336 has no rational root
     assert eta_coefficient(1200, -1100) is None   # would need 4c^2 < 0
     assert eta_coefficient(0, -9) == Fraction(3, 2)
+
+
+def _eta_reference(base_square, chi_top, eta_square=ETA_SQUARE):
+    """The eta coefficient in Fraction arithmetic: the root of
+    (-chi_top - base_square)/eta^2 when that is the square of a rational."""
+    x = (-Fraction(chi_top) - Fraction(base_square)) / eta_square
+    if x < 0:
+        return None
+    rn, rd = isqrt(x.numerator), isqrt(x.denominator)
+    return Fraction(rn, rd) if (rn * rn, rd * rd) == (x.numerator, x.denominator) else None
+
+
+def _case_reference(base_square):
+    """``disambiguate_involution_case`` through ``_eta_reference``."""
+    admissible = [(case, c, chi) for case, chi in FIXED_LOCUS_EULER.items()
+                  if (c := _eta_reference(base_square, chi)) is not None]
+    if not admissible:
+        raise ValueError("no involution case admits a rational eta coefficient")
+    if len(admissible) > 1:
+        raise ValueError("ambiguous: both involution cases admit a rational eta coefficient")
+    return admissible[0]
+
+
+_RATIONAL = st.one_of(st.just(0), st.integers(-2000, 2000), st.integers(-10 ** 30, 10 ** 30),
+                      _BIG, st.fractions(min_value=-2000, max_value=2000, max_denominator=50))
+
+
+@given(_RATIONAL, _RATIONAL, _RATIONAL, st.booleans())
+@example(0, -9, 0, False)
+@example(Fraction(1136), -1200, 0, False)
+@example(1136, Fraction(-1536), 0, False)
+@example(Fraction(-7, 3), 0, 0, False)
+@example(0, Fraction(-13, 4), Fraction(1, 2), True)
+@example(0, 10 ** 30 + 1, Fraction(-7, 10 ** 29), True)
+def test_eta_coefficient_matches_the_fraction_arithmetic(base, chi_top, c, with_root):
+    """On random rational base squares and Euler characteristics (negative,
+    zero, Fraction and int), and on base = -chi_top - eta^2 c^2 for a random
+    rational c, where the root exists."""
+    if with_root:
+        base = -Fraction(chi_top) - ETA_SQUARE * Fraction(c) ** 2
+    got = eta_coefficient(base, chi_top)
+    assert got == _eta_reference(base, chi_top)
+    assert got is None or type(got) is Fraction
+    assert got == abs(Fraction(c)) or not with_root
+
+
+@pytest.mark.parametrize("eta_square", [Fraction(4, 9), Fraction(9, 2), 1])
+def test_eta_coefficient_reads_eta_square_as_a_rational(monkeypatch, eta_square):
+    """eta^2 enters as a numerator and a denominator, not as an integer."""
+    monkeypatch.setattr(lagrangian, "ETA_SQUARE", eta_square)
+    rng = random.Random(1919)
+    for _ in range(200):
+        chi_top = Fraction(rng.randint(-2000, 2000), rng.randint(1, 4))
+        c = Fraction(rng.randint(-60, 60), rng.randint(1, 9))
+        base = -chi_top - eta_square * c * c
+        got = eta_coefficient(base, chi_top)
+        assert got == abs(c) == _eta_reference(base, chi_top, eta_square)
+        base = Fraction(rng.randint(-2000, 2000), 3)
+        assert eta_coefficient(base, chi_top) == _eta_reference(base, chi_top, eta_square)
+
+
+@given(st.sampled_from(sorted(FIXED_LOCUS_EULER.values())), _RATIONAL, _RATIONAL, st.booleans())
+@example(-1200, 0, 1200, False)
+@example(-1200, 0, 1136, False)
+@example(-1200, 0, Fraction(1136), False)
+@example(-1200, 0, 7, False)
+@example(-1536, Fraction(3, 2), 0, True)
+def test_disambiguation_matches_the_fraction_arithmetic(chi_top, c, base, on_a_case):
+    """On random rational base squares, and on -chi_top - eta^2 c^2 for a
+    random rational c and either Euler characteristic."""
+    if on_a_case:
+        base = -chi_top - ETA_SQUARE * Fraction(c) ** 2
+    got = _outcome(disambiguate_involution_case, base)
+    assert got == _outcome(_case_reference, base)
+    if not isinstance(got, str):
+        assert type(got[1]) is Fraction and type(got[2]) is int
 
 
 def test_eta_coefficient_inverts_the_eta_part_of_the_ring():
@@ -368,3 +449,15 @@ def test_hodge_symmetry_relation():
     assert not hodge_symmetry_relation(-130, 470, -1000)
     assert hodge_symmetry_relation(0, 0, 0)
     assert hodge_symmetry_relation(Fraction(1, 2), 0, 1)
+
+
+@given(_RATIONAL, _RATIONAL, _RATIONAL, st.booleans())
+@example(Fraction(-130), 0, Fraction(-1200), True)
+@example(Fraction(1, 3), Fraction(-2, 7), Fraction(5, 11), False)
+def test_hodge_symmetry_relation_matches_the_fraction_check(chi_structure, chi_top, other, holds):
+    """Where it holds, chi(Omega^1) = chi(O) - chi_top/2, and elsewhere at
+    a random chi(Omega^1)."""
+    chi_one_forms = Fraction(chi_structure) - Fraction(chi_top) / 2 if holds else other
+    expected = Fraction(chi_top) / 2 == Fraction(chi_structure) - Fraction(chi_one_forms)
+    assert hodge_symmetry_relation(chi_structure, chi_one_forms, chi_top) is expected
+    assert expected or not holds

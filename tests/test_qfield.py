@@ -1,10 +1,11 @@
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from epwcalc.qfield import ONE, ZERO, ParametricScalar, rational_sqrt, rational_sum
+from epwcalc.qfield import ONE, ZERO, ParametricScalar, ratio_sqrt, rational_sqrt, rational_sum
 
 Q = ParametricScalar.q()
 
@@ -175,3 +176,26 @@ def test_rational_sqrt():
     assert rational_sqrt(Fraction(84)) is None
     assert rational_sqrt(2) is None
     assert rational_sqrt(-4) is None
+
+
+def _sqrt_reference(x):
+    """The root of a Fraction x from its (reduced) numerator and denominator."""
+    if x < 0:
+        return None
+    rn, rd = isqrt(x.numerator), isqrt(x.denominator)
+    return Fraction(rn, rd) if (rn * rn, rd * rd) == (x.numerator, x.denominator) else None
+
+
+@given(_WIDE_INT, _WIDE_INT.filter(bool), st.integers(1, 5))
+@example(0, -3, 1)
+@example(-9, -4, 1)
+@example(9 * 10 ** 30, 4 * 10 ** 30, 1)
+@example(7, 3, 6)
+def test_ratio_sqrt_matches_the_fraction_root(num, den, scale):
+    """An unreduced pair, of either sign, gives the root of its Fraction or
+    None; so does ``rational_sqrt`` of the Fraction itself."""
+    for n, d in ((num, den), (num * num * scale, den * den * scale)):
+        got = ratio_sqrt(n, d)
+        assert got == _sqrt_reference(Fraction(n, d)) == rational_sqrt(Fraction(n, d))
+        assert got is None or type(got) is Fraction
+    assert ratio_sqrt(num * num * scale, den * den * scale) == abs(Fraction(num, den))

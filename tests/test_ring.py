@@ -4,6 +4,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from epwcalc.hodge_ring import (
     BASIS,
@@ -132,6 +134,20 @@ def test_independence_gram_determinant():
         verify_independence_degree6(0)
     with pytest.raises(ValueError):
         verify_independence_degree6(Fraction(-1, 3))
+
+
+_DIGITS_30 = st.integers(10 ** 29, 10 ** 30 - 1)
+
+
+@given(st.one_of(_DIGITS_30, st.builds(Fraction, _DIGITS_30, _DIGITS_30)))
+@example(10 ** 29 + 7)
+@example(Fraction(10 ** 30 - 1, 10 ** 29 + 3))
+def test_gram_determinant_matches_the_fraction_arithmetic(q):
+    """At 30-digit q, against g11*g22 - g12^2 in Fraction arithmetic."""
+    (g11, g12, _), (_, g22, _), _ = DEGREE6_FORM
+    expected = g11.evaluate(q) * g22.evaluate(q) - g12.evaluate(q) ** 2
+    ok, det = verify_independence_degree6(q)
+    assert type(det) is Fraction and det == expected == 6336 * Fraction(q) ** 4 and ok
 
 
 def _random_subring_class(rng, degree):
