@@ -30,10 +30,13 @@ from . import degeneration, fujiki, hodge_ring, lagrangian, llv, mukai
 
 Row = tuple[str, Fraction | int, str]
 
+#: the row value types ``_fmt`` writes with ``str`` as they are
+_EXACT = (int, Fraction)
+
 
 def _fmt(value) -> str:
     """A value as p/q or an integer; a bool goes through Fraction, not as "True"."""
-    return str(value if type(value) in (int, Fraction) else Fraction(value))
+    return str(value) if type(value) in _EXACT else str(Fraction(value))
 
 
 def _nested(items: list[str], ends: str) -> str:
@@ -158,16 +161,22 @@ def _rows_fixed_locus(degree: Fraction, q: Fraction) -> list[Row]:
     ]
 
 
+#: the degree-2 image of the contracted ray, in ``_WALL_CONSTANTS``
+_RAY_IMAGE = mukai.theta_map(degeneration.CONTRACTED_RAY_VECTOR)
+#: the walls values that depend on no beta, computed once: the Gram matrix of
+#: (v, s), the contracted ray's image, its BBF square and divisibility, and
+#: the genus-2 (odd, even) theta-characteristic counts
+_WALL_CONSTANTS = (
+    mukai.hyperbolic_lattice(degeneration.HILB_VECTOR, degeneration.SPHERICAL_VECTOR),
+    _RAY_IMAGE, *mukai.square_and_divisibility(_RAY_IMAGE),
+    *degeneration.theta_characteristic_counts(2))
+
+
 def _rows_walls(beta: Fraction) -> list[Row]:
     point = degeneration.WallPoint.from_beta(beta)
-    v = degeneration.HILB_VECTOR
-    s = degeneration.SPHERICAL_VECTOR
-    z_v = degeneration.central_charge(v, point)
-    z_s = degeneration.central_charge(s, point)
-    gram = mukai.hyperbolic_lattice(v, s)
-    image = mukai.theta_map(degeneration.CONTRACTED_RAY_VECTOR)
-    square, div = mukai.square_and_divisibility(image)
-    odd, even = degeneration.theta_characteristic_counts(2)
+    z_v = degeneration.central_charge(degeneration.HILB_VECTOR, point)
+    z_s = degeneration.central_charge(degeneration.SPHERICAL_VECTOR, point)
+    gram, image, square, div, odd, even = _WALL_CONSTANTS
     return [
         ("alpha^2", point.alpha_sq, "wall equation (beta+2)^2 + alpha^2 = 2"),
         ("Re Z(v)", z_v.re, "central charge of the Hilbert-cube class"),
@@ -218,19 +227,22 @@ def _rows_kuranishi() -> list[Row]:
     ]
 
 
+#: the coefficients of (theta - 6*eta)^3 on theta^i * eta^(3-i), which do
+#: not depend on the genus; expanded once, at the least genus the calculus takes
+_THETA_MINUS_6ETA_CUBED = degeneration.SymProdClass.linear_form_cubed(3, 1, -6).coeffs
+
+
 def _rows_symprod(genus: int) -> list[Row]:
-    cube = degeneration.sym_prod_eval(
-        degeneration.SymProdClass.linear_form_cubed(genus, 1, -6))
-    rows: list[Row] = [
-        ("(theta - 6*eta)^3", cube, "self-intersection on the third symmetric product"),
+    cube = degeneration.SymProdClass(genus, _THETA_MINUS_6ETA_CUBED)
+    return [
+        ("(theta - 6*eta)^3", degeneration.sym_prod_eval(cube),
+         "self-intersection on the third symmetric product"),
+        *((f"theta^{i}*eta^{3 - i}",
+           degeneration.sym_prod_eval(degeneration.SymProdClass.monomial(genus, i)),
+           "monomial count g!/(g-i)!") for i in (3, 2, 1, 0)),
+        ("[E] theta-coefficient in the Jacobian", degeneration.jacobian_class_of_E(genus),
+         "collapses to g - 8 by factorial algebra"),
     ]
-    for i in (3, 2, 1, 0):
-        value = degeneration.sym_prod_eval(degeneration.SymProdClass.monomial(genus, i))
-        rows.append((f"theta^{i}*eta^{3 - i}", value, "monomial count g!/(g-i)!"))
-    rows.append(("[E] theta-coefficient in the Jacobian",
-                 degeneration.jacobian_class_of_E(genus),
-                 "collapses to g - 8 by factorial algebra"))
-    return rows
 
 
 def _rows_f3(genus: int) -> list[Row]:
@@ -298,8 +310,9 @@ def _rows_report_all(q: Fraction, degree: Fraction) -> list[Row]:
     shared = {"q": q, "degree": degree}
     rows: list[Row] = []
     for head, section_rows, defaults in _REPORT_ALL:
-        kwargs = {name: shared.get(name, value) for name, value in defaults.items()}
-        rows.extend((head + label, value, note) for label, value, note in section_rows(**kwargs))
+        section = (section_rows(**{k: shared.get(k, v) for k, v in defaults.items()})
+                   if defaults else section_rows())
+        rows += [(head + label, value, note) for label, value, note in section]
     return rows
 
 
@@ -444,20 +457,17 @@ def _error(exc: Exception | str) -> int:
     return 1
 
 
-def _write_stdout(payload: str) -> int:
-    """Write and flush the report to stdout; 1, with no traceback, when
-    stdout is closed (None) or its reader has gone.  After a broken pipe
-    stdout points at ``os.devnull``, as the Python docs advise for SIGPIPE,
-    so that the flush at exit cannot raise again."""
-    if sys.stdout is None:
-        return _error("standard output is closed")
+def _flushed(stream, payload: str = "") -> bool:
+    """Write and flush ``payload``; False when the reader of ``stream`` has
+    gone, and the stream then points at ``os.devnull``, as the Python docs
+    advise for SIGPIPE, so that the flush at exit cannot raise again."""
     try:
-        sys.stdout.write(payload)
-        sys.stdout.flush()
+        stream.write(payload)
+        stream.flush()
     except BrokenPipeError:
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 1
-    return 0
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+        return False
+    return True
 
 
 def run(argv=None) -> int:
@@ -467,8 +477,13 @@ def run(argv=None) -> int:
     try:
         args = args or build_parser().parse_args(argv)
     except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else 2
+        # argparse ignores a reader of its help (stdout) or usage error
+        # (stderr) that has gone: flush both here, not at exit
+        if sys.stdout is not None and not _flushed(sys.stdout):
+            return 1
+        if sys.stderr is not None:
+            _flushed(sys.stderr)
+        return exc.code if isinstance(exc.code, int) else 2
     _, rows, options = _SECTIONS[args.command]
     values = {name: getattr(args, name) for name in options}
     try:
@@ -478,8 +493,10 @@ def run(argv=None) -> int:
         payload = report.to_json() if args.json else report.to_text()
     except (ValueError, ZeroDivisionError) as exc:
         return _error(exc)
-    if args.out is None:
-        return _write_stdout(payload)
+    if args.out is None:  # 1 when stdout is closed (None) or its reader has gone
+        if sys.stdout is None:
+            return _error("standard output is closed")
+        return 0 if _flushed(sys.stdout, payload) else 1
     try:
         with open(args.out, "w", encoding="utf-8") as f:
             f.write(payload)

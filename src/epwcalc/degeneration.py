@@ -45,7 +45,7 @@ class WallPoint(Value):
     __slots__ = ("beta", "alpha_sq")
 
     def __init__(self, beta: Rational, alpha_sq: Rational):
-        beta, alpha_sq = Fraction(beta), Fraction(alpha_sq)
+        beta, alpha_sq = (x if type(x) is Fraction else Fraction(x) for x in (beta, alpha_sq))
         (n, d), (a, e) = beta.as_integer_ratio(), alpha_sq.as_integer_ratio()
         if (n + 2 * d) ** 2 * e + a * d * d != 2 * d * d * e:
             raise ValueError("point is not on the wall (beta+2)^2 + alpha^2 = 2")
@@ -57,8 +57,8 @@ class WallPoint(Value):
 
     @classmethod
     def from_beta(cls, beta: Rational) -> "WallPoint":
-        """The point with alpha^2 = 2 - (beta+2)^2, over d^2 at beta = n/d."""
-        beta = Fraction(beta)
+        """The point with alpha^2 = 2 - (beta+2)^2, over d^2 at beta = n/d;
+        ``__init__`` makes beta a ``Fraction`` if it is not one."""
         n, d = beta.as_integer_ratio()
         return cls(beta, Fraction(2 * d * d - (n + 2 * d) ** 2, d * d))
 
@@ -197,6 +197,10 @@ def kuranishi_identity_check(u2_sign: int = -1) -> bool:
 # symmetric-product calculus on the limit threefold
 # ---------------------------------------------------------------------------
 
+#: the coefficients of each monomial theta^i * eta^(3-i), by i, built once
+_UNIT_COEFFS = tuple(tuple(Fraction(int(i == j)) for i in range(4)) for j in range(4))
+
+
 class SymProdClass(Value):
     """A degree-6 class on the third symmetric product of a genus-g curve,
     written on the monomials theta^i * eta^(3-i), i = 0..3.
@@ -211,13 +215,13 @@ class SymProdClass(Value):
             raise ValueError("the calculus needs genus >= 3")
         if len(coeffs) != 4:
             raise ValueError("a class has four monomial coefficients")
-        super().__init__(genus, tuple(Fraction(c) for c in coeffs))
+        super().__init__(genus, tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs))
 
     @classmethod
     def monomial(cls, genus: int, theta_power: int) -> "SymProdClass":
         if theta_power not in (0, 1, 2, 3):
             raise ValueError("theta power must be 0..3")
-        return cls(genus, tuple(int(i == theta_power) for i in range(4)))
+        return cls(genus, _UNIT_COEFFS[theta_power])
 
     @classmethod
     def linear_form_cubed(cls, genus: int, theta_coeff: Rational,

@@ -13,7 +13,8 @@ A class of weight w sits in degree 6 + w.  The involution acts by +1 on
 alpha, h and beta and by -1 on the 22-dimensional complement T of h in H^2;
 on the second summand it acts by that natural sign or by its opposite, and
 the two cases are kept side by side.  Betti numbers of the quotient are the
-+1 eigenspace dimensions.
++1 eigenspace dimensions; they and the fixed-locus Euler characteristics
+are read from the characters once, at import, into per-case tables.
 """
 
 from __future__ import annotations
@@ -74,10 +75,18 @@ def invariant_dimension(case: str, degree: int) -> int:
     return _CHARACTERS[case][degree, +1]
 
 
+#: ``betti_of_quotient`` per case: the invariant dimensions in degrees 0..6
+_QUOTIENT_BETTI = {case: tuple(invariant_dimension(case, d) for d in (0, 2, 4, 6))
+                   for case in CASES}
+
+
 def betti_of_quotient(case: str) -> tuple[int, int, int, int]:
     """(b_0, b_2, b_4, b_6) of the quotient by the involution; the quotient
-    keeps exactly the invariant classes."""
-    return tuple(invariant_dimension(case, d) for d in (0, 2, 4, 6))
+    keeps exactly the invariant classes.  Read from a table built once from
+    the characters."""
+    if case not in _QUOTIENT_BETTI:
+        raise ValueError(f"unknown case {case!r}; expected one of {CASES}")
+    return _QUOTIENT_BETTI[case]
 
 
 def euler_of_quotient(case: str) -> int:

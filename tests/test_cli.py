@@ -6,9 +6,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from test_degeneration import _BRANCH_BETA
 
-from epwcalc import cli, degeneration, hodge_ring, lagrangian
+from epwcalc import cli, degeneration, hodge_ring, lagrangian, llv, mukai
 from epwcalc.cli import build_parser, run
+from epwcalc.degeneration import SymProdClass, sym_prod_eval
 from epwcalc.qfield import ParametricScalar
 
 GOLDEN = Path(__file__).parent / "golden" / "report_all.json"
@@ -62,22 +66,32 @@ def test_exit_codes(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("section", ["report-all", "fujiki"])
-def test_a_broken_pipe_exits_1_without_a_traceback(section):
+@pytest.mark.parametrize("argv, broken, code", [
+    pytest.param(["report-all"], "stdout", 1, id="report-all"),
+    pytest.param(["fujiki"], "stdout", 1, id="fujiki"),
+    pytest.param(["--help"], "stdout", 1, id="help"),
+    pytest.param(["ring", "--help"], "stdout", 1, id="ring-help"),
+    pytest.param(["ring", "--q", "x"], "stderr", 2, id="usage-error"),
+])
+def test_a_broken_pipe_exits_1_without_a_traceback(argv, broken, code):
     """As in ``epwcalc report-all | true``: the reader of stdout is gone
-    before the report is written.  Exit 1 and print nothing, and the flush
-    at exit does not raise again.  stdout is block-buffered, as it is by
-    default for a pipe, and the fujiki report fits in its buffer, so only a
-    flush inside ``run`` sees the broken pipe."""
+    before the report or the help is written.  Exit 1 and print nothing,
+    and the flush at exit does not raise again (it would print "Exception
+    ignored ... BrokenPipeError" and exit 120).  stdout is block-buffered,
+    as it is by default for a pipe, and the fujiki report and the help fit
+    in its buffer, so only a flush inside ``run`` sees the broken pipe.  A
+    usage error whose reader of stderr has gone keeps its exit code 2."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     read, write = os.pipe()
     os.close(read)
+    streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, broken: write}
     try:
-        proc = subprocess.run([sys.executable, "-m", "epwcalc.cli", section],
-                              stdout=write, stderr=subprocess.PIPE, text=True, env=env)
+        proc = subprocess.run([sys.executable, "-m", "epwcalc.cli", *argv],
+                              **streams, text=True, env=env)
     finally:
         os.close(write)
-    assert (proc.returncode, proc.stderr) == (1, "")
+    other = proc.stderr if broken == "stdout" else proc.stdout
+    assert (proc.returncode, other) == (code, "")
 
 
 def test_a_closed_stdout_is_an_error_not_a_traceback():
@@ -327,10 +341,14 @@ def test_report_all_walks_the_fixed_locus_once_per_section(monkeypatch, capsys):
     determinant read its entries' pairs); every scalar value, those
     included, is one ``pair_at`` (24 calls).  The walls rows compute the two
     central charges once, and the Kuranishi grid was walked by the first
-    request.  The request builds at most 62 ``Fraction``s for its 81 rows
-    (94 before the involution case, the fixed-locus numbers and the Gram
-    determinant were computed on integers; 61 on Python 3.12 and later,
-    whose Fraction arithmetic builds some results without ``__new__``)."""
+    request.  The argument-free values of the walls, symprod and betti rows
+    were built at import: no Gram matrix, theta map, cube expansion or
+    invariant dimension is computed.  The request builds at most 39
+    ``Fraction``s for its 81 rows (62 before the walls and symprod rows
+    stopped copying ``Fraction``s and expanding the cube; 94 before the
+    involution case, the fixed-locus numbers and the Gram determinant were
+    computed on integers; Python 3.12 and later build some arithmetic
+    results without ``__new__``, so fewer there)."""
     assert run(["report-all", "--json"]) == 0
     capsys.readouterr()
     rewrites = hodge_ring._rewrite.cache_info().misses
@@ -358,6 +376,10 @@ def test_report_all_walks_the_fixed_locus_once_per_section(monkeypatch, capsys):
     count(lagrangian, "solve_2x2")
     count(degeneration, "central_charge")
     count(degeneration, "product")
+    count(mukai, "hyperbolic_lattice")
+    count(mukai, "theta_map")
+    count(SymProdClass, "linear_form_cubed")
+    count(llv, "invariant_dimension")
     multiply = hodge_ring.multiply
     for module in [m for n, m in sys.modules.items() if n.startswith("epwcalc.")]:
         for name, value in list(vars(module).items()):
@@ -368,7 +390,7 @@ def test_report_all_walks_the_fixed_locus_once_per_section(monkeypatch, capsys):
     fractions_built = len(built)
     monkeypatch.undo()
     assert capsys.readouterr().out == GOLDEN.read_text()
-    assert fractions_built <= 62
+    assert fractions_built <= 39
     assert calls.count("project_lagrangian_class") == 1
     assert "solve_2x2" not in calls
     assert "multiply" not in calls
@@ -377,7 +399,46 @@ def test_report_all_walks_the_fixed_locus_once_per_section(monkeypatch, capsys):
     assert calls.count("pair_at") == 24
     assert calls.count("central_charge") == 2
     assert "product" not in calls
+    for name in ("hyperbolic_lattice", "theta_map", "linear_form_cubed", "invariant_dimension"):
+        assert name not in calls
     assert hodge_ring._rewrite.cache_info().misses == rewrites
+
+
+@given(_BRANCH_BETA)
+@example(Fraction(-2))
+@example(Fraction(-3, 2))
+def test_walls_rows_match_the_library_calls(beta):
+    """The walls rows read their beta-free values from a constant built at
+    import; each row equals, in value and type, the library call it
+    reports, made here at the requested beta."""
+    v, s = degeneration.HILB_VECTOR, degeneration.SPHERICAL_VECTOR
+    point = degeneration.WallPoint.from_beta(beta)
+    z_v, z_s = degeneration.central_charge(v, point), degeneration.central_charge(s, point)
+    gram = mukai.hyperbolic_lattice(v, s)
+    image = mukai.theta_map(degeneration.CONTRACTED_RAY_VECTOR)
+    expected = [point.alpha_sq, z_v.re, z_v.im, z_s.re, z_s.im, z_s.ratio_real(z_v),
+                gram[0][0], gram[0][1], gram[1][1], image.a, image.b,
+                *mukai.square_and_divisibility(image),
+                *degeneration.theta_characteristic_counts(2)]
+    values = [value for _, value, _ in cli._rows_walls(beta)]
+    assert values == expected
+    assert [type(value) for value in values] == [type(value) for value in expected]
+
+
+@given(st.integers(3, 5000))
+@example(3)
+@example(10)
+def test_symprod_rows_match_the_library_calls(genus):
+    """The (theta - 6*eta)^3 coefficients are expanded once, at import; the
+    cube row equals the expansion at the requested genus, and each monomial
+    row the monomial class written out here."""
+    expected = [sym_prod_eval(SymProdClass.linear_form_cubed(genus, 1, -6)),
+                *(sym_prod_eval(SymProdClass(genus, tuple(int(i == j) for j in range(4))))
+                  for i in (3, 2, 1, 0)),
+                degeneration.jacobian_class_of_E(genus)]
+    values = [value for _, value, _ in cli._rows_symprod(genus)]
+    assert values == expected
+    assert [type(value) for value in values] == [Fraction] * 5 + [int]
 
 
 def test_report_all_passes_q_and_degree_down():

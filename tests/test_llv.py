@@ -1,6 +1,8 @@
 from math import comb
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from epwcalc.hodge_ring import CHERN_NUMBER_C6
 from epwcalc.llv import (
@@ -110,6 +112,33 @@ def test_euler_characteristics():
     assert euler_of_fixed_locus("opposite") == -1536
     assert FIXED_LOCUS_EULER == {case: euler_of_fixed_locus(case) for case in CASES}
     assert list(FIXED_LOCUS_EULER) == list(CASES)
+
+
+def test_quotient_tables_match_the_invariant_dimensions():
+    """``betti_of_quotient`` reads a table built once; per case, it and the
+    Euler numbers built on it agree with the invariant dimensions."""
+    for case in CASES:
+        betti = tuple(invariant_dimension(case, d) for d in (0, 2, 4, 6))
+        assert betti_of_quotient(case) == betti
+        chi = sum(invariant_dimension(case, d) for d in range(0, 13, 2))
+        assert euler_of_quotient(case) == chi
+        assert euler_of_fixed_locus(case) == 2 * chi - SIXFOLD_EULER
+
+
+@given(st.text().filter(lambda case: case not in CASES))
+@example("twisted")
+@example("Natural")
+@example("")
+def test_an_unknown_case_keeps_its_error_text(case):
+    """Outside ``CASES``, each per-case function raises the ``ValueError``
+    of ``invariant_dimension``, word for word."""
+    with pytest.raises(ValueError) as reference:
+        invariant_dimension(case, 0)
+    for function in (betti_of_quotient, euler_of_quotient, euler_of_fixed_locus):
+        with pytest.raises(ValueError) as error:
+            function(case)
+        assert str(error.value) == str(reference.value)
+    assert str(reference.value) == f"unknown case {case!r}; expected one of {CASES}"
 
 
 def test_euler_consistency_over_all_degrees():
