@@ -24,6 +24,7 @@ import sys
 from collections import namedtuple
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
+from math import comb
 from types import SimpleNamespace
 
 from . import degeneration, fujiki, hodge_ring, lagrangian, llv, mukai
@@ -173,17 +174,17 @@ _WALL_CONSTANTS = (
 
 
 def _rows_walls(beta: Fraction) -> list[Row]:
-    point = degeneration.WallPoint.from_beta(beta)
-    z_v = degeneration.central_charge(degeneration.HILB_VECTOR, point)
-    z_s = degeneration.central_charge(degeneration.SPHERICAL_VECTOR, point)
+    alpha_sq = degeneration.wall_alpha_sq(beta)
+    (re_s, im_s), (re_v, im_v), ratio = degeneration.central_charges(
+        degeneration.SPHERICAL_VECTOR, degeneration.HILB_VECTOR, beta)
     gram, image, square, div, odd, even = _WALL_CONSTANTS
     return [
-        ("alpha^2", point.alpha_sq, "wall equation (beta+2)^2 + alpha^2 = 2"),
-        ("Re Z(v)", z_v.re, "central charge of the Hilbert-cube class"),
-        ("Im Z(v) / alpha", z_v.im, "central charge of the Hilbert-cube class"),
-        ("Re Z(s)", z_s.re, "central charge of the spherical class"),
-        ("Im Z(s) / alpha", z_s.im, "central charge of the spherical class"),
-        ("Re(Z(s)/Z(v))", z_s.ratio_real(z_v), "effectivity ratio on the wall"),
+        ("alpha^2", alpha_sq, "wall equation (beta+2)^2 + alpha^2 = 2"),
+        ("Re Z(v)", re_v, "central charge of the Hilbert-cube class"),
+        ("Im Z(v) / alpha", im_v, "central charge of the Hilbert-cube class"),
+        ("Re Z(s)", re_s, "central charge of the spherical class"),
+        ("Im Z(s) / alpha", im_s, "central charge of the spherical class"),
+        ("Re(Z(s)/Z(v))", ratio, "effectivity ratio on the wall"),
         ("gram(v,v)", gram[0][0], "rank-2 hyperbolic sublattice"),
         ("gram(v,s)", gram[0][1], "rank-2 hyperbolic sublattice"),
         ("gram(s,s)", gram[1][1], "rank-2 hyperbolic sublattice"),
@@ -228,17 +229,16 @@ def _rows_kuranishi() -> list[Row]:
 
 
 #: the coefficients of (theta - 6*eta)^3 on theta^i * eta^(3-i), which do
-#: not depend on the genus; expanded once, at the least genus the calculus takes
-_THETA_MINUS_6ETA_CUBED = degeneration.SymProdClass.linear_form_cubed(3, 1, -6).coeffs
+#: not depend on the genus, and of each monomial theta^i * eta^(3-i), by i
+_THETA_MINUS_6ETA_CUBED = tuple(comb(3, i) * (-6) ** (3 - i) for i in range(4))
+_MONOMIALS = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
 
 
 def _rows_symprod(genus: int) -> list[Row]:
-    cube = degeneration.SymProdClass(genus, _THETA_MINUS_6ETA_CUBED)
     return [
-        ("(theta - 6*eta)^3", degeneration.sym_prod_eval(cube),
+        ("(theta - 6*eta)^3", degeneration.sym_prod_eval(genus, _THETA_MINUS_6ETA_CUBED),
          "self-intersection on the third symmetric product"),
-        *((f"theta^{i}*eta^{3 - i}",
-           degeneration.sym_prod_eval(degeneration.SymProdClass.monomial(genus, i)),
+        *((f"theta^{i}*eta^{3 - i}", degeneration.sym_prod_eval(genus, _MONOMIALS[i]),
            "monomial count g!/(g-i)!") for i in (3, 2, 1, 0)),
         ("[E] theta-coefficient in the Jacobian", degeneration.jacobian_class_of_E(genus),
          "collapses to g - 8 by factorial algebra"),

@@ -5,12 +5,11 @@ the Kuranishi-space identity for the singularity type (decided by its
 factorisation, not by a general division), and the symmetric-product
 intersection calculus on the limit threefold.
 
-Central charges on the wall are evaluated exactly: a point has rational
-beta and rational alpha^2, and every charge is re + i*im*alpha, so pairs
-(re, im) with the extension rule alpha^2 = alpha_sq close under the field
-operations that appear.  At beta = n/d the wall gives alpha^2 a denominator
-dividing d^2, so a charge is computed on integers, re over d^2 and im over
-d, and the ratio of two charges is one quotient of integer sums."""
+Everything is computed on integers.  A wall point has rational beta = n/d
+and rational alpha^2, whose denominator divides d^2; a central charge is
+re + i*im*alpha with re over d^2 and im over d, and the ratio of two
+charges is one quotient of integer sums.  A class on the third symmetric
+product is its four integer coefficients on the monomials."""
 
 from __future__ import annotations
 
@@ -22,7 +21,7 @@ from math import comb, perm
 
 from .lagrangian import fixed_locus_invariants
 from .mukai import MukaiVector, mukai_pairing
-from .qfield import Rational, Value, rational_sum
+from .qfield import Rational
 
 #: the Hilbert cube of the surface, as a moduli space
 HILB_VECTOR = MukaiVector(1, 0, -2)
@@ -38,80 +37,40 @@ CONTRACTED_RAY_VECTOR = MukaiVector(1, -2, 2)
 # the wall and exact central charges
 # ---------------------------------------------------------------------------
 
-class WallPoint(Value):
-    """A point (alpha, beta) with (beta+2)^2 + alpha^2 = 2, alpha kept
-    through its square; the relevant branch has beta < -1."""
-
-    __slots__ = ("beta", "alpha_sq")
-
-    def __init__(self, beta: Rational, alpha_sq: Rational):
-        beta, alpha_sq = (x if type(x) is Fraction else Fraction(x) for x in (beta, alpha_sq))
-        (n, d), (a, e) = beta.as_integer_ratio(), alpha_sq.as_integer_ratio()
-        if (n + 2 * d) ** 2 * e + a * d * d != 2 * d * d * e:
-            raise ValueError("point is not on the wall (beta+2)^2 + alpha^2 = 2")
-        if alpha_sq <= 0:
-            raise ValueError("wall points need alpha > 0")
-        if beta >= -1:
-            raise ValueError("the wall branch lives at beta < -1")
-        super().__init__(beta, alpha_sq)
-
-    @classmethod
-    def from_beta(cls, beta: Rational) -> "WallPoint":
-        """The point with alpha^2 = 2 - (beta+2)^2, over d^2 at beta = n/d;
-        ``__init__`` makes beta a ``Fraction`` if it is not one."""
-        n, d = beta.as_integer_ratio()
-        return cls(beta, Fraction(2 * d * d - (n + 2 * d) ** 2, d * d))
+def _wall_point(beta: Rational) -> tuple[int, int, int]:
+    """(n, d, alpha^2 * d^2) at beta = n/d, all integers; the wall
+    (beta+2)^2 + alpha^2 = 2 gives alpha^2 * d^2 = 2d^2 - (n + 2d)^2."""
+    n, d = beta.as_integer_ratio()
+    a = 2 * d * d - (n + 2 * d) ** 2
+    if a <= 0:
+        raise ValueError("wall points need alpha > 0")
+    if n >= -d:
+        raise ValueError("the wall branch lives at beta < -1")
+    return n, d, a
 
 
-class WallCharge(Value):
-    """re + i*im*alpha with alpha^2 = alpha_sq fixed and rational."""
-
-    __slots__ = ("re", "im", "alpha_sq")
-
-    def _same_field(self, other: "WallCharge") -> None:
-        if self.alpha_sq != other.alpha_sq:
-            raise ValueError("charges live over different wall points")
-
-    def __add__(self, other: "WallCharge") -> "WallCharge":
-        self._same_field(other)
-        return WallCharge(self.re + other.re, self.im + other.im, self.alpha_sq)
-
-    def __sub__(self, other: "WallCharge") -> "WallCharge":
-        self._same_field(other)
-        return WallCharge(self.re - other.re, self.im - other.im, self.alpha_sq)
-
-    def _dot(self, other: "WallCharge") -> Fraction:
-        """Re(self * conj(other)) = re*re' + im*im'*alpha^2, summed as integer pairs."""
-        (p, P), (r, R), (p2, P2), (r2, R2), (a, A) = (
-            x.as_integer_ratio() for x in (self.re, self.im, other.re, other.im, self.alpha_sq))
-        return rational_sum(((p * p2, P * P2), (r * r2 * a, R * R2 * A)))
-
-    def norm_sq(self) -> Fraction:
-        return self._dot(self)
-
-    def ratio_real(self, other: "WallCharge") -> Fraction:
-        """Real part of self/other; rational because alpha^2 is."""
-        self._same_field(other)
-        n = other.norm_sq()
-        if n == 0:
-            raise ValueError("cannot divide by a vanishing central charge")
-        return self._dot(other) / n
+def wall_alpha_sq(beta: Rational) -> Fraction:
+    """alpha^2 = 2 - (beta+2)^2 at the wall point over beta, which must lie
+    on the branch beta < -1 with alpha > 0."""
+    _, d, a = _wall_point(beta)
+    return Fraction(a, d * d)
 
 
-def central_charge(v: MukaiVector, point: WallPoint) -> WallCharge:
-    """Z(v) = 2c*(beta + i alpha) - s - r*(beta + i alpha)^2 at the point:
-    at beta = n/d, re = (2c*n*d - s*d^2 - r*(n^2 - alpha^2*d^2))/d^2 and
-    im = (2c*d - 2r*n)/d, where alpha^2*d^2 is an integer on the wall."""
-    (n, d), (a, e) = point.beta.as_integer_ratio(), point.alpha_sq.as_integer_ratio()
-    re = 2 * v.c * n * d - v.s * d * d - v.r * (n * n - a * (d * d // e))
-    return WallCharge(Fraction(re, d * d), Fraction(2 * v.c * d - 2 * v.r * n, d),
-                      point.alpha_sq)
+def central_charges(u: MukaiVector, v: MukaiVector, beta: Rational) -> tuple[
+        tuple[Fraction, Fraction], tuple[Fraction, Fraction], Fraction]:
+    """((Re Z(u), Im Z(u)/alpha), (Re Z(v), Im Z(v)/alpha), Re(Z(u)/Z(v)))
+    at the wall point over beta, with
+    Z(w) = 2c*(beta + i alpha) - s - r*(beta + i alpha)^2.
 
-
-def effectivity_ratio(u: MukaiVector, v: MukaiVector, point: WallPoint) -> Fraction:
-    """Re(Z(u)/Z(v)); positivity of this ratio is the effectivity test for
-    u against the class v defining the contraction."""
-    return central_charge(u, point).ratio_real(central_charge(v, point))
+    At beta = n/d, Re Z = R/d^2 with R = 2c*n*d - s*d^2 - r*(n^2 - alpha^2*d^2)
+    and Im Z/alpha = I/d with I = 2c*d - 2r*n, so the ratio is the one
+    quotient (R_u*R_v + I_u*I_v*alpha^2*d^2) / (R_v^2 + I_v^2*alpha^2*d^2);
+    ZeroDivisionError if Z(v) vanishes."""
+    n, d, a = _wall_point(beta)
+    (ru, iu), (rv, iv) = ((2 * w.c * n * d - w.s * d * d - w.r * (n * n - a),
+                           2 * w.c * d - 2 * w.r * n) for w in (u, v))
+    return ((Fraction(ru, d * d), Fraction(iu, d)), (Fraction(rv, d * d), Fraction(iv, d)),
+            Fraction(ru * rv + iu * iv * a, rv * rv + iv * iv * a))
 
 
 # ---------------------------------------------------------------------------
@@ -137,14 +96,6 @@ def pell_spherical_classes(bound: int) -> list[tuple[int, int]]:
         x, y = 3 * x + 2 * y, 4 * x + 3 * y
     return ([p for x, y in reversed(branch) for p in ((-x, -y), (-x, y))]
             + [(0, -1), (0, 1)] + [p for x, y in branch for p in ((x, -y), (x, y))])
-
-
-def effectivity_of_pell_class(x: int, y: int) -> Fraction:
-    """The rational x + y/2, the effectivity ratio of the class with Pell
-    coordinates (x, y) against the Hilbert-cube class on the wall."""
-    if 2 * x * x - y * y != -1:
-        raise ValueError(f"({x}, {y}) does not solve 2x^2 - y^2 = -1")
-    return x + Fraction(y, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -197,55 +148,15 @@ def kuranishi_identity_check(u2_sign: int = -1) -> bool:
 # symmetric-product calculus on the limit threefold
 # ---------------------------------------------------------------------------
 
-#: the coefficients of each monomial theta^i * eta^(3-i), by i, built once
-_UNIT_COEFFS = tuple(tuple(Fraction(int(i == j)) for i in range(4)) for j in range(4))
-
-
-class SymProdClass(Value):
-    """A degree-6 class on the third symmetric product of a genus-g curve,
-    written on the monomials theta^i * eta^(3-i), i = 0..3.
-
-    Here eta is the class of the second symmetric product inside the
-    third; it is unrelated to the sixfold class of the same name."""
-
-    __slots__ = ("genus", "coeffs")
-
-    def __init__(self, genus: int, coeffs: tuple[Rational, Rational, Rational, Rational]):
-        if genus < 3:
-            raise ValueError("the calculus needs genus >= 3")
-        if len(coeffs) != 4:
-            raise ValueError("a class has four monomial coefficients")
-        super().__init__(genus, tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs))
-
-    @classmethod
-    def monomial(cls, genus: int, theta_power: int) -> "SymProdClass":
-        if theta_power not in (0, 1, 2, 3):
-            raise ValueError("theta power must be 0..3")
-        return cls(genus, _UNIT_COEFFS[theta_power])
-
-    @classmethod
-    def linear_form_cubed(cls, genus: int, theta_coeff: Rational,
-                          eta_coeff: Rational) -> "SymProdClass":
-        """(t*theta + e*eta)^3 expanded on the monomial basis, in integers
-        when t and e are integers."""
-        t, e = (x if isinstance(x, int) else Fraction(x) for x in (theta_coeff, eta_coeff))
-        return cls(genus, tuple(comb(3, i) * t ** i * e ** (3 - i) for i in range(4)))
-
-    def __add__(self, other: "SymProdClass") -> "SymProdClass":
-        if self.genus != other.genus:
-            raise ValueError("classes live on symmetric products of different curves")
-        return SymProdClass(self.genus,
-                            tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __rmul__(self, scalar) -> "SymProdClass":
-        return SymProdClass(self.genus, tuple(Fraction(scalar) * c for c in self.coeffs))
-
-
-def sym_prod_eval(cls: SymProdClass) -> Fraction:
-    """Evaluate against the fundamental class: theta^i * eta^(3-i) counts
-    g!/(g-i)! on the third symmetric product."""
-    return rational_sum((c.numerator * perm(cls.genus, i), c.denominator)
-                        for i, c in enumerate(cls.coeffs))
+def sym_prod_eval(genus: int, coeffs: tuple[int, int, int, int]) -> int:
+    """The degree-6 class sum c_i * theta^i * eta^(3-i) on the third
+    symmetric product of a genus-g curve, evaluated against the
+    fundamental class: theta^i * eta^(3-i) counts g!/(g-i)!.  Here eta is
+    the class of the second symmetric product inside the third; it is
+    unrelated to the sixfold class of the same name."""
+    if genus < 3:
+        raise ValueError("the calculus needs genus >= 3")
+    return sum(c * perm(genus, i) for i, c in enumerate(coeffs))
 
 
 def jacobian_class_of_E(genus: int) -> int:

@@ -62,12 +62,6 @@ _CHARACTERS = {
 SIXFOLD_EULER = sum(_CHARACTERS[CASES[0]].values())
 
 
-def betti_even() -> tuple[int, ...]:
-    """Even Betti numbers b_0, b_2, ..., b_12 of the sixfold (odd ones vanish)."""
-    character = _CHARACTERS[CASES[0]]
-    return tuple(character[d, +1] + character[d, -1] for d in range(0, 13, 2))
-
-
 def invariant_dimension(case: str, degree: int) -> int:
     """Dimension of the +1 eigenspace in one degree."""
     if case not in _CHARACTERS:

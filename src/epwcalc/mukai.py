@@ -31,9 +31,6 @@ class MukaiVector(Value):
     def __rmul__(self, k: int) -> "MukaiVector":
         return MukaiVector(k * self.r, k * self.c, k * self.s)
 
-    def square(self) -> int:
-        return mukai_pairing(self, self)
-
 
 def mukai_pairing(v: MukaiVector, w: MukaiVector) -> int:
     """(v, w) = 2*c_v*c_w - r_v*s_w - r_w*s_v  (degree-2 surface)."""

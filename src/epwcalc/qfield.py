@@ -6,10 +6,9 @@ zero at weight 0.  The form is unique, so equality is structural, which the
 symbolic checks rely on.  ``ParametricScalar.pair_at`` gives the value at a
 rational q as an integer pair, and ``evaluate`` reduces that pair to one
 ``Fraction``; ``rational_sum`` adds such pairs as integers and reduces once,
-the kernel of ``hodge_ring.verify_independence_degree6``,
-``lagrangian.self_intersection``, ``WallCharge.ratio_real`` and
-``sym_prod_eval``.  ``ratio_sqrt`` takes the exact square root of an
-integer pair, the kernel of ``rational_sqrt`` and
+the kernel of ``hodge_ring.verify_independence_degree6`` and
+``lagrangian.self_intersection``.  ``ratio_sqrt`` takes the exact
+square root of an integer pair, the kernel of
 ``lagrangian.eta_coefficient``.
 
 ``Value`` is the base of the package's immutable value types, this one
@@ -214,8 +213,3 @@ def ratio_sqrt(num: int, den: int) -> Fraction | None:
         return Fraction(rn, rd)
     return None
 
-
-def rational_sqrt(value: Rational) -> Fraction | None:
-    """Exact square root of a nonnegative rational, or None if it has none:
-    ``ratio_sqrt`` of ``value.as_integer_ratio()``, with no copy of value."""
-    return ratio_sqrt(*value.as_integer_ratio())

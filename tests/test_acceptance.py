@@ -15,17 +15,14 @@ from fractions import Fraction
 from epwcalc.degeneration import (
     HILB_VECTOR,
     SPHERICAL_VECTOR,
-    SymProdClass,
-    WallPoint,
-    central_charge,
-    effectivity_of_pell_class,
-    effectivity_ratio,
+    central_charges,
     ext_dimensions,
     f3_hodge_relations,
     jacobian_class_of_E,
     kuranishi_identity_check,
     pell_spherical_classes,
     sym_prod_eval,
+    wall_alpha_sq,
 )
 from epwcalc.fujiki import CODEGREE, fujiki_constant
 from epwcalc.hodge_ring import (
@@ -45,8 +42,9 @@ from epwcalc.lagrangian import (
 )
 from epwcalc.llv import betti_of_quotient, euler_of_fixed_locus, euler_of_quotient
 from epwcalc.mukai import hyperbolic_lattice
-from epwcalc.qfield import ParametricScalar, rational_sqrt
+from epwcalc.qfield import ParametricScalar, ratio_sqrt
 from fujiki_oracle import AbstractClassSpace, polarized_integral
+from test_degeneration import _cubed, effectivity_of_pell_class
 
 Q = ParametricScalar.q()
 
@@ -117,7 +115,7 @@ def test_criterion_06_involution_disambiguation():
     ok = (
         (case, c, chi_top) == ("natural", 0, -1200)
         and four_c_sq == {"natural": 0, "opposite": 336}
-        and rational_sqrt(Fraction(336, 4)) is None  # c^2 = 84 is not a rational square
+        and ratio_sqrt(336, 4) is None  # c^2 = 84 is not a rational square
     )
     _check("criterion 6: natural action selected; 4c^2 candidates {0, 336} with "
            "c^2 = 84 rejected as irrational", ok)
@@ -148,29 +146,28 @@ def test_criterion_08_fixed_locus_invariants():
 
 
 def test_criterion_09_wall_package():
-    p = WallPoint.from_beta(-2)
-    z_v = central_charge(HILB_VECTOR, p)
-    z_s = central_charge(SPHERICAL_VECTOR, p)
+    z_s, z_v, ratio = central_charges(SPHERICAL_VECTOR, HILB_VECTOR, -2)
     pell = pell_spherical_classes(10 ** 6)
     negative_ok = all(
         effectivity_of_pell_class(x, y) < 0 for x, y in pell if x < 0
     )
     ok = (
-        (z_v.re, z_v.im) == (0, 4)
-        and (z_s.re, z_s.im) == (0, 2)
-        and effectivity_ratio(SPHERICAL_VECTOR, HILB_VECTOR, p) == Fraction(1, 2)
+        wall_alpha_sq(-2) == 2
+        and z_v == (0, 4)
+        and z_s == (0, 2)
+        and ratio == Fraction(1, 2)
         and hyperbolic_lattice(HILB_VECTOR, SPHERICAL_VECTOR) == ((4, 0), (0, -2))
         and tuple(ext_dimensions().values()) == (2, 4, 6)
         and negative_ok
         and kuranishi_identity_check() is True
     )
-    _check("criterion 9: wall charges (0,4)/(0,2), ratio 1/2, Gram diag(4,-2), "
+    _check("criterion 9: alpha^2 = 2, wall charges (0,4)/(0,2), ratio 1/2, Gram diag(4,-2), "
            "Ext (2,4,6), Pell x<0 never effective up to 10^6, Kuranishi identity", ok)
 
 
 def test_criterion_10_symmetric_product_and_f3():
-    cube = sym_prod_eval(SymProdClass.linear_form_cubed(10, 1, -6))
-    theta3 = sym_prod_eval(SymProdClass.monomial(10, 3))
+    cube = sym_prod_eval(10, _cubed(1, -6))  # (theta - 6*eta)^3
+    theta3 = sym_prod_eval(10, (0, 0, 0, 1))
     table = f3_hodge_relations()
     ok = (
         cube == -36

@@ -8,11 +8,10 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
-from test_degeneration import _BRANCH_BETA
+from test_degeneration import _BRANCH_BETA, _cubed, effectivity_of_pell_class
 
 from epwcalc import cli, degeneration, hodge_ring, lagrangian, llv, mukai
 from epwcalc.cli import build_parser, run
-from epwcalc.degeneration import SymProdClass, sym_prod_eval
 from epwcalc.qfield import ParametricScalar
 
 GOLDEN = Path(__file__).parent / "golden" / "report_all.json"
@@ -179,6 +178,21 @@ def test_error_goes_to_stderr():
     assert "positive" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["walls", "--beta=-4"], "wall points need alpha > 0"),
+    (["walls", "--beta=-1/2"], "wall points need alpha > 0"),
+    (["walls", "--beta=0"], "wall points need alpha > 0"),
+    (["walls", "--beta=-1"], "the wall branch lives at beta < -1"),
+    (["symprod", "--genus", "2"], "the calculus needs genus >= 3"),
+    (["f3", "--genus", "2"], "the calculus needs genus >= 3"),
+])
+def test_wall_and_genus_errors_are_one_line(argv, message, capsys):
+    """Off the wall branch, and below genus 3, a request exits 1 with
+    nothing on stdout and exactly its error line on stderr."""
+    assert run(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_json_schema(tmp_path):
     code, out, _ = _capture(["fixed-locus", "--json"])
     assert code == 0
@@ -263,7 +277,7 @@ def test_pell_violations_agree_with_the_effectivity_ratio(monkeypatch):
     for bound in (1, 10 ** 6, 10 ** 300):
         assert _violations(bound) == sum(
             1 for x, y in degeneration.pell_spherical_classes(bound)
-            if x < 0 and degeneration.effectivity_of_pell_class(x, y) >= 0)
+            if x < 0 and effectivity_of_pell_class(x, y) >= 0)
     grid = [(x, y) for x in range(-6, 7) for y in range(-3, 14)]
     monkeypatch.setattr(degeneration, "pell_spherical_classes", lambda bound: grid)
     assert _violations(1) == sum(1 for x, y in grid if x < 0 and x + Fraction(y, 2) >= 0) > 0
@@ -339,13 +353,15 @@ def test_report_all_walks_the_fixed_locus_once_per_section(monkeypatch, capsys):
     integral, Chern-number and relation rows (11 calls: 30 before the
     Lagrangian values went through the unit pairings, 14 before the Gram
     determinant read its entries' pairs); every scalar value, those
-    included, is one ``pair_at`` (24 calls).  The walls rows compute the two
-    central charges once, and the Kuranishi grid was walked by the first
-    request.  The argument-free values of the walls, symprod and betti rows
-    were built at import: no Gram matrix, theta map, cube expansion or
-    invariant dimension is computed.  The request builds at most 39
-    ``Fraction``s for its 81 rows (62 before the walls and symprod rows
-    stopped copying ``Fraction``s and expanding the cube; 94 before the
+    included, is one ``pair_at`` (24 calls).  The walls rows compute alpha^2
+    and the two central charges once each, and the Kuranishi grid was walked
+    by the first request.  The argument-free values of the walls, symprod
+    and betti rows were built at import: no Gram matrix, theta map, cube
+    expansion or invariant dimension is computed.  The request builds at
+    most 32 ``Fraction``s for its 81 rows (39 before the wall ratio became
+    one quotient and the symprod rows stayed in the integers; 62 before the
+    walls and symprod rows stopped copying ``Fraction``s and expanding the
+    cube; 94 before the
     involution case, the fixed-locus numbers and the Gram determinant were
     computed on integers; Python 3.12 and later build some arithmetic
     results without ``__new__``, so fewer there)."""
@@ -374,11 +390,12 @@ def test_report_all_walks_the_fixed_locus_once_per_section(monkeypatch, capsys):
     count(lagrangian, "project_lagrangian_class")
     count(hodge_ring, "solve_2x2")
     count(lagrangian, "solve_2x2")
-    count(degeneration, "central_charge")
+    count(degeneration, "wall_alpha_sq")
+    count(degeneration, "central_charges")
     count(degeneration, "product")
     count(mukai, "hyperbolic_lattice")
     count(mukai, "theta_map")
-    count(SymProdClass, "linear_form_cubed")
+    count(cli, "comb")
     count(llv, "invariant_dimension")
     multiply = hodge_ring.multiply
     for module in [m for n, m in sys.modules.items() if n.startswith("epwcalc.")]:
@@ -390,16 +407,16 @@ def test_report_all_walks_the_fixed_locus_once_per_section(monkeypatch, capsys):
     fractions_built = len(built)
     monkeypatch.undo()
     assert capsys.readouterr().out == GOLDEN.read_text()
-    assert fractions_built <= 39
+    assert fractions_built <= 32
     assert calls.count("project_lagrangian_class") == 1
     assert "solve_2x2" not in calls
     assert "multiply" not in calls
     assert "__init__" not in calls
     assert calls.count("evaluate") == 11
     assert calls.count("pair_at") == 24
-    assert calls.count("central_charge") == 2
+    assert calls.count("wall_alpha_sq") == calls.count("central_charges") == 1
     assert "product" not in calls
-    for name in ("hyperbolic_lattice", "theta_map", "linear_form_cubed", "invariant_dimension"):
+    for name in ("hyperbolic_lattice", "theta_map", "comb", "invariant_dimension"):
         assert name not in calls
     assert hodge_ring._rewrite.cache_info().misses == rewrites
 
@@ -412,11 +429,10 @@ def test_walls_rows_match_the_library_calls(beta):
     import; each row equals, in value and type, the library call it
     reports, made here at the requested beta."""
     v, s = degeneration.HILB_VECTOR, degeneration.SPHERICAL_VECTOR
-    point = degeneration.WallPoint.from_beta(beta)
-    z_v, z_s = degeneration.central_charge(v, point), degeneration.central_charge(s, point)
+    (re_s, im_s), (re_v, im_v), ratio = degeneration.central_charges(s, v, beta)
     gram = mukai.hyperbolic_lattice(v, s)
     image = mukai.theta_map(degeneration.CONTRACTED_RAY_VECTOR)
-    expected = [point.alpha_sq, z_v.re, z_v.im, z_s.re, z_s.im, z_s.ratio_real(z_v),
+    expected = [degeneration.wall_alpha_sq(beta), re_v, im_v, re_s, im_s, ratio,
                 gram[0][0], gram[0][1], gram[1][1], image.a, image.b,
                 *mukai.square_and_divisibility(image),
                 *degeneration.theta_characteristic_counts(2)]
@@ -430,15 +446,16 @@ def test_walls_rows_match_the_library_calls(beta):
 @example(10)
 def test_symprod_rows_match_the_library_calls(genus):
     """The (theta - 6*eta)^3 coefficients are expanded once, at import; the
-    cube row equals the expansion at the requested genus, and each monomial
-    row the monomial class written out here."""
-    expected = [sym_prod_eval(SymProdClass.linear_form_cubed(genus, 1, -6)),
-                *(sym_prod_eval(SymProdClass(genus, tuple(int(i == j) for j in range(4))))
+    cube row equals the expansion multiplied out here, evaluated at the
+    requested genus, and each monomial row the monomial written out here.
+    Every row is an ``int``."""
+    expected = [degeneration.sym_prod_eval(genus, _cubed(1, -6)),
+                *(degeneration.sym_prod_eval(genus, tuple(int(i == j) for j in range(4)))
                   for i in (3, 2, 1, 0)),
                 degeneration.jacobian_class_of_E(genus)]
     values = [value for _, value, _ in cli._rows_symprod(genus)]
     assert values == expected
-    assert [type(value) for value in values] == [Fraction] * 5 + [int]
+    assert [type(value) for value in values] == [int] * 6
 
 
 def test_report_all_passes_q_and_degree_down():

@@ -6,17 +6,13 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from epwcalc import cli
 from epwcalc.degeneration import (
     CONTRACTED_RAY_VECTOR,
     FOURFOLD_VECTOR,
     HILB_VECTOR,
     SPHERICAL_VECTOR,
-    SymProdClass,
-    WallCharge,
-    WallPoint,
-    central_charge,
-    effectivity_of_pell_class,
-    effectivity_ratio,
+    central_charges,
     ext_dimensions,
     f3_hodge_relations,
     jacobian_class_of_E,
@@ -25,6 +21,7 @@ from epwcalc.degeneration import (
     plane_curve_genus,
     sym_prod_eval,
     theta_characteristic_counts,
+    wall_alpha_sq,
 )
 from epwcalc.mukai import MukaiVector, mukai_pairing
 
@@ -34,60 +31,61 @@ from epwcalc.mukai import MukaiVector, mukai_pairing
 
 
 def test_wall_membership():
-    p = WallPoint.from_beta(-2)
-    assert p.alpha_sq == 2
-    q = WallPoint.from_beta(Fraction(-3, 2))
-    assert q.alpha_sq == Fraction(7, 4)
-    with pytest.raises(ValueError):
-        WallPoint(-2, 1)                      # not on the circle
-    with pytest.raises(ValueError):
-        WallPoint.from_beta(-1)               # wrong branch
-    with pytest.raises(ValueError):
-        WallPoint.from_beta(Fraction(-1, 2))  # wrong branch
-    with pytest.raises(ValueError):
-        WallPoint.from_beta(-4)               # off the circle, alpha^2 < 0
+    assert wall_alpha_sq(-2) == 2
+    assert wall_alpha_sq(Fraction(-3, 2)) == Fraction(7, 4)
+    # off the circle (alpha^2 <= 0) is reported before the wrong branch
+    for beta, message in ((-4, "wall points need alpha > 0"),
+                          (Fraction(-1, 2), "wall points need alpha > 0"),
+                          (0, "wall points need alpha > 0"),
+                          (-1, "the wall branch lives at beta < -1"),
+                          (Fraction(-7, 10), "the wall branch lives at beta < -1")):
+        for call in (lambda: wall_alpha_sq(beta),
+                     lambda: central_charges(HILB_VECTOR, SPHERICAL_VECTOR, beta)):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                call()
 
 
 def test_central_charges_at_the_deepest_point():
-    p = WallPoint.from_beta(-2)
-    z_v = central_charge(HILB_VECTOR, p)
-    z_s = central_charge(SPHERICAL_VECTOR, p)
-    assert (z_v.re, z_v.im) == (0, 4)
-    assert (z_s.re, z_s.im) == (0, 2)
-    assert effectivity_ratio(SPHERICAL_VECTOR, HILB_VECTOR, p) == Fraction(1, 2)
+    z_s, z_v, ratio = central_charges(SPHERICAL_VECTOR, HILB_VECTOR, -2)
+    assert z_v == (0, 4)
+    assert z_s == (0, 2)
+    assert ratio == Fraction(1, 2)
 
 
-def conjugate(z):
-    return WallCharge(z.re, -z.im, z.alpha_sq)
-
-
-def is_zero(z):
-    return z.re == 0 and z.im == 0
+def _ratio_real(z_u, z_v, alpha_sq):
+    """Re(Z(u)/Z(v)) = Re(Z(u) * conj Z(v)) / |Z(v)|^2 in Fraction arithmetic,
+    for charges (re, im) meaning re + i*im*alpha."""
+    (re_u, im_u), (re_v, im_v) = z_u, z_v
+    return (re_u * re_v + im_u * im_v * alpha_sq) / (re_v ** 2 + im_v ** 2 * alpha_sq)
 
 
 def test_charges_are_additive_and_conjugation_flips_im():
+    """Z is linear in the Mukai vector; conjugating both charges flips the
+    sign of each im and leaves the real part of their ratio unchanged."""
     rng = random.Random(808)
-    p = WallPoint.from_beta(Fraction(-7, 4))
+    beta = Fraction(-7, 4)
+    alpha_sq = wall_alpha_sq(beta)
     for _ in range(15):
         u = MukaiVector(rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(-9, 9))
         w = MukaiVector(rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(-9, 9))
-        assert central_charge(u + w, p) == central_charge(u, p) + central_charge(w, p)
-    z = central_charge(HILB_VECTOR, p)
-    assert conjugate(z).im == -z.im
-    assert conjugate(conjugate(z)) == z
-    assert is_zero(z - z)
+        z_u, z_v, ratio = central_charges(u, HILB_VECTOR, beta)
+        z_w = central_charges(w, HILB_VECTOR, beta)[0]
+        assert central_charges(u + w, HILB_VECTOR, beta)[0] == tuple(
+            a + b for a, b in zip(z_u, z_w))
+        conj_u, conj_v = ((re, -im) for re, im in (z_u, z_v))
+        assert ratio == _ratio_real(conj_u, conj_v, alpha_sq) == _ratio_real(z_u, z_v, alpha_sq)
 
 
 def test_ratio_real_is_exact():
-    p = WallPoint.from_beta(Fraction(-5, 4))
-    z_v = central_charge(HILB_VECTOR, p)
-    assert z_v.ratio_real(z_v) == 1
-    zero = WallCharge(Fraction(0), Fraction(0), p.alpha_sq)
-    with pytest.raises(ValueError):
-        z_v.ratio_real(zero)
-    other_field = WallCharge(Fraction(1), Fraction(0), Fraction(3))
-    with pytest.raises(ValueError):
-        z_v.ratio_real(other_field)
+    """Re(Z(v)/Z(v)) is exactly 1, as one Fraction; a vanishing Z(v), as the
+    zero vector's or that of 2v - 3s at beta = -3, has no ratio."""
+    for beta in (Fraction(-5, 4), -2, Fraction(-10 ** 30 - 1, 10 ** 30)):
+        ratio = central_charges(HILB_VECTOR, HILB_VECTOR, beta)[2]
+        assert ratio == 1 and type(ratio) is Fraction
+    with pytest.raises(ZeroDivisionError):
+        central_charges(HILB_VECTOR, MukaiVector(0, 0, 0), Fraction(-5, 4))
+    with pytest.raises(ZeroDivisionError):
+        central_charges(HILB_VECTOR, 2 * HILB_VECTOR - 3 * SPHERICAL_VECTOR, -3)
 
 
 #: beta on the branch -2 - sqrt(2) < beta < -1, denominators up to 10^30
@@ -105,27 +103,29 @@ def test_central_charge_matches_the_fraction_formula(beta, u, v):
     """Z(v) = (2c*beta - s - r*(beta^2 - alpha^2)) + i*(2c - 2r*beta)*alpha and
     Re(Z(u)/Z(v)) in Fraction arithmetic, with alpha^2 = 2 - (beta+2)^2."""
     alpha_sq = 2 - (beta + 2) ** 2
-    point = WallPoint.from_beta(beta)
-    assert point == WallPoint(beta, alpha_sq) and point.alpha_sq == alpha_sq
-    charges = []
-    for w in (u, v):
-        z = central_charge(w, point)
-        assert type(z.re) is Fraction and type(z.im) is Fraction
-        assert z.re == 2 * w.c * beta - w.s - w.r * (beta ** 2 - alpha_sq)
-        assert z.im == 2 * w.c - 2 * w.r * beta
-        assert z.alpha_sq == alpha_sq
-        charges.append(z)
-    z_u, z_v = charges
-    norm = z_v.re ** 2 + z_v.im ** 2 * alpha_sq
-    assert z_v.norm_sq() == norm
-    if norm:
-        assert z_u.ratio_real(z_v) == (z_u.re * z_v.re + z_u.im * z_v.im * alpha_sq) / norm
-        assert effectivity_ratio(u, v, point) == z_u.ratio_real(z_v)
-    else:
-        with pytest.raises(ValueError, match="vanishing central charge"):
-            z_u.ratio_real(z_v)
-    with pytest.raises(ValueError, match="not on the wall"):
-        WallPoint(beta, alpha_sq + Fraction(1, beta.denominator ** 2 + 1))
+    assert wall_alpha_sq(beta) == alpha_sq and type(wall_alpha_sq(beta)) is Fraction
+    norm = (2 * v.c * beta - v.s - v.r * (beta ** 2 - alpha_sq)) ** 2 \
+        + (2 * v.c - 2 * v.r * beta) ** 2 * alpha_sq
+    if not norm:
+        with pytest.raises(ZeroDivisionError):
+            central_charges(u, v, beta)
+        return
+    z_u, z_v, ratio = central_charges(u, v, beta)
+    for w, z in ((u, z_u), (v, z_v)):
+        assert all(type(part) is Fraction for part in z)
+        assert z == (2 * w.c * beta - w.s - w.r * (beta ** 2 - alpha_sq),
+                     2 * w.c - 2 * w.r * beta)
+    assert type(ratio) is Fraction and ratio == _ratio_real(z_u, z_v, alpha_sq)
+
+
+@given(_BRANCH_BETA)
+@example(Fraction(-2))
+@example(Fraction(-3, 2))
+@example(Fraction(-5, 2))
+def test_the_wall_ratio_is_one_plus_one_over_beta(beta):
+    """On the wall Z(s)/Z(v) is real: lambda(beta) = 1 + 1/beta, which is
+    1/2 at beta = -2, 1/3 at -3/2 and 3/5 at -5/2."""
+    assert central_charges(SPHERICAL_VECTOR, HILB_VECTOR, beta)[2] == 1 + 1 / beta
 
 
 def test_effectivity_is_linear_in_the_pell_coordinates():
@@ -133,16 +133,14 @@ def test_effectivity_is_linear_in_the_pell_coordinates():
     deepest wall point the coefficient is exactly 1/2."""
     rng = random.Random(99)
     for beta in (Fraction(-2), Fraction(-3, 2), Fraction(-9, 8)):
-        p = WallPoint.from_beta(beta)
-        coeff = effectivity_ratio(SPHERICAL_VECTOR, HILB_VECTOR, p)
+        coeff = central_charges(SPHERICAL_VECTOR, HILB_VECTOR, beta)[2]
         for _ in range(10):
             x, y = rng.randint(-20, 20), rng.randint(-20, 20)
             u = x * HILB_VECTOR + y * SPHERICAL_VECTOR
-            assert effectivity_ratio(u, HILB_VECTOR, p) == x + y * coeff
-    deepest = WallPoint.from_beta(-2)
-    assert effectivity_ratio(SPHERICAL_VECTOR, HILB_VECTOR, deepest) == Fraction(1, 2)
+            assert central_charges(u, HILB_VECTOR, beta)[2] == x + y * coeff
+    assert central_charges(SPHERICAL_VECTOR, HILB_VECTOR, -2)[2] == Fraction(1, 2)
     u = 3 * HILB_VECTOR + (-5) * SPHERICAL_VECTOR
-    assert effectivity_ratio(u, HILB_VECTOR, deepest) == 3 - Fraction(5, 2)
+    assert central_charges(u, HILB_VECTOR, -2)[2] == 3 - Fraction(5, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +222,15 @@ def test_no_isotropic_classes_on_the_pell_conic():
         assert 4 * x * x - 2 * y * y != 0
 
 
+def effectivity_of_pell_class(x: int, y: int) -> Fraction:
+    """The rational x + y/2, the effectivity ratio of the class with Pell
+    coordinates (x, y) against the Hilbert-cube class at the deepest wall
+    point; an oracle for the Pell row of the CLI."""
+    if 2 * x * x - y * y != -1:
+        raise ValueError(f"({x}, {y}) does not solve 2x^2 - y^2 = -1")
+    return x + Fraction(y, 2)
+
+
 def test_negative_rank_solutions_are_never_effective():
     solutions = pell_spherical_classes(10 ** 6)
     assert len(solutions) == 34
@@ -233,6 +240,10 @@ def test_negative_rank_solutions_are_never_effective():
 
 
 def test_effectivity_of_pell_class_guards_input():
+    """The oracle agrees with the wall ratio against v at beta = -2."""
+    for x, y in pell_spherical_classes(100):
+        u = x * HILB_VECTOR + y * SPHERICAL_VECTOR
+        assert effectivity_of_pell_class(x, y) == central_charges(u, HILB_VECTOR, -2)[2]
     assert effectivity_of_pell_class(2, 3) == Fraction(7, 2)
     assert effectivity_of_pell_class(-2, 3) == Fraction(-1, 2)
     with pytest.raises(ValueError):
@@ -270,15 +281,20 @@ def test_kuranishi_identity():
 # ---------------------------------------------------------------------------
 
 
+def _monomial(i):
+    """theta^i * eta^(3-i) on the monomial basis."""
+    return tuple(int(i == j) for j in range(4))
+
+
 def test_monomial_counts():
     """ACGH ch. VIII: theta^i * eta^(3-i) = g!/(g-i)! on the third symmetric
     product, here the explicit product g(g-1)...(g-i+1)."""
     for g in (3, 4, 7, 10, 25):
         for i in range(4):
-            value = sym_prod_eval(SymProdClass.monomial(g, i))
-            assert value == prod(g - k for k in range(i))
-    assert sym_prod_eval(SymProdClass.monomial(10, 3)) == 720
-    assert sym_prod_eval(SymProdClass.monomial(10, 0)) == 1
+            value = sym_prod_eval(g, _monomial(i))
+            assert value == prod(g - k for k in range(i)) and type(value) is int
+    assert sym_prod_eval(10, _monomial(3)) == 720
+    assert sym_prod_eval(10, _monomial(0)) == 1
 
 
 _BIG = st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30), st.integers(1, 10 ** 30))
@@ -286,44 +302,53 @@ _BIG = st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30), st.integers(1, 10 *
 
 @given(st.integers(3, 5000), st.tuples(_BIG, _BIG, _BIG, _BIG))
 def test_sym_prod_eval_matches_the_fraction_sum(genus, coeffs):
-    value = sym_prod_eval(SymProdClass(genus, coeffs))
+    value = sym_prod_eval(genus, coeffs)
     assert type(value) is Fraction
     assert value == sum(c * perm(genus, i) for i, c in enumerate(coeffs))
+    numerators = tuple(c.numerator for c in coeffs)
+    value = sym_prod_eval(genus, numerators)
+    assert type(value) is int
+    assert value == sum(c * perm(genus, i) for i, c in enumerate(numerators))
 
 
 def test_monomial_ratio_is_a_falling_factorial():
     g = 10
     for i in range(3):
-        low = sym_prod_eval(SymProdClass.monomial(g, i))
-        high = sym_prod_eval(SymProdClass.monomial(g, i + 1))
+        low = sym_prod_eval(g, _monomial(i))
+        high = sym_prod_eval(g, _monomial(i + 1))
         assert high == (g - i) * low
 
 
+def _cubed(t, e):
+    """(t*theta + e*eta)^3 on the monomial basis, multiplied out factor by
+    factor; index i holds the coefficient of theta^i * eta^(3-i)."""
+    coeffs = [1]
+    for _ in range(3):
+        coeffs = [(coeffs[i - 1] * t if i else 0) + (coeffs[i] * e if i < len(coeffs) else 0)
+                  for i in range(len(coeffs) + 1)]
+    return tuple(coeffs)
+
+
 def test_cube_of_the_branch_class():
-    cube = SymProdClass.linear_form_cubed(10, 1, -6)
-    assert cube.coeffs == (-216, 108, -18, 1)
-    assert all(type(c) is Fraction for c in cube.coeffs)
-    assert all(type(c) is Fraction for c in SymProdClass.monomial(10, 2).coeffs)
-    half = SymProdClass.linear_form_cubed(10, Fraction(1, 2), Fraction(-3, 7))
-    assert half.coeffs == tuple(comb(3, i) * Fraction(1, 2) ** i * Fraction(-3, 7) ** (3 - i)
-                                for i in range(4))
-    assert sym_prod_eval(cube) == -36
+    cube = cli._THETA_MINUS_6ETA_CUBED
+    assert cube == _cubed(1, -6) == (-216, 108, -18, 1)
+    assert all(type(c) is int for c in cube)
+    assert _cubed(Fraction(1, 2), Fraction(-3, 7)) == tuple(
+        comb(3, i) * Fraction(1, 2) ** i * Fraction(-3, 7) ** (3 - i) for i in range(4))
+    assert sym_prod_eval(10, cube) == -36
     # term by term: -216*1 + 108*10 - 18*90 + 720
     assert (-216 * 1 + 108 * 10 - 18 * 90 + 720) == -36
 
 
 def test_sym_prod_linearity_and_guards():
     g = 9
-    x = SymProdClass.linear_form_cubed(g, 1, 2)
-    y = SymProdClass.monomial(g, 2)
-    assert sym_prod_eval(x + y) == sym_prod_eval(x) + sym_prod_eval(y)
-    assert sym_prod_eval(3 * y) == 3 * sym_prod_eval(y)
-    with pytest.raises(ValueError):
-        SymProdClass.monomial(2, 1)
-    with pytest.raises(ValueError):
-        SymProdClass.monomial(10, 4)
-    with pytest.raises(ValueError):
-        x + SymProdClass.monomial(8, 1)
+    x, y = _cubed(1, 2), _monomial(2)
+    assert sym_prod_eval(g, tuple(a + b for a, b in zip(x, y))) == \
+        sym_prod_eval(g, x) + sym_prod_eval(g, y)
+    assert sym_prod_eval(g, tuple(3 * c for c in y)) == 3 * sym_prod_eval(g, y)
+    for genus in (2, 0, -5):
+        with pytest.raises(ValueError, match="^the calculus needs genus >= 3$"):
+            sym_prod_eval(genus, y)
 
 
 def _jacobian_class_by_factorials(g):

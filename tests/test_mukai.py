@@ -43,7 +43,7 @@ def test_pairing_bilinear(u, v, w, k):
 def test_vector_algebra():
     assert V + S - S == V
     assert -(2 * S) == (-2) * S
-    assert (3 * V).square() == 9 * V.square()
+    assert mukai_pairing(3 * V, 3 * V) == 9 * mukai_pairing(V, V)
 
 
 def test_hyperbolic_lattice():

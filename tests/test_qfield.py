@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from epwcalc.qfield import ONE, ZERO, ParametricScalar, ratio_sqrt, rational_sqrt, rational_sum
+from epwcalc.qfield import ONE, ZERO, ParametricScalar, ratio_sqrt, rational_sum
 
 Q = ParametricScalar.q()
 
@@ -167,6 +167,12 @@ def test_rational_sum_matches_the_fraction_sum(pairs):
     total = rational_sum(pairs)
     assert type(total) is Fraction and total.denominator > 0
     assert total == sum((Fraction(a, b) for a, b in pairs), Fraction(0))
+
+
+def rational_sqrt(value):
+    """Exact square root of a rational, or None: ``ratio_sqrt`` of its
+    integer ratio."""
+    return ratio_sqrt(*value.as_integer_ratio())
 
 
 def test_rational_sqrt():

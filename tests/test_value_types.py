@@ -8,7 +8,6 @@ from fractions import Fraction
 
 import pytest
 
-from epwcalc.degeneration import SymProdClass, WallCharge, WallPoint
 from epwcalc.hodge_ring import HodgeClass, basis_class
 from epwcalc.mukai import MukaiVector, NSClass
 from epwcalc.qfield import ParametricScalar
@@ -18,13 +17,9 @@ VALUES = {
     "HodgeClass": (lambda: basis_class(6, "h*c2"), ("degree", "coeffs")),
     "MukaiVector": (lambda: MukaiVector(1, 0, -2), ("r", "c", "s")),
     "NSClass": (lambda: NSClass(2, -1), ("a", "b")),
-    "WallPoint": (lambda: WallPoint.from_beta(Fraction(-3, 2)), ("beta", "alpha_sq")),
-    "WallCharge": (lambda: WallCharge(Fraction(1), Fraction(-2), Fraction(7, 4)),
-                   ("re", "im", "alpha_sq")),
-    "SymProdClass": (lambda: SymProdClass.monomial(10, 2), ("genus", "coeffs")),
 }
 #: the types whose only product is with a scalar on the left
-LEFT_SCALED = ("MukaiVector", "NSClass", "WallCharge", "SymProdClass")
+LEFT_SCALED = ("MukaiVector", "NSClass")
 
 
 @pytest.mark.parametrize("name", VALUES)
@@ -59,13 +54,5 @@ def test_constructors_validate_and_coerce():
         HodgeClass(5, ())
     with pytest.raises(ValueError):
         HodgeClass(4, basis_class(2, "h").coeffs)  # degree 4 has three coefficients
-    with pytest.raises(ValueError):
-        WallPoint(-2, 1)
-    with pytest.raises(ValueError):
-        SymProdClass(2, (1, 0, 0, 0))
-    with pytest.raises(ValueError):
-        SymProdClass(3, (1, 0, 0))
-    point = WallPoint(-2, 2)
-    assert type(point.beta) is Fraction and type(point.alpha_sq) is Fraction
-    assert all(type(c) is Fraction for c in SymProdClass(3, (1, 0, 2, 0)).coeffs)
+    assert type(ParametricScalar(3, 2).coeff) is Fraction
     assert repr(MukaiVector(1, 0, -2)) == "MukaiVector(r=1, c=0, s=-2)"
