@@ -127,11 +127,12 @@ def kuranishi_identity_check(u2_sign: int = -1) -> bool:
     a1*b1 * (a1*b1 + a2*b2): no variable has degree above 2 on either side,
     so agreement on the grid {0, 1, 2}^4 makes it an identity.  Otherwise
     the point (1, 1, 1, -1), where the generator vanishes, is a witness
-    against membership if the form is nonzero there (it reads 1 + u2_sign).
-    The sign is a parameter so that the failure of the perturbed identity
-    is testable; the default matches the singularity type seen at the
-    contraction.  The answer depends on the sign alone, so the grid is
-    walked once per sign and process."""
+    against membership: the form reads 1 + u2_sign there, which is zero
+    only at u2_sign = -1, where the factorisation holds.  The sign is a
+    parameter so that the failure of the perturbed identity is testable;
+    the default matches the singularity type seen at the contraction.  The
+    answer depends on the sign alone, so the grid is walked once per sign
+    and process."""
     def form(a1, a2, b1, b2):
         u1, u2, u3 = a1 * b1, u2_sign * a1 * b2, a2 * b1
         return u1 * u1 - u2 * u3
@@ -139,9 +140,7 @@ def kuranishi_identity_check(u2_sign: int = -1) -> bool:
     if all(form(a1, a2, b1, b2) == a1 * b1 * (a1 * b1 + a2 * b2)
            for a1, a2, b1, b2 in product(range(3), repeat=4)):
         return True
-    if form(1, 1, 1, -1):
-        return False
-    raise ValueError("neither the factorisation nor the witness point decides membership")
+    return not form(1, 1, 1, -1)
 
 
 # ---------------------------------------------------------------------------

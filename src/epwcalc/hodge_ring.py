@@ -2,19 +2,13 @@
 hyper-Kähler sixfold of K3^[3] type, parametric in the BBF square q of the
 polarization h: every coefficient is a single term c*q^w.
 
-Basis by even degree (dimensions 1, 1, 2, 2, 2, 1, 1):
+A class is a plain dict from basis monomials to nonzero coefficients.  A
+monomial (i, j) stands for h^i * c2^j, of degree 2i + 4j, and ``BASIS``
+holds the ten monomials h^0, ..., h^6 and c2, h*c2, h^2*c2 (dimensions 1, 1,
+2, 2, 2, 1, 1 in degrees 0, 2, ..., 12); the empty dict is 0.
 
-    0:  1
-    2:  h
-    4:  h^2, c2
-    6:  h^3, h*c2
-    8:  h^4, h^2*c2
-    10: h^5
-    12: h^6
-
-Every basis label is a monomial h^i * c2^j, and the product of two basis
-classes is the sum of their exponents, rewritten onto the basis of its
-degree: c2^2 through the degree-8 relation and h^3*c2 through the
+The product of two basis monomials is the sum of their exponents, rewritten
+onto the basis: c2^2 through the degree-8 relation and h^3*c2 through the
 degree-10 relation.  Both relations are solved once, at import and
 symbolically in q, from the Fujiki constants and the Chern number
 c2*c4 = 14720, not copied in: ``DEGREE8_RELATION`` and
@@ -35,29 +29,10 @@ import functools
 from fractions import Fraction
 
 from .fujiki import fujiki_constant
-from .qfield import ONE, ZERO, ParametricScalar, Rational, Value, rational_sum
+from .qfield import ONE, ZERO, ParametricScalar, Rational, rational_sum
 
-#: exponents of each basis label in (h, c2), in basis order
-_EXPONENTS: dict[str, tuple[int, int]] = {
-    "1": (0, 0),
-    "h": (1, 0),
-    "h^2": (2, 0), "c2": (0, 1),
-    "h^3": (3, 0), "h*c2": (1, 1),
-    "h^4": (4, 0), "h^2*c2": (2, 1),
-    "h^5": (5, 0),
-    "h^6": (6, 0),
-}
-_LABEL = {exponents: label for label, exponents in _EXPONENTS.items()}
-
-
-def _degree(i: int, j: int) -> int:
-    return 2 * i + 4 * j
-
-
-BASIS: dict[int, tuple[str, ...]] = {
-    d: tuple(label for label, e in _EXPONENTS.items() if _degree(*e) == d)
-    for d in range(0, 13, 2)
-}
+#: the basis monomials (i, j) of h^i * c2^j: h^0..h^6 and h^0..h^2 times c2
+BASIS = frozenset({(i, 0) for i in range(7)} | {(i, 1) for i in range(3)})
 
 #: Chern numbers that are inputs to the ring (the remaining ones are outputs).
 CHERN_NUMBER_C2C4 = Fraction(14720)
@@ -130,116 +105,54 @@ def derive_degree10_relations(q: Rational) -> tuple[Fraction, Fraction, Fraction
     return tuple(r.evaluate(q) for r in DEGREE10_RELATIONS)
 
 
-class HodgeClass(Value):
-    """A homogeneous Hodge class, as coefficients over BASIS[degree]."""
-
-    __slots__ = ("degree", "coeffs")
-
-    def __init__(self, degree: int, coeffs: tuple[ParametricScalar, ...]):
-        if degree not in BASIS:
-            raise ValueError(f"no Hodge classes in degree {degree}")
-        if len(coeffs) != len(BASIS[degree]):
-            raise ValueError(f"degree {degree} needs {len(BASIS[degree])} coefficients")
-        super().__init__(degree, coeffs)
-
-    # -- linear structure ---------------------------------------------------
-
-    def __add__(self, other: "HodgeClass") -> "HodgeClass":
-        if not isinstance(other, HodgeClass):
-            return NotImplemented
-        if self.degree != other.degree:
-            raise ValueError("cannot add classes of different degrees")
-        return HodgeClass(self.degree, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "HodgeClass") -> "HodgeClass":
-        return self + (-other)
-
-    def __neg__(self) -> "HodgeClass":
-        return self.scale(-1)
-
-    def scale(self, scalar) -> "HodgeClass":
-        s = ParametricScalar._coerce(scalar)
-        if s is None:
-            raise TypeError(f"cannot scale by {scalar!r}")
-        return HodgeClass(self.degree, tuple(s * c for c in self.coeffs))
-
-    __rmul__ = scale
-
-    # -- queries --------------------------------------------------------------
-
-    def coefficient(self, label: str) -> ParametricScalar:
-        return self.coeffs[BASIS[self.degree].index(label)]
-
-    def _nonzero(self):
-        return [(label, c) for label, c in zip(BASIS[self.degree], self.coeffs) if c]
-
-
-def basis_class(degree: int, label: str) -> HodgeClass:
-    if label not in BASIS[degree]:
-        raise ValueError(f"{label!r} is not a degree-{degree} basis label")
-    return HodgeClass(degree, tuple(ONE if cur == label else ZERO for cur in BASIS[degree]))
-
-
-def h_power(k: int) -> HodgeClass:
-    """h^k as a basis class (k = 0..6)."""
-    if not 0 <= k <= 6:
-        raise ValueError("h powers live in degrees 0..6")
-    return basis_class(2 * k, _LABEL[k, 0])
-
-
-def c2_class() -> HodgeClass:
-    return basis_class(4, "c2")
-
-
-def c4_class() -> HodgeClass:
-    """c4 written on the degree-8 basis through the degree-8 relation."""
-    return HodgeClass(8, DEGREE8_RELATION)
-
-
-def c2_squared_class() -> HodgeClass:
-    """c2^2 = (C(c2^2)/C(c4)) * c4 on the degree-8 basis."""
-    return c4_class().scale(C2_SQUARED_OVER_C4)
+def _combine(*terms) -> dict:
+    """sum(s * x for s, x in terms) over classes x, with zero coefficients
+    dropped.  The classes are only read: ``_rewrite`` shares its results."""
+    acc = {}
+    for s, x in terms:
+        for monomial, c in x.items():
+            acc[monomial] = acc.get(monomial, ZERO) + s * c
+    return {monomial: c for monomial, c in acc.items() if c}
 
 
 @functools.cache
-def _rewrite(i: int, j: int) -> HodgeClass:
-    """h^i * c2^j on the basis of its degree."""
-    if (i, j) in _LABEL:
-        return basis_class(_degree(i, j), _LABEL[i, j])
+def _rewrite(i: int, j: int) -> dict:
+    """h^i * c2^j on the basis; every caller shares the one dict, so it is
+    read and never changed."""
+    if (i, j) in BASIS:
+        return {(i, j): ONE}
     if j >= 2:  # c2^2 = (C(c2^2)/C(c4)) * (x*h^4 + y*h^2*c2)
-        c2_squared = c2_squared_class()
-        return (c2_squared.coefficient("h^4") * _rewrite(i + 4, j - 2)
-                + c2_squared.coefficient("h^2*c2") * _rewrite(i + 2, j - 1))
-    return DEGREE10_RELATIONS[0] * h_power(i + 2)  # h^3*c2 = r*h^5, times h^(i-3)
+        x, y = DEGREE8_RELATION
+        return _combine((C2_SQUARED_OVER_C4 * x, _rewrite(i + 4, j - 2)),
+                        (C2_SQUARED_OVER_C4 * y, _rewrite(i + 2, j - 1)))
+    return {(i + 2, 0): DEGREE10_RELATIONS[0]}  # h^3*c2 = r*h^5, times h^(i-3)
 
 
-def multiply(x: HodgeClass, y: HodgeClass) -> HodgeClass:
+def multiply(x: dict, y: dict) -> dict:
     """Product in the Hodge ring: each pair of basis monomials adds its
     exponents, and ``_rewrite`` puts the sum on the basis.
 
-    Raises ValueError for total degree above 12, and when terms of
-    different weight in q meet on one basis label: h^3*h^3 = h^6 and
+    Raises ValueError for a product monomial of degree above 12, and when
+    terms of different weight in q meet on one monomial: h^3*h^3 = h^6 and
     h^3*h*c2 = (36/(5q))*h^6, so (h^3 + h*c2)^2 has no single-term
     coefficient.
     """
-    degree = x.degree + y.degree
-    if degree > 12:
-        raise ValueError(f"product degree {degree} exceeds the top degree 12")
-    acc = [ZERO] * len(BASIS[degree])
-    for la, ca in x._nonzero():
-        for lb, cb in y._nonzero():
-            rule = _rewrite(*(s + t for s, t in zip(_EXPONENTS[la], _EXPONENTS[lb])))
-            for n, k in enumerate(rule.coeffs):
-                if k:
-                    acc[n] = acc[n] + ca * cb * k
-    return HodgeClass(degree, tuple(acc))
+    products = []
+    for (i1, j1), a in x.items():
+        for (i2, j2), b in y.items():
+            i, j = i1 + i2, j1 + j2
+            if 2 * i + 4 * j > 12:
+                raise ValueError(f"product degree {2 * i + 4 * j} exceeds the top degree 12")
+            products.append((a * b, _rewrite(i, j)))
+    return _combine(*products)
 
 
-def integrate(x: HodgeClass) -> ParametricScalar:
-    """Integral of a degree-12 class over the sixfold, a single term c*q^w."""
-    if x.degree != 12:
+def integrate(x: dict) -> ParametricScalar:
+    """Integral of a degree-12 class, a multiple of h^6 on the basis, over
+    the sixfold: a single term c*q^w, and 0 for the empty class."""
+    if x.keys() - {(6, 0)}:
         raise ValueError("only degree-12 classes integrate to a number")
-    return x.coefficient("h^6") * TOP_INTEGRALS["h^6"]
+    return x.get((6, 0), ZERO) * TOP_INTEGRALS["h^6"]
 
 
 def verify_independence_degree6(q: Rational) -> tuple[bool, Fraction]:
@@ -257,8 +170,8 @@ def verify_independence_degree6(q: Rational) -> tuple[bool, Fraction]:
 def _chern_products() -> tuple[ParametricScalar, ParametricScalar]:
     """The integrals of c2^3 and c2*c4, single terms c*q^w that depend on no
     argument: multiplied out once, on first use rather than at import."""
-    c2 = c2_class()
-    return integrate(multiply(multiply(c2, c2), c2)), integrate(multiply(c2, c4_class()))
+    c2, c4 = {(0, 1): ONE}, dict(zip(((4, 0), (2, 1)), DEGREE8_RELATION))
+    return integrate(multiply(multiply(c2, c2), c2)), integrate(multiply(c2, c4))
 
 
 def chern_numbers_from_ring(q: Rational) -> tuple[Fraction, Fraction, Fraction]:

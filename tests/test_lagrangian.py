@@ -11,13 +11,9 @@ from hypothesis import strategies as st
 
 from epwcalc import lagrangian
 from epwcalc.hodge_ring import (
-    BASIS,
     DEGREE6_FORM,
     ETA_SQUARE,
     TOP_INTEGRALS,
-    basis_class,
-    c2_class,
-    h_power,
     integrate,
     multiply,
     positive_q,
@@ -34,6 +30,7 @@ from epwcalc.lagrangian import (
     self_intersection,
 )
 from epwcalc.llv import FIXED_LOCUS_EULER
+from epwcalc.qfield import ONE
 from fujiki_oracle import AbstractClassSpace, polarized_integral
 
 
@@ -91,16 +88,17 @@ from fractions import Fraction
 sys.path.insert(0, sys.argv[1])
 from epwcalc import fujiki
 fujiki.FUJIKI_CONSTANTS[sys.argv[2]] = Fraction(sys.argv[3])
-from epwcalc.hodge_ring import basis_class, h_power, integrate, multiply
+from epwcalc.hodge_ring import integrate, multiply
 from epwcalc.lagrangian import _UNIT_PROJECTION, EPW_DEGREE, EPW_Q, project_lagrangian_class
+from epwcalc.qfield import ONE
 from fujiki_oracle import AbstractClassSpace, polarized_integral
 a, b = project_lagrangian_class(EPW_DEGREE, EPW_Q)
 sa, sb = (EPW_DEGREE * c for c in _UNIT_PROJECTION)
-w = sa * h_power(3) + sb * basis_class(6, "h*c2")
+w = {(3, 0): sa * ONE, (1, 1): sb * ONE}
 space = AbstractClassSpace.polarized(EPW_Q)
 orthogonal = a * polarized_integral("1", ["h"] * 4 + ["sigma", "sigbar"], space) \
     + b * polarized_integral("c2", ["h", "h", "sigma", "sigbar"], space)
-print(integrate(multiply(h_power(3), w)).evaluate(EPW_Q), orthogonal)
+print(integrate(multiply({(3, 0): ONE}, w)).evaluate(EPW_Q), orthogonal)
 """
 
 
@@ -184,7 +182,7 @@ def test_degree6_pairings_against_the_ring():
     products of basis classes at q, eta's row and column from the stated
     form (pinned as (0, 0, 4) in ``test_ring``), also when some components
     of w are 0 and self_intersection skips their entries."""
-    basis = [basis_class(6, label) for label in BASIS[6]]
+    basis = [{(3, 0): ONE}, {(1, 1): ONE}]
     ring = [[integrate(multiply(e, f)) for f in basis] for e in basis]
     gram = [ring[0] + [DEGREE6_FORM[0][2]], ring[1] + [DEGREE6_FORM[1][2]], DEGREE6_FORM[2]]
     rng = random.Random(6006)
@@ -428,19 +426,17 @@ def test_canonical_multiple_enters_through_the_chern_classes(monkeypatch, k):
     projection solved in q, on its own."""
     monkeypatch.setattr(lagrangian, "CANONICAL_MULTIPLE", k)
     a, b = (EPW_DEGREE * c for c in lagrangian._UNIT_PROJECTION)
-    w = a * h_power(3) + b * basis_class(6, "h*c2")
-    c1 = -k * h_power(1)
-    c2 = Fraction(1, 2) * (c2_class() + k ** 2 * h_power(2))
-
-    basis = [basis_class(6, label) for label in BASIS[6]]
+    w = {(3, 0): a * ONE, (1, 1): b * ONE}
+    c1, minus_c1 = {(1, 0): -k * ONE}, {(1, 0): k * ONE}
+    c2 = {(0, 1): ONE / 2, (2, 0): k ** 2 * ONE / 2}
 
     def on_w(x):
-        return sum(s.evaluate(EPW_Q) * integrate(multiply(e, w)).evaluate(EPW_Q)
-                   for e, s in zip(basis, x.coeffs))
+        return sum(s.evaluate(EPW_Q) * integrate(multiply({m: ONE}, w)).evaluate(EPW_Q)
+                   for m, s in x.items())
 
     inv = fixed_locus_invariants()
     assert inv.c1c2 == on_w(multiply(c1, c2))
-    assert inv.canonical_cube == on_w(multiply(multiply(-c1, -c1), -c1))
+    assert inv.canonical_cube == on_w(multiply(multiply(minus_c1, minus_c1), minus_c1))
     assert inv.chi_structure == inv.c1c2 / 24
 
 

@@ -9,33 +9,51 @@ from hypothesis import strategies as st
 
 from epwcalc.hodge_ring import (
     BASIS,
+    C2_SQUARED_OVER_C4,
     CHERN_NUMBER_C2C4,
     CHERN_NUMBER_C6,
     DEGREE6_FORM,
     DEGREE8_RELATION,
     DEGREE10_RELATIONS,
     TOP_INTEGRALS,
-    HodgeClass,
-    basis_class,
-    c2_class,
-    c2_squared_class,
-    c4_class,
+    _rewrite,
     chern_numbers_from_ring,
     derive_degree8_relation,
     derive_degree10_relations,
-    h_power,
     integrate,
     multiply,
     verify_independence_degree6,
 )
-from epwcalc.qfield import ZERO, ParametricScalar
+from epwcalc.qfield import ONE, ZERO, ParametricScalar
 from fujiki_oracle import AbstractClassSpace, polarized_integral
 
 Q = ParametricScalar.q()
 
+#: classes are dicts from monomials (i, j) of h^i * c2^j to coefficients
+C2 = {(0, 1): ONE}
+#: c4 = x*h^4 + y*h^2*c2
+C4 = dict(zip(((4, 0), (2, 1)), DEGREE8_RELATION))
+#: the degree-6 basis, in the order of ``DEGREE6_FORM``
+DEGREE6 = ((3, 0), (1, 1))
 
-def zero_class(degree):
-    return HodgeClass(degree, (ZERO,) * len(BASIS[degree]))
+
+def h_power(k):
+    return {(k, 0): ONE}
+
+
+def degree(monomial):
+    i, j = monomial
+    return 2 * i + 4 * j
+
+
+def combination(*terms):
+    """sum(s * x for s, x in terms) over classes x, written out here so
+    that the tests do not lean on the ring's own ``_combine``."""
+    total = {}
+    for s, x in terms:
+        for monomial, c in x.items():
+            total[monomial] = total.get(monomial, ZERO) + s * c
+    return {monomial: c for monomial, c in total.items() if c}
 
 
 def _random_q(rng):
@@ -43,15 +61,17 @@ def _random_q(rng):
 
 
 def test_basis_shape():
-    assert [len(BASIS[d]) for d in sorted(BASIS)] == [1, 1, 2, 2, 2, 1, 1]
+    assert len(BASIS) == 10
+    assert [sum(degree(m) == d for m in BASIS) for d in range(0, 13, 2)] == [1, 1, 2, 2, 2, 1, 1]
+    assert {m for m in BASIS if degree(m) == 6} == set(DEGREE6)
 
 
 def test_top_integrals_at_q4():
     assert integrate(multiply(h_power(3), h_power(3))).evaluate(4) == 960
-    assert integrate(multiply(multiply(h_power(2), c2_class()), h_power(2))).evaluate(4) == 1728
-    assert integrate(multiply(basis_class(6, "h*c2"), h_power(3))).evaluate(4) == 1728
-    assert integrate(multiply(multiply(c2_class(), c2_class()), h_power(2))).evaluate(4) == 4800
-    assert integrate(multiply(c4_class(), h_power(2))).evaluate(4) == 1920
+    assert integrate(multiply(multiply(h_power(2), C2), h_power(2))).evaluate(4) == 1728
+    assert integrate(multiply({(1, 1): ONE}, h_power(3))).evaluate(4) == 1728
+    assert integrate(multiply(multiply(C2, C2), h_power(2))).evaluate(4) == 4800
+    assert integrate(multiply(C4, h_power(2))).evaluate(4) == 1920
 
 
 def test_degree8_relation_solver():
@@ -80,20 +100,18 @@ def test_degree8_relation_against_pairings():
     rng = random.Random(5150)
     for _ in range(20):
         q = _random_q(rng)
-        c4 = c4_class()
-        assert integrate(multiply(c4, h_power(2))).evaluate(q) == 480 * q
-        assert integrate(multiply(c4, c2_class())).evaluate(q) == CHERN_NUMBER_C2C4
+        assert integrate(multiply(C4, h_power(2))).evaluate(q) == 480 * q
+        assert integrate(multiply(C4, C2)).evaluate(q) == CHERN_NUMBER_C2C4
 
 
 def test_c2_squared_is_5_halves_c4():
-    assert multiply(c2_class(), c2_class()) == c2_squared_class()
-    assert c2_squared_class() == Fraction(5, 2) * c4_class()
+    assert C2_SQUARED_OVER_C4 == Fraction(5, 2)
+    assert multiply(C2, C2) == combination((Fraction(5, 2), C4))
 
 
 def test_c2_squared_coefficients():
-    prod = multiply(c2_class(), c2_class())
-    assert prod.coefficient("h^4") == -400 / Q ** 2
-    assert prod.coefficient("h^2*c2") == 200 / (3 * Q)
+    prod = multiply(C2, C2)
+    assert prod == {(4, 0): -400 / Q ** 2, (2, 1): 200 / (3 * Q)}
 
 
 def test_chern_numbers_q_independent():
@@ -116,9 +134,8 @@ def test_degree6_form_block_is_the_ring_pairing():
     """The (h^3, h*c2) block of ``DEGREE6_FORM``, stated from
     ``TOP_INTEGRALS``, is the ring's top pairing of the two basis classes,
     whose products go through the degree-8 and degree-10 relations."""
-    assert BASIS[6] == ("h^3", "h*c2")
-    block = tuple(tuple(integrate(multiply(basis_class(6, x), basis_class(6, y)))
-                        for y in BASIS[6]) for x in BASIS[6])
+    block = tuple(tuple(integrate(multiply({x: ONE}, {y: ONE})) for y in DEGREE6)
+                  for x in DEGREE6)
     assert block == tuple(row[:2] for row in DEGREE6_FORM[:2])
 
 
@@ -150,16 +167,13 @@ def test_gram_determinant_matches_the_fraction_arithmetic(q):
     assert type(det) is Fraction and det == expected == 6336 * Fraction(q) ** 4 and ok
 
 
-def _random_subring_class(rng, degree):
-    """A random class of the given degree, homogeneous in q: for some W the
+def _random_subring_class(rng, d):
+    """A random class of degree d, homogeneous in q: for some W the
     coefficient of h^i * c2^j is a multiple of q^(W - i/2).  Within one
     degree i has a fixed parity, so every power is an integer."""
     top = rng.randint(-2, 2)
-    cls = zero_class(degree)
-    for label in BASIS[degree]:
-        weight = top - _monomial(label)[0] // 2
-        cls = cls + (rng.randint(-5, 5) * Q ** weight) * basis_class(degree, label)
-    return cls
+    return combination(*((rng.randint(-5, 5) * Q ** (top - m[0] // 2), {m: ONE})
+                         for m in BASIS if degree(m) == d))
 
 
 def test_commutative_and_associative_on_the_h_c2_subring():
@@ -171,19 +185,8 @@ def test_commutative_and_associative_on_the_h_c2_subring():
         assert multiply(multiply(x, y), z) == multiply(x, multiply(y, z))
 
 
-#: every basis class of positive degree
-BASIS_CLASSES = [(label, basis_class(d, label)) for d, labels in BASIS.items() if d
-                 for label in labels]
-
-
-def _monomial(label):
-    """Exponents of a basis label in (h, c2), read off the label."""
-    powers = {"h": 0, "c2": 0}
-    for factor in label.split("*"):
-        base, _, power = factor.partition("^")
-        if base != "1":
-            powers[base] += int(power or 1)
-    return tuple(powers.values())
+#: every basis class of positive degree, with its monomial
+BASIS_CLASSES = [(m, {m: ONE}) for m in sorted(BASIS) if degree(m)]
 
 
 def _product(x, y):
@@ -203,12 +206,12 @@ def test_products_depend_only_on_the_monomial():
     """Two pairs of basis classes with the same monomial give the same
     product."""
     by_monomial = {}
-    for (la, x), (lb, y) in product(BASIS_CLASSES, repeat=2):
-        if x.degree + y.degree <= 12:
-            monomial = tuple(a + b for a, b in zip(_monomial(la), _monomial(lb)))
-            by_monomial.setdefault(monomial, {})[la, lb] = multiply(x, y)
+    for (ma, x), (mb, y) in product(BASIS_CLASSES, repeat=2):
+        if degree(ma) + degree(mb) <= 12:
+            monomial = tuple(a + b for a, b in zip(ma, mb))
+            by_monomial.setdefault(monomial, []).append(multiply(x, y))
     for monomial, products in by_monomial.items():
-        assert len(set(products.values())) == 1, (monomial, products)
+        assert all(p == products[0] for p in products), (monomial, products)
 
 
 def test_associative_where_both_bracketings_are_defined():
@@ -225,8 +228,8 @@ def test_associative_where_both_bracketings_are_defined():
 
 def test_terms_of_different_weight_do_not_add():
     """(h^3 + h*c2)^2 puts h^3*h^3 = h^6 and h^3*h*c2 = (36/(5q))*h^6 on
-    the one label h^6, with weights in q one apart."""
-    x = h_power(3) + basis_class(6, "h*c2")
+    the one monomial h^6, with weights in q one apart."""
+    x = {(3, 0): ONE, (1, 1): ONE}
     message = "cannot add 1 and 36/(5*q): terms of different weight in q"
     with pytest.raises(ValueError, match=re.escape(message)):
         multiply(x, x)
@@ -237,31 +240,62 @@ def test_degree_bounds():
         multiply(h_power(4), h_power(3))
     with pytest.raises(ValueError):
         integrate(h_power(5))
-    with pytest.raises(ValueError):
-        basis_class(4, "h^3")
-    with pytest.raises(ValueError):
-        HodgeClass(5, ())
+
+
+def test_classes_of_mixed_degree():
+    """A class is a dict of monomials and need not be homogeneous:
+    ``integrate`` takes only degree-12 monomials, ``multiply`` raises as
+    soon as one product monomial passes degree 12, and the empty class is
+    0."""
+    assert integrate({}) == 0
+    assert integrate({(6, 0): 3 * Q}) == 45 * Q ** 4
+    for x in ({(6, 0): ONE, (5, 0): ONE}, {(0, 0): ONE, (6, 0): ONE}, {(0, 1): ONE}):
+        with pytest.raises(ValueError):
+            integrate(x)
+    assert multiply({(0, 0): ONE, (1, 0): ONE}, h_power(5)) == {(5, 0): ONE, (6, 0): ONE}
+    for x, y in (({(1, 0): ONE, (6, 0): ONE}, h_power(1)),
+                 ({(0, 0): ONE, (5, 0): ONE}, {(1, 1): ONE}),
+                 (h_power(3), {(2, 0): ONE, (2, 1): ONE})):
+        with pytest.raises(ValueError, match="exceeds the top degree 12"):
+            multiply(x, y)
+
+
+def test_products_leave_their_factors_and_the_rewrites_unchanged():
+    """``_rewrite`` hands the same dict to every product that meets a
+    monomial, and products combine those dicts: after every product of
+    basis classes and a few sums, each factor and each rewrite reads as
+    before, and a basis monomial still rewrites to itself."""
+    monomials = [(i, j) for i in range(7) for j in range(4) if degree((i, j)) <= 12]
+    before = {m: dict(_rewrite(*m)) for m in monomials}
+    sums = [{(2, 0): ONE, (0, 1): 3 * Q}, {(3, 0): ONE, (1, 1): Q}, {(0, 0): ONE, (1, 0): ONE}]
+    classes = [x for _, x in BASIS_CLASSES] + sums
+    copies = [dict(x) for x in classes]
+    for x, y in product(classes, repeat=2):
+        _product(x, multiply(y, {(0, 0): ONE}))
+    assert classes == copies
+    assert {m: _rewrite(*m) for m in monomials} == before
+    assert all(_rewrite(*m) == {m: ONE} for m in BASIS)
 
 
 def test_scalar_and_linear_structure():
-    x = h_power(2) + 3 * c2_class()
-    assert x - x == zero_class(4)
-    assert (Q * x).coefficient("c2") == 3 * Q
-    assert multiply(h_power(0), x) == x
-    assert 2 * x == x + x
-    with pytest.raises(ValueError):
-        x + h_power(3)
+    """The product is bilinear over single terms in q, and the class 1 is
+    its unit."""
+    x, y, z = {(2, 0): ONE, (0, 1): 3 * Q}, {(2, 0): ONE, (0, 1): -Q}, {(0, 1): 2 * Q}
+    assert multiply(h_power(0), x) == multiply(x, h_power(0)) == x
+    assert multiply(x, combination((Q, y))) == combination((Q, multiply(x, y)))
+    assert multiply(x, combination((1, y), (1, z))) == \
+        combination((1, multiply(x, y)), (1, multiply(x, z)))
+    assert multiply(x, combination((1, x), (-1, x))) == {}
 
 
 def test_degree0_factors_scale_on_either_side():
     """s*1 times a basis class x, with 1 on the left or on the right, is s*x:
-    the label "1" has exponents (0, 0), so the monomial loop covers it."""
+    the monomial (0, 0) adds nothing to the exponents, and a zero s gives
+    the empty class."""
     for s in (0, 1, 3, Q, 1 / Q):
-        unit = s * h_power(0)
-        for degree in range(2, 13, 2):
-            for label in BASIS[degree]:
-                x = basis_class(degree, label)
-                assert multiply(unit, x) == multiply(x, unit) == s * x
+        unit = combination((s, h_power(0)))
+        for _, x in BASIS_CLASSES:
+            assert multiply(unit, x) == multiply(x, unit) == combination((s, x))
 
 
 def test_ring_matches_fujiki_for_h_arguments():
@@ -271,11 +305,11 @@ def test_ring_matches_fujiki_for_h_arguments():
     for _ in range(10):
         q = _random_q(rng)
         space = AbstractClassSpace.with_square("h", q)
-        assert integrate(multiply(c2_class(), h_power(4))).evaluate(q) == \
+        assert integrate(multiply(C2, h_power(4))).evaluate(q) == \
             polarized_integral("c2", ["h"] * 4, space)
-        assert integrate(multiply(c2_squared_class(), h_power(2))).evaluate(q) == \
+        assert integrate(multiply(multiply(C2, C2), h_power(2))).evaluate(q) == \
             polarized_integral("c2^2", ["h"] * 2, space)
-        assert integrate(multiply(c4_class(), h_power(2))).evaluate(q) == \
+        assert integrate(multiply(C4, h_power(2))).evaluate(q) == \
             polarized_integral("c4", ["h"] * 2, space)
         assert integrate(h_power(6)).evaluate(q) == \
             polarized_integral("1", ["h"] * 6, space)
@@ -289,12 +323,12 @@ def test_hirzebruch_riemann_roch_for_k3_cube():
     constants and the stored Chern numbers c2*c4 and c6 to each other."""
     rng = random.Random(4160)
     h2 = h_power(2)
+    td3 = combination((3, multiply(C2, C2)), (-1, C4))
     for _ in range(20):
         q = _random_q(rng)
         h6 = TOP_INTEGRALS["h^6"].evaluate(q)
         h4c2 = TOP_INTEGRALS["h^4*c2"].evaluate(q)
-        h2_td3 = integrate(3 * multiply(h2, multiply(c2_class(), c2_class()))
-                           - multiply(h2, c4_class())).evaluate(q)
+        h2_td3 = integrate(multiply(h2, td3)).evaluate(q)
         c2_cubed, c2_c4, c6 = chern_numbers_from_ring(q)
         chi = h6 / 720 + h4c2 / 288 + h2_td3 / 1440 \
             + (10 * c2_cubed - 9 * c2_c4 + 2 * c6) / 60480

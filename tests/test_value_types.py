@@ -8,13 +8,11 @@ from fractions import Fraction
 
 import pytest
 
-from epwcalc.hodge_ring import HodgeClass, basis_class
 from epwcalc.mukai import MukaiVector, NSClass
 from epwcalc.qfield import ParametricScalar
 
 #: (factory of one value, its field names); each call builds a new object
 VALUES = {
-    "HodgeClass": (lambda: basis_class(6, "h*c2"), ("degree", "coeffs")),
     "MukaiVector": (lambda: MukaiVector(1, 0, -2), ("r", "c", "s")),
     "NSClass": (lambda: NSClass(2, -1), ("a", "b")),
 }
@@ -50,9 +48,7 @@ def test_values_survive_copy_and_pickle(value):
 
 
 def test_constructors_validate_and_coerce():
-    with pytest.raises(ValueError):
-        HodgeClass(5, ())
-    with pytest.raises(ValueError):
-        HodgeClass(4, basis_class(2, "h").coeffs)  # degree 4 has three coefficients
+    with pytest.raises(TypeError):
+        MukaiVector(1, 0)  # three fields
     assert type(ParametricScalar(3, 2).coeff) is Fraction
     assert repr(MukaiVector(1, 0, -2)) == "MukaiVector(r=1, c=0, s=-2)"
