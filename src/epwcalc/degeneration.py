@@ -14,6 +14,7 @@ product is its four integer coefficients on the monomials."""
 from __future__ import annotations
 
 import functools
+from bisect import bisect_left
 from collections import namedtuple
 from fractions import Fraction
 from itertools import product
@@ -77,23 +78,33 @@ def central_charges(u: MukaiVector, v: MukaiVector, beta: Rational) -> tuple[
 # the Pell family of spherical classes on the wall
 # ---------------------------------------------------------------------------
 
+#: the solutions with x, y > 0 in increasing x, up to the first x past any bound asked for
+_PELL_BRANCH = [(2, 3)]
+
+
 def pell_spherical_classes(bound: int) -> list[tuple[int, int]]:
     """All integer pairs (x, y) with 2x^2 - y^2 = -1 and |x| <= bound,
     sorted.
 
     The solutions with x > 0 and y > 0 are the images (2, 3), (12, 17), ...
     of the fundamental solution (0, 1) under the automorphism
-    (x, y) -> (3x + 2y, 4x + 3y) of the form, in increasing x; one walk
-    of that branch gives the list in order, with no set and no sort: the
+    (x, y) -> (3x + 2y, 4x + 3y) of the form, in increasing x.  That walk is
+    kept per process (``_PELL_BRANCH``), up to the largest bound asked for;
+    its prefix gives the list in order, with no set and no sort: the
     negative-x pairs in reverse, then (0, -1) and (0, 1), then the
     positive-x pairs, each x with -y before y."""
     if bound < 1:
         raise ValueError("bound must be a positive integer")
-    branch = []
-    x, y = 2, 3
-    while x <= bound:
-        branch.append((x, y))
-        x, y = 3 * x + 2 * y, 4 * x + 3 * y
+    branch = _PELL_BRANCH
+    if branch[-1][0] <= bound:
+        # entry j depends on j alone, so an interleaved caller writes the same j
+        start, walk = len(branch), []
+        x, y = branch[start - 1]
+        while x <= bound:
+            x, y = 3 * x + 2 * y, 4 * x + 3 * y
+            walk.append((x, y))
+        branch[start:start + len(walk)] = walk
+    branch = branch[:bisect_left(branch, (bound + 1,))]
     return ([p for x, y in reversed(branch) for p in ((-x, -y), (-x, y))]
             + [(0, -1), (0, 1)] + [p for x, y in branch for p in ((x, -y), (x, y))])
 

@@ -474,7 +474,8 @@ def test_report_all_passes_q_and_degree_down():
 
 def test_every_row_value_is_an_exact_int_or_fraction():
     """The report prints an int or Fraction row value as ``str(value)``, so
-    every value is exactly one of the two, never a bool ("True")."""
+    every value is exactly one of the two, never a bool ("True"), or else
+    the decimal text of an int, which it prints as it stands."""
     calls = [(name, {option: spec["default"] for option, spec in options.items()})
              for name, (_, _, options) in cli._SECTIONS.items()]
     calls += [("betti", {"case": "opposite"}), ("euler", {"case": "opposite"}),
@@ -486,4 +487,5 @@ def test_every_row_value_is_an_exact_int_or_fraction():
         rows = cli._SECTIONS[name][1](**kwargs)
         assert rows
         for label, value, _ in rows:
-            assert type(value) in (int, Fraction), (name, label, value)
+            assert type(value) in (int, Fraction) or (
+                type(value) is str and str(int(value)) == value), (name, label, value)

@@ -1,21 +1,26 @@
 """The report renderers against the per-row rendering they replaced, and the
 Pell listing against its equation at bounds no brute-force search reaches.
 
-``Report.to_text`` and ``Report.to_json`` write each int magnitude's digits
-once per report and build the payload with one join; the references below
-write every value with ``str`` and quote every string with json's encoder,
-row by row, and must give the same bytes."""
+``Report.to_text`` and ``Report.to_json`` build the payload with one join,
+and the Pell listing takes its values and labels from process-wide tables
+of text; the references below write every value with ``str`` and quote
+every string with json's encoder, row by row, and must give the same
+bytes."""
 
 import io
 import json
+import random
 import sys
-from contextlib import redirect_stdout
+import threading
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+from test_degeneration import _pell_set_and_sort
 
 from epwcalc import cli, degeneration
 from epwcalc.cli import Report, run
@@ -74,21 +79,116 @@ def _stdout(argv) -> str:
 def test_the_pell_listing_renders_as_the_per_row_reference(digits):
     bound = 10 ** digits
     reference = Report("pell", {"bound": str(bound)}, _reference_pell_rows(bound))
-    assert cli._rows_pell(bound) == reference.rows
+    assert [(label, int(value) if type(value) is str else value, note)
+            for label, value, note in cli._rows_pell(bound)] == reference.rows
     argv = ["pell", "--bound", str(bound)]
     assert _stdout(argv) == _reference_text(reference)
     assert _stdout([*argv, "--json"]) == _reference_json(reference)
 
 
+def test_the_pell_tables_serve_every_bound_in_any_order(monkeypatch):
+    """From empty tables, in one process: the cap 10^1000 first, then bounds
+    in descending order, then ascending, with x and x - 1 at the first four
+    branch x; and again from empty tables, ascending and then the cap.
+    Every request renders as the per-row reference, in text and in JSON,
+    and lists what the set-and-sort construction gives.  Changing a list
+    that ``pell_spherical_classes`` returned leaves the next call as it was.
+    After the cap, the branch holds 1307 elements (the first x past the cap
+    included) and the listing's text 1306, with labels for all 5226 listed
+    pairs.  A bound past the cap is rejected (exit 2) and grows nothing,
+    even from empty tables."""
+    def fresh_tables():
+        monkeypatch.setattr(degeneration, "_PELL_BRANCH", [(2, 3)])
+        monkeypatch.setattr(cli, "_PELL_TEXT", [])
+        monkeypatch.setattr(cli, "_PELL_LABELS", [])
+
+    def sizes():
+        return len(degeneration._PELL_BRANCH), len(cli._PELL_TEXT), len(cli._PELL_LABELS)
+
+    cap = 10 ** 1000
+    ascending = sorted({10 ** k for k in (0, 1, 2, 30, 300)}
+                       | {b for x in (2, 12, 70, 408) for b in (x, x - 1)})
+    for order in ([cap, *reversed(ascending), *ascending], [*ascending, cap]):
+        fresh_tables()
+        misrendered = []  # bounds, not megabytes of text for pytest to diff
+        for bound in order:
+            argv = ["pell", "--bound", str(bound)]
+            text, as_json = _stdout(argv), _stdout([*argv, "--json"])
+            expected = _pell_set_and_sort(bound)
+            solutions = degeneration.pell_spherical_classes(bound)
+            assert solutions == expected
+            solutions[:2] = []
+            solutions.append((1, 1))
+            assert degeneration.pell_spherical_classes(bound) == expected
+            reference = Report("pell", {"bound": str(bound)}, _reference_pell_rows(bound))
+            if (text, as_json) != (_reference_text(reference), _reference_json(reference)):
+                misrendered.append(bound)
+            if cap in order[:order.index(bound) + 1]:
+                assert sizes() == (1307, 1306, 5226)
+        assert misrendered == []
+    fresh_tables()
+    with redirect_stderr(io.StringIO()):
+        assert run(["pell", "--bound", str(cap + 1)]) == 2
+    assert sizes() == (1, 0, 0)
+
+
+def test_interleaved_requests_grow_the_pell_tables_once(monkeypatch):
+    """Eight threads, released together and switching every microsecond,
+    request bounds from empty tables: two ascending, two descending and
+    four in shuffled orders, so that several grow the same entries at once.
+    Each gets the rows a lone request gets, and the tables end as one
+    request for the largest bound leaves them: no entry is written twice or
+    dropped.  Five rounds, each from empty tables."""
+    bounds = [10 ** k for k in range(0, 301, 7)]
+    expected = {bound: cli._rows_pell(bound) for bound in bounds}
+
+    def fresh_tables():
+        monkeypatch.setattr(degeneration, "_PELL_BRANCH", [(2, 3)])
+        monkeypatch.setattr(cli, "_PELL_TEXT", [])
+        monkeypatch.setattr(cli, "_PELL_LABELS", [])
+
+    def tables():
+        return degeneration._PELL_BRANCH, cli._PELL_TEXT, cli._PELL_LABELS
+
+    fresh_tables()
+    cli._rows_pell(bounds[-1])
+    alone = tables()
+
+    def client(order, start, wrong):
+        start.wait(timeout=60)
+        wrong.extend(bound for bound in order if cli._rows_pell(bound) != expected[bound])
+
+    rng = random.Random(24)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):  # any one round may interleave without a race
+            fresh_tables()
+            orders = [bounds, bounds, bounds[::-1], bounds[::-1]]
+            orders += [rng.sample(bounds, len(bounds)) for _ in range(4)]
+            start, wrong = threading.Barrier(len(orders)), []
+            threads = [threading.Thread(target=client, args=(order, start, wrong))
+                       for order in orders]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert wrong == []
+            assert tables() == alone
+    finally:
+        sys.setswitchinterval(interval)
+
+
 @st.composite
 def mixed_rows(draw):
     """Rows whose values mix ints of either sign and zero, with a few
-    magnitudes repeated, and Fractions and bools."""
+    magnitudes repeated, the decimal text of ints, Fractions and bools."""
     magnitudes = draw(st.lists(st.integers(0, 9) | st.integers(0, 10 ** 80),
                                min_size=1, max_size=4))
     ints = st.builds(lambda magnitude, sign: sign * magnitude,
                      st.sampled_from(magnitudes), st.sampled_from((1, -1)))
-    values = ints | st.integers() | st.fractions() | st.booleans()
+    values = ints | st.integers() | ints.map(str) | st.fractions() | st.booleans()
     text = st.text(max_size=8)
     return draw(st.lists(st.tuples(text, values, text), max_size=12))
 
