@@ -15,7 +15,9 @@ in one process, and no option carries over from one call to the next.
 ``Report.to_json`` writes the indent-2 layout of ``json.dumps`` itself, with
 json's C string encoder: given an indent, ``json.dumps`` never uses its C one.
 The Pell listing's values and labels come from process-wide tables of
-text, built once and grown only past the largest bound asked for.
+text, built once and grown only past the largest bound asked for; from
+the positive branch that ``degeneration`` walks, ``_rows_pell`` alone
+builds the signed, sorted listing.
 """
 
 from __future__ import annotations
@@ -223,23 +225,26 @@ _PELL_LABELS: list[tuple[str, str]] = []
 
 
 def _rows_pell(bound: int, list_solutions: bool = True) -> list[Row]:
-    solutions = degeneration.pell_spherical_classes(bound)
-    # x + y/2 >= 0, doubled to stay in the integers
-    violations = sum(1 for x, y in solutions if x < 0 and 2 * x + y >= 0)
+    # the n branch pairs (x, y), their images (x, -y) and (-x, +-y), and
+    # (0, +-1) are the 4n + 2 solutions with |x| <= bound
+    branch = degeneration.pell_spherical_classes(bound)
+    n = len(branch)
+    count = 4 * n + 2
+    # the images (-x, +-y) with x + y/2 >= 0, doubled to stay in the integers
+    violations = sum(1 for x, y in branch for sy in (-y, y) if sy >= 2 * x)
     rows: list[Row] = [
-        ("solution count", len(solutions), f"2x^2 - y^2 = -1 with |x| <= {bound}"),
+        ("solution count", count, f"2x^2 - y^2 = -1 with |x| <= {bound}"),
         ("negative-x effectivity violations", violations,
          "x < 0 must force effectivity ratio x + y/2 < 0"),
     ]
     if list_solutions:
-        # the branch's first n elements negated and reversed, (0, -1) and
-        # (0, 1), then those n elements: 4n + 2 pairs, and zip stops there
-        n, text, labels = len(solutions) // 4, _PELL_TEXT, _PELL_LABELS
+        # sorted: the branch negated and reversed, (0, -1) and (0, 1), then
+        # the branch, each x with -y before y; zip stops at the 4n + 2 pairs
+        text, labels = _PELL_TEXT, _PELL_LABELS
         if (m := len(text)) < n:
-            text[m:n] = [(sx := str(x), "-" + sx, sy := str(y), "-" + sy)
-                         for x, y in solutions[2 * (n + m) + 3::2]]
-        if (m := len(labels)) < len(solutions):
-            labels[m:len(solutions)] = [(f"x[{i}]", f"y[{i}]") for i in range(m, len(solutions))]
+            text[m:n] = [(sx := str(x), "-" + sx, sy := str(y), "-" + sy) for x, y in branch[m:n]]
+        if (m := len(labels)) < count:
+            labels[m:count] = [(f"x[{i}]", f"y[{i}]") for i in range(m, count)]
         values = [v for _, nx, sy, ny in reversed(text[:n]) for v in (nx, ny, nx, sy)]
         values += ("0", "-1", "0", "1")
         values += [v for sx, _, sy, ny in text[:n] for v in (sx, ny, sx, sy)]
@@ -299,10 +304,10 @@ def _rows_f3(genus: int) -> list[Row]:
 #: Past the first, ``Fraction`` builds an integer longer than the
 #: interpreter's default int-to-str limit of 4300 digits; past the second,
 #: the Pell report lists thousands of solutions, megabytes of them.  At the
-#: cap, ``pell --bound 10^1000`` lists 5226 pairs (6.3 MB of JSON).  Medians
-#: of 16 alternating runs, Python 3.11.7 on a shared 2-vCPU box, text and
-#: JSON alike: about 35 ms in process and 125 ms as a fresh process when
-#: each report wrote its digits; 12 ms (Pell tables built) and 115 ms now.
+#: cap, ``pell --bound 10^1000`` walks 1306 branch steps (about 1.3 ms) and
+#: lists 5226 pairs (6.3 MB of JSON).  Medians, Python 3.11.7 on a shared
+#: 2-vCPU box, text and JSON alike: 14 ms in process with the Pell text
+#: tables built and 140 ms as a fresh process (16 runs each).
 _MAX_EXPONENT = 4300
 _MAX_BOUND = 10 ** 1000
 

@@ -147,9 +147,10 @@ def test_criterion_08_fixed_locus_invariants():
 
 def test_criterion_09_wall_package():
     z_s, z_v, ratio = central_charges(SPHERICAL_VECTOR, HILB_VECTOR, -2)
-    pell = pell_spherical_classes(10 ** 6)
-    negative_ok = all(
-        effectivity_of_pell_class(x, y) < 0 for x, y in pell if x < 0
+    # the solutions with x < 0 are the images (-x, +-y) of the positive branch
+    negative = [(-x, sy) for x, y in pell_spherical_classes(10 ** 6) for sy in (-y, y)]
+    negative_ok = len(negative) == 16 and all(
+        effectivity_of_pell_class(x, y) < 0 for x, y in negative
     )
     ok = (
         wall_alpha_sq(-2) == 2

@@ -270,17 +270,19 @@ def _violations(bound):
 
 
 def test_pell_violations_agree_with_the_effectivity_ratio(monkeypatch):
-    """The row counts x < 0 with x + y/2 >= 0 over the integers, as
-    ``effectivity_of_pell_class`` does over the rationals: on the Pell
-    solutions, and on a grid of points off the conic, where the ratio
-    x + y/2 itself is the reference (the conic has no violation at all)."""
+    """The row counts the images (-x, +-y) of the branch with x + y/2 >= 0
+    over the integers, as ``effectivity_of_pell_class`` does over the
+    rationals: on the Pell solutions, and on a grid of positive points off
+    the conic, where the ratio x + y/2 itself is the reference (the conic
+    has no violation at all)."""
     for bound in (1, 10 ** 6, 10 ** 300):
         assert _violations(bound) == sum(
-            1 for x, y in degeneration.pell_spherical_classes(bound)
-            if x < 0 and effectivity_of_pell_class(x, y) >= 0)
-    grid = [(x, y) for x in range(-6, 7) for y in range(-3, 14)]
+            1 for x, y in degeneration.pell_spherical_classes(bound) for sy in (-y, y)
+            if effectivity_of_pell_class(-x, sy) >= 0)
+    grid = [(x, y) for x in range(1, 7) for y in range(1, 14)]
     monkeypatch.setattr(degeneration, "pell_spherical_classes", lambda bound: grid)
-    assert _violations(1) == sum(1 for x, y in grid if x < 0 and x + Fraction(y, 2) >= 0) > 0
+    assert _violations(1) == sum(
+        1 for x, y in grid for sy in (-y, y) if -x + Fraction(sy, 2) >= 0) > 0
 
 
 def test_import_leaves_out_dataclasses_inspect_typing_and_pathlib():

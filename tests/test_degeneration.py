@@ -160,10 +160,14 @@ def _pell_brute(bound):
 
 
 def test_pell_small_bounds():
-    assert pell_spherical_classes(2) == [(-2, -3), (-2, 3), (0, -1), (0, 1), (2, -3), (2, 3)]
-    assert (12, 17) in pell_spherical_classes(12)
+    assert pell_spherical_classes(1) == []
+    assert pell_spherical_classes(2) == [(2, 3)]
+    assert pell_spherical_classes(12) == [(2, 3), (12, 17)]
     with pytest.raises(ValueError):
         pell_spherical_classes(0)
+    branch = pell_spherical_classes(12)
+    branch.append((1, 1))
+    assert pell_spherical_classes(12) == [(2, 3), (12, 17)]
 
 
 def _pell_set_and_sort(bound):
@@ -179,6 +183,25 @@ def _pell_set_and_sort(bound):
     return sorted(solutions)
 
 
+def _pell_signed(bound):
+    """(0, +-1) and the sign images of the branch, gathered in a set and
+    sorted: every solution with |x| <= bound, built from the branch."""
+    return sorted({(0, 1), (0, -1)} | {(sx, sy) for x, y in pell_spherical_classes(bound)
+                                       for sx in (-x, x) for sy in (-y, y)})
+
+
+def _listed(bound):
+    """The pairs ``pell --bound`` lists, in its order, read back as integers."""
+    values = [int(value) for _, value, _ in cli._rows_pell(bound)[2:]]
+    return list(zip(values[::2], values[1::2]))
+
+
+def _check_pell(bound, expected):
+    """The listing is ``expected`` and the branch its part with x, y > 0."""
+    assert _listed(bound) == expected
+    assert pell_spherical_classes(bound) == [(x, y) for x, y in expected if x > 0 and y > 0]
+
+
 def _pell_branch_x(limit):
     """x_1 = 2 < x_2 = 12 < ... <= limit on the positive branch."""
     xs, x, y = [], 2, 3
@@ -189,28 +212,28 @@ def _pell_branch_x(limit):
 
 
 def test_pell_order_at_every_branch_point():
-    """Each x_k up to 10^300 adds four pairs to the list, and x_k - 1 is the
-    largest bound without them."""
+    """Each x_k up to 10^300 adds four pairs to the listing, and x_k - 1 is
+    the largest bound without them."""
     xs = _pell_branch_x(10 ** 300)
     assert len(xs) == 392
     for x in xs:
         for bound in (x - 1, x):
-            assert pell_spherical_classes(bound) == _pell_set_and_sort(bound)
+            _check_pell(bound, _pell_set_and_sort(bound))
 
 
 @given(st.integers(1, 10 ** 300))
 @example(1)
 @example(2)
 def test_pell_order_matches_set_and_sort(bound):
-    assert pell_spherical_classes(bound) == _pell_set_and_sort(bound)
+    _check_pell(bound, _pell_set_and_sort(bound))
 
 
 def test_pell_against_brute_force():
-    assert pell_spherical_classes(300) == _pell_brute(300)
+    _check_pell(300, _pell_brute(300))
 
 
 def test_pell_recurrence_preserves_the_form():
-    for x, y in pell_spherical_classes(10 ** 4):
+    for x, y in _pell_signed(10 ** 4):
         assert 2 * x * x - y * y == -1
         x2, y2 = 3 * x + 2 * y, 4 * x + 3 * y
         assert 2 * x2 * x2 - y2 * y2 == -1
@@ -218,7 +241,7 @@ def test_pell_recurrence_preserves_the_form():
 
 def test_no_isotropic_classes_on_the_pell_conic():
     # 4x^2 - 2y^2 = 0 together with 2x^2 - y^2 = -1 is impossible over Z
-    for x, y in pell_spherical_classes(10 ** 5):
+    for x, y in _pell_signed(10 ** 5):
         assert 4 * x * x - 2 * y * y != 0
 
 
@@ -232,16 +255,16 @@ def effectivity_of_pell_class(x: int, y: int) -> Fraction:
 
 
 def test_negative_rank_solutions_are_never_effective():
-    solutions = pell_spherical_classes(10 ** 6)
-    assert len(solutions) == 34
+    # the solutions with x < 0 are the images (-x, +-y) of the branch
+    solutions = [(-x, sy) for x, y in pell_spherical_classes(10 ** 6) for sy in (-y, y)]
+    assert len(solutions) == 16
     for x, y in solutions:
-        if x < 0:
-            assert effectivity_of_pell_class(x, y) < 0
+        assert effectivity_of_pell_class(x, y) < 0
 
 
 def test_effectivity_of_pell_class_guards_input():
     """The oracle agrees with the wall ratio against v at beta = -2."""
-    for x, y in pell_spherical_classes(100):
+    for x, y in _pell_signed(100):
         u = x * HILB_VECTOR + y * SPHERICAL_VECTOR
         assert effectivity_of_pell_class(x, y) == central_charges(u, HILB_VECTOR, -2)[2]
     assert effectivity_of_pell_class(2, 3) == Fraction(7, 2)

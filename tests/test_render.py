@@ -5,7 +5,8 @@ Pell listing against its equation at bounds no brute-force search reaches.
 and the Pell listing takes its values and labels from process-wide tables
 of text; the references below write every value with ``str`` and quote
 every string with json's encoder, row by row, and must give the same
-bytes."""
+bytes.  The Pell reference takes its pairs from the set-and-sort
+construction, not from the code under test."""
 
 import io
 import json
@@ -57,7 +58,7 @@ def _reference_json(report: Report) -> str:
 
 
 def _reference_pell_rows(bound: int):
-    solutions = degeneration.pell_spherical_classes(bound)
+    solutions = _pell_set_and_sort(bound)
     rows = [("solution count", len(solutions), f"2x^2 - y^2 = -1 with |x| <= {bound}"),
             ("negative-x effectivity violations",
              sum(1 for x, y in solutions if x < 0 and 2 * x + y >= 0),
@@ -66,6 +67,17 @@ def _reference_pell_rows(bound: int):
         rows.append((f"x[{i}]", x, "Pell solution, sorted"))
         rows.append((f"y[{i}]", y, "Pell solution, sorted"))
     return rows
+
+
+def _assert_same(got, want):
+    """``got == want``, byte for byte; on a mismatch, the first differing
+    offset and a short excerpt of each side, not a diff of megabytes."""
+    if got != want:
+        at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+                  min(len(got), len(want)))
+        excerpt = slice(max(at - 40, 0), at + 40)
+        pytest.fail(f"first difference at offset {at} of {len(got)}/{len(want)}:"
+                    f" got {got[excerpt]!r}, want {want[excerpt]!r}", pytrace=False)
 
 
 def _stdout(argv) -> str:
@@ -79,11 +91,11 @@ def _stdout(argv) -> str:
 def test_the_pell_listing_renders_as_the_per_row_reference(digits):
     bound = 10 ** digits
     reference = Report("pell", {"bound": str(bound)}, _reference_pell_rows(bound))
-    assert [(label, int(value) if type(value) is str else value, note)
-            for label, value, note in cli._rows_pell(bound)] == reference.rows
+    _assert_same([(label, int(value) if type(value) is str else value, note)
+                  for label, value, note in cli._rows_pell(bound)], reference.rows)
     argv = ["pell", "--bound", str(bound)]
-    assert _stdout(argv) == _reference_text(reference)
-    assert _stdout([*argv, "--json"]) == _reference_json(reference)
+    _assert_same(_stdout(argv), _reference_text(reference))
+    _assert_same(_stdout([*argv, "--json"]), _reference_json(reference))
 
 
 def test_the_pell_tables_serve_every_bound_in_any_order(monkeypatch):
@@ -91,19 +103,18 @@ def test_the_pell_tables_serve_every_bound_in_any_order(monkeypatch):
     in descending order, then ascending, with x and x - 1 at the first four
     branch x; and again from empty tables, ascending and then the cap.
     Every request renders as the per-row reference, in text and in JSON,
-    and lists what the set-and-sort construction gives.  Changing a list
-    that ``pell_spherical_classes`` returned leaves the next call as it was.
-    After the cap, the branch holds 1307 elements (the first x past the cap
-    included) and the listing's text 1306, with labels for all 5226 listed
-    pairs.  A bound past the cap is rejected (exit 2) and grows nothing,
-    even from empty tables."""
+    and lists what the set-and-sort construction gives, whose part with
+    x, y > 0 is the branch ``pell_spherical_classes`` returns.  Changing a
+    list it returned leaves the next call as it was.  After the cap, the
+    listing's text holds the 1306 branch elements, with labels for all 5226
+    listed pairs.  A bound past the cap is rejected (exit 2) and grows
+    nothing, even from empty tables."""
     def fresh_tables():
-        monkeypatch.setattr(degeneration, "_PELL_BRANCH", [(2, 3)])
         monkeypatch.setattr(cli, "_PELL_TEXT", [])
         monkeypatch.setattr(cli, "_PELL_LABELS", [])
 
     def sizes():
-        return len(degeneration._PELL_BRANCH), len(cli._PELL_TEXT), len(cli._PELL_LABELS)
+        return len(cli._PELL_TEXT), len(cli._PELL_LABELS)
 
     cap = 10 ** 1000
     ascending = sorted({10 ** k for k in (0, 1, 2, 30, 300)}
@@ -114,22 +125,22 @@ def test_the_pell_tables_serve_every_bound_in_any_order(monkeypatch):
         for bound in order:
             argv = ["pell", "--bound", str(bound)]
             text, as_json = _stdout(argv), _stdout([*argv, "--json"])
-            expected = _pell_set_and_sort(bound)
-            solutions = degeneration.pell_spherical_classes(bound)
-            assert solutions == expected
-            solutions[:2] = []
-            solutions.append((1, 1))
+            expected = [(x, y) for x, y in _pell_set_and_sort(bound) if x > 0 and y > 0]
+            branch = degeneration.pell_spherical_classes(bound)
+            assert branch == expected
+            branch[:1] = []
+            branch.append((1, 1))
             assert degeneration.pell_spherical_classes(bound) == expected
             reference = Report("pell", {"bound": str(bound)}, _reference_pell_rows(bound))
             if (text, as_json) != (_reference_text(reference), _reference_json(reference)):
                 misrendered.append(bound)
             if cap in order[:order.index(bound) + 1]:
-                assert sizes() == (1307, 1306, 5226)
+                assert sizes() == (1306, 5226)
         assert misrendered == []
     fresh_tables()
     with redirect_stderr(io.StringIO()):
         assert run(["pell", "--bound", str(cap + 1)]) == 2
-    assert sizes() == (1, 0, 0)
+    assert sizes() == (0, 0)
 
 
 def test_interleaved_requests_grow_the_pell_tables_once(monkeypatch):
@@ -143,12 +154,11 @@ def test_interleaved_requests_grow_the_pell_tables_once(monkeypatch):
     expected = {bound: cli._rows_pell(bound) for bound in bounds}
 
     def fresh_tables():
-        monkeypatch.setattr(degeneration, "_PELL_BRANCH", [(2, 3)])
         monkeypatch.setattr(cli, "_PELL_TEXT", [])
         monkeypatch.setattr(cli, "_PELL_LABELS", [])
 
     def tables():
-        return degeneration._PELL_BRANCH, cli._PELL_TEXT, cli._PELL_LABELS
+        return cli._PELL_TEXT, cli._PELL_LABELS
 
     fresh_tables()
     cli._rows_pell(bounds[-1])
