@@ -197,7 +197,7 @@ def _rows_walls(beta: Fraction) -> list[Row]:
     alpha_sq = degeneration.wall_alpha_sq(beta)
     (re_s, im_s), (re_v, im_v), ratio = degeneration.central_charges(
         degeneration.SPHERICAL_VECTOR, degeneration.HILB_VECTOR, beta)
-    gram, image, square, div, odd, even = _WALL_CONSTANTS
+    gram, (a, b), square, div, odd, even = _WALL_CONSTANTS
     return [
         ("alpha^2", alpha_sq, "wall equation (beta+2)^2 + alpha^2 = 2"),
         ("Re Z(v)", re_v, "central charge of the Hilbert-cube class"),
@@ -208,8 +208,8 @@ def _rows_walls(beta: Fraction) -> list[Row]:
         ("gram(v,v)", gram[0][0], "rank-2 hyperbolic sublattice"),
         ("gram(v,s)", gram[0][1], "rank-2 hyperbolic sublattice"),
         ("gram(s,s)", gram[1][1], "rank-2 hyperbolic sublattice"),
-        ("contracted ray -> L coefficient", image.a, "degree-2 image of the contracted ray"),
-        ("contracted ray -> delta coefficient", image.b, "degree-2 image of the contracted ray"),
+        ("contracted ray -> L coefficient", a, "degree-2 image of the contracted ray"),
+        ("contracted ray -> delta coefficient", b, "degree-2 image of the contracted ray"),
         ("contracted ray square", square, "BBF square"),
         ("contracted ray divisibility", div, "divisibility in the full degree-2 lattice"),
         ("odd theta characteristics (genus 2)", odd, "components of the fixed locus downstairs"),

@@ -21,17 +21,17 @@ from itertools import product
 from math import comb, perm
 
 from .lagrangian import fixed_locus_invariants
-from .mukai import MukaiVector, mukai_pairing
+from .mukai import mukai_pairing
 from .qfield import Rational
 
 #: the Hilbert cube of the surface, as a moduli space
-HILB_VECTOR = MukaiVector(1, 0, -2)
+HILB_VECTOR = (1, 0, -2)
 #: the effective spherical class destabilizing along the wall
-SPHERICAL_VECTOR = MukaiVector(1, -1, 2)
-#: difference class; its moduli space is the fourfold the wall contracts to
-FOURFOLD_VECTOR = HILB_VECTOR - SPHERICAL_VECTOR
+SPHERICAL_VECTOR = (1, -1, 2)
+#: difference class v - s; its moduli space is the fourfold the wall contracts to
+FOURFOLD_VECTOR = (0, 1, -4)
 #: the ray contracted on the Hilbert-cube side, mapping to 2L - delta
-CONTRACTED_RAY_VECTOR = MukaiVector(1, -2, 2)
+CONTRACTED_RAY_VECTOR = (1, -2, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -57,7 +57,7 @@ def wall_alpha_sq(beta: Rational) -> Fraction:
     return Fraction(a, d * d)
 
 
-def central_charges(u: MukaiVector, v: MukaiVector, beta: Rational) -> tuple[
+def central_charges(u: tuple[int, int, int], v: tuple[int, int, int], beta: Rational) -> tuple[
         tuple[Fraction, Fraction], tuple[Fraction, Fraction], Fraction]:
     """((Re Z(u), Im Z(u)/alpha), (Re Z(v), Im Z(v)/alpha), Re(Z(u)/Z(v)))
     at the wall point over beta, with
@@ -68,8 +68,8 @@ def central_charges(u: MukaiVector, v: MukaiVector, beta: Rational) -> tuple[
     quotient (R_u*R_v + I_u*I_v*alpha^2*d^2) / (R_v^2 + I_v^2*alpha^2*d^2);
     ZeroDivisionError if Z(v) vanishes."""
     n, d, a = _wall_point(beta)
-    (ru, iu), (rv, iv) = ((2 * w.c * n * d - w.s * d * d - w.r * (n * n - a),
-                           2 * w.c * d - 2 * w.r * n) for w in (u, v))
+    (ru, iu), (rv, iv) = ((2 * c * n * d - s * d * d - r * (n * n - a),
+                           2 * c * d - 2 * r * n) for r, c, s in (u, v))
     return ((Fraction(ru, d * d), Fraction(iu, d)), (Fraction(rv, d * d), Fraction(iv, d)),
             Fraction(ru * rv + iu * iv * a, rv * rv + iv * iv * a))
 

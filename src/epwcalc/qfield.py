@@ -11,8 +11,8 @@ the kernel of ``hodge_ring.verify_independence_degree6`` and
 square root of an integer pair, the kernel of
 ``lagrangian.eta_coefficient``.
 
-``Value`` is the base of the package's immutable value types, this one
-among them."""
+A ``ParametricScalar`` is immutable: its two fields are set once, in
+``__init__``, through which copy and pickle rebuild it."""
 
 from __future__ import annotations
 
@@ -48,54 +48,26 @@ def _lifted(method):
     return apply
 
 
-class Value:
-    """An immutable value whose fields are its class's ``__slots__``.
-    Equality and hash go by the fields and hold only within one class, so a
-    value never equals the tuple of its fields (``ParametricScalar`` also
-    equals the number it embeds)."""
-
-    __slots__ = ()
-
-    def __init__(self, *fields):
-        if len(fields) != len(self.__slots__):
-            raise TypeError(f"{type(self).__name__} takes {len(self.__slots__)} fields")
-        for name, value in zip(self.__slots__, fields):
-            object.__setattr__(self, name, value)
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    __delattr__ = __setattr__
-
-    def __reduce__(self):  # copy and pickle rebuild through __init__
-        return type(self), self._values()
-
-    def __repr__(self):
-        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._values()))
-        return f"{type(self).__name__}({fields})"
-
-
-class ParametricScalar(Value):
+class ParametricScalar:
     """A single term coeff*q^weight: a Fraction coefficient and an integer
     weight, with zero at weight 0.  Zero adds to a term of any weight; two
-    nonzero terms of different weights do not add."""
+    nonzero terms of different weights do not add.  Equality goes by
+    (coeff, weight): a scalar equals the number it embeds, never a tuple."""
 
     __slots__ = ("coeff", "weight")
 
     def __init__(self, coeff: Rational = 0, weight: int = 0):
         coeff = Fraction(coeff)
-        super().__init__(coeff, weight if coeff else 0)
+        object.__setattr__(self, "coeff", coeff)
+        object.__setattr__(self, "weight", weight if coeff else 0)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("ParametricScalar is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return ParametricScalar, (self.coeff, self.weight)
 
     @classmethod
     def q(cls) -> "ParametricScalar":
@@ -171,10 +143,10 @@ class ParametricScalar(Value):
 
     @_lifted
     def __eq__(self, other):
-        return self._values() == other._values()
+        return self.coeff == other.coeff and self.weight == other.weight
 
     def __hash__(self):  # a constant equals its Fraction: hash alike
-        return hash(self._values() if self.weight else self.coeff)
+        return hash((self.coeff, self.weight) if self.weight else self.coeff)
 
     def __str__(self):
         """Integer numerator over integer denominator: 15*q^3, 1/2, -160/q^2,

@@ -435,7 +435,7 @@ def test_walls_rows_match_the_library_calls(beta):
     gram = mukai.hyperbolic_lattice(v, s)
     image = mukai.theta_map(degeneration.CONTRACTED_RAY_VECTOR)
     expected = [degeneration.wall_alpha_sq(beta), re_v, im_v, re_s, im_s, ratio,
-                gram[0][0], gram[0][1], gram[1][1], image.a, image.b,
+                gram[0][0], gram[0][1], gram[1][1], *image,
                 *mukai.square_and_divisibility(image),
                 *degeneration.theta_characteristic_counts(2)]
     values = [value for _, value, _ in cli._rows_walls(beta)]

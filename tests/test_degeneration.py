@@ -23,7 +23,8 @@ from epwcalc.degeneration import (
     theta_characteristic_counts,
     wall_alpha_sq,
 )
-from epwcalc.mukai import MukaiVector, mukai_pairing
+from epwcalc.mukai import mukai_pairing
+from test_mukai import combination
 
 # ---------------------------------------------------------------------------
 # the wall and central charges
@@ -66,11 +67,10 @@ def test_charges_are_additive_and_conjugation_flips_im():
     beta = Fraction(-7, 4)
     alpha_sq = wall_alpha_sq(beta)
     for _ in range(15):
-        u = MukaiVector(rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(-9, 9))
-        w = MukaiVector(rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(-9, 9))
+        u, w = (tuple(rng.randint(-9, 9) for _ in range(3)) for _ in range(2))
         z_u, z_v, ratio = central_charges(u, HILB_VECTOR, beta)
         z_w = central_charges(w, HILB_VECTOR, beta)[0]
-        assert central_charges(u + w, HILB_VECTOR, beta)[0] == tuple(
+        assert central_charges(combination((1, u), (1, w)), HILB_VECTOR, beta)[0] == tuple(
             a + b for a, b in zip(z_u, z_w))
         conj_u, conj_v = ((re, -im) for re, im in (z_u, z_v))
         assert ratio == _ratio_real(conj_u, conj_v, alpha_sq) == _ratio_real(z_u, z_v, alpha_sq)
@@ -78,43 +78,53 @@ def test_charges_are_additive_and_conjugation_flips_im():
 
 def test_ratio_real_is_exact():
     """Re(Z(v)/Z(v)) is exactly 1, as one Fraction; a vanishing Z(v), as the
-    zero vector's or that of 2v - 3s at beta = -3, has no ratio."""
+    zero vector's, has no ratio."""
     for beta in (Fraction(-5, 4), -2, Fraction(-10 ** 30 - 1, 10 ** 30)):
         ratio = central_charges(HILB_VECTOR, HILB_VECTOR, beta)[2]
         assert ratio == 1 and type(ratio) is Fraction
     with pytest.raises(ZeroDivisionError):
-        central_charges(HILB_VECTOR, MukaiVector(0, 0, 0), Fraction(-5, 4))
+        central_charges(HILB_VECTOR, (0, 0, 0), Fraction(-5, 4))
+
+
+@pytest.mark.parametrize("x, y", [(2, 3), (12, 17), (70, 99)])
+def test_no_ratio_where_a_pell_class_has_no_charge(x, y):
+    """For a branch solution (x, y), the (-2)-class x*v - y*s has Z = 0 at
+    beta = y/(x - y), where lambda(beta) = 1 + 1/beta = x/y: at -3, -17/5
+    and -99/29, which are wall points but not stability conditions."""
+    beta = Fraction(y, x - y)
+    u = combination((x, HILB_VECTOR), (-y, SPHERICAL_VECTOR))
+    assert mukai_pairing(u, u) == -2 and 1 + 1 / beta == Fraction(x, y)
     with pytest.raises(ZeroDivisionError):
-        central_charges(HILB_VECTOR, 2 * HILB_VECTOR - 3 * SPHERICAL_VECTOR, -3)
+        central_charges(HILB_VECTOR, u, beta)
 
 
 #: beta on the branch -2 - sqrt(2) < beta < -1, denominators up to 10^30
 _BRANCH_BETA = st.fractions(min_value=Fraction(-3414213562373095, 10 ** 15), max_value=-1,
                             max_denominator=10 ** 30).filter(lambda b: b != -1)
-_VECTOR = st.builds(MukaiVector, *[st.integers(-10 ** 30, 10 ** 30)] * 3)
+_VECTOR = st.tuples(*[st.integers(-10 ** 30, 10 ** 30)] * 3)
 
 
 @given(_BRANCH_BETA, _VECTOR, _VECTOR)
 @example(Fraction(-2), HILB_VECTOR, SPHERICAL_VECTOR)
 @example(Fraction(-3, 2), SPHERICAL_VECTOR, HILB_VECTOR)
-@example(Fraction(-10 ** 30 - 1, 10 ** 30), HILB_VECTOR, MukaiVector(0, 0, 0))
-@example(Fraction(-341 * 10 ** 28 + 7, 10 ** 30), MukaiVector(-3, 10 ** 30, 5), HILB_VECTOR)
+@example(Fraction(-10 ** 30 - 1, 10 ** 30), HILB_VECTOR, (0, 0, 0))
+@example(Fraction(-341 * 10 ** 28 + 7, 10 ** 30), (-3, 10 ** 30, 5), HILB_VECTOR)
 def test_central_charge_matches_the_fraction_formula(beta, u, v):
     """Z(v) = (2c*beta - s - r*(beta^2 - alpha^2)) + i*(2c - 2r*beta)*alpha and
     Re(Z(u)/Z(v)) in Fraction arithmetic, with alpha^2 = 2 - (beta+2)^2."""
     alpha_sq = 2 - (beta + 2) ** 2
     assert wall_alpha_sq(beta) == alpha_sq and type(wall_alpha_sq(beta)) is Fraction
-    norm = (2 * v.c * beta - v.s - v.r * (beta ** 2 - alpha_sq)) ** 2 \
-        + (2 * v.c - 2 * v.r * beta) ** 2 * alpha_sq
+    r, c, s = v
+    norm = (2 * c * beta - s - r * (beta ** 2 - alpha_sq)) ** 2 \
+        + (2 * c - 2 * r * beta) ** 2 * alpha_sq
     if not norm:
         with pytest.raises(ZeroDivisionError):
             central_charges(u, v, beta)
         return
     z_u, z_v, ratio = central_charges(u, v, beta)
-    for w, z in ((u, z_u), (v, z_v)):
+    for (r, c, s), z in ((u, z_u), (v, z_v)):
         assert all(type(part) is Fraction for part in z)
-        assert z == (2 * w.c * beta - w.s - w.r * (beta ** 2 - alpha_sq),
-                     2 * w.c - 2 * w.r * beta)
+        assert z == (2 * c * beta - s - r * (beta ** 2 - alpha_sq), 2 * c - 2 * r * beta)
     assert type(ratio) is Fraction and ratio == _ratio_real(z_u, z_v, alpha_sq)
 
 
@@ -136,10 +146,10 @@ def test_effectivity_is_linear_in_the_pell_coordinates():
         coeff = central_charges(SPHERICAL_VECTOR, HILB_VECTOR, beta)[2]
         for _ in range(10):
             x, y = rng.randint(-20, 20), rng.randint(-20, 20)
-            u = x * HILB_VECTOR + y * SPHERICAL_VECTOR
+            u = combination((x, HILB_VECTOR), (y, SPHERICAL_VECTOR))
             assert central_charges(u, HILB_VECTOR, beta)[2] == x + y * coeff
     assert central_charges(SPHERICAL_VECTOR, HILB_VECTOR, -2)[2] == Fraction(1, 2)
-    u = 3 * HILB_VECTOR + (-5) * SPHERICAL_VECTOR
+    u = combination((3, HILB_VECTOR), (-5, SPHERICAL_VECTOR))
     assert central_charges(u, HILB_VECTOR, -2)[2] == 3 - Fraction(5, 2)
 
 
@@ -265,7 +275,7 @@ def test_negative_rank_solutions_are_never_effective():
 def test_effectivity_of_pell_class_guards_input():
     """The oracle agrees with the wall ratio against v at beta = -2."""
     for x, y in _pell_signed(100):
-        u = x * HILB_VECTOR + y * SPHERICAL_VECTOR
+        u = combination((x, HILB_VECTOR), (y, SPHERICAL_VECTOR))
         assert effectivity_of_pell_class(x, y) == central_charges(u, HILB_VECTOR, -2)[2]
     assert effectivity_of_pell_class(2, 3) == Fraction(7, 2)
     assert effectivity_of_pell_class(-2, 3) == Fraction(-1, 2)
@@ -284,11 +294,12 @@ def test_ext_dimensions():
 
 def test_ext_numbers_from_the_pairing():
     v, s, a = HILB_VECTOR, SPHERICAL_VECTOR, FOURFOLD_VECTOR
-    assert a == v - s
+    assert a == combination((1, v), (-1, s))
     assert mukai_pairing(s, a) == 2
-    assert mukai_pairing(a, v - a) == 2
+    assert mukai_pairing(a, combination((1, v), (-1, a))) == 2
     # consistent sign propagation leaves the dimensions unchanged
-    assert mukai_pairing(-s, v - (-s)) == 2
+    minus_s = combination((-1, s))
+    assert mukai_pairing(minus_s, combination((1, v), (-1, minus_s))) == 2
 
 
 def test_kuranishi_identity():

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 from math import isqrt
 
@@ -102,6 +104,23 @@ def test_hash_matches_equality():
         assert scalar == constant and hash(scalar) == hash(constant)
         assert len({scalar, constant}) == 1
         assert constant in {scalar} and scalar in {constant}
+
+
+def test_scalar_value_semantics():
+    """A scalar coerces its coefficient to Fraction, cannot be changed, never
+    equals the tuple (coeff, weight), and survives copy and pickle."""
+    x = ParametricScalar(Fraction(-1, 2), 3)
+    assert type(ParametricScalar(3, 2).coeff) is Fraction
+    for field in ("coeff", "weight"):
+        with pytest.raises(AttributeError):
+            setattr(x, field, getattr(x, field))
+        with pytest.raises(AttributeError):
+            delattr(x, field)
+    assert x != (x.coeff, x.weight) and (x.coeff, x.weight) != x
+    assert x == ParametricScalar(Fraction(-1, 2), 3)  # nothing above changed it
+    assert copy.copy(x) == x
+    assert copy.deepcopy(x) == x
+    assert pickle.loads(pickle.dumps(x)) == x
 
 
 _COEFFS = st.fractions(min_value=-50, max_value=50, max_denominator=12)
