@@ -12,12 +12,12 @@ from that registry (``_parse_fast``); help, abbreviations and every error go
 to the argparse parser of ``build_parser``, imported only then, which writes
 every help, usage and error message.  ``run`` can be called again and again
 in one process, and no option carries over from one call to the next.
-``Report.to_json`` writes the indent-2 layout of ``json.dumps`` itself, with
-json's C string encoder: given an indent, ``json.dumps`` never uses its C one.
-The Pell listing's values and labels come from process-wide tables of
-text, built once and grown only past the largest bound asked for; from
-the positive branch that ``degeneration`` walks, ``_rows_pell`` alone
-builds the signed, sorted listing.
+``Report.to_json`` writes the indent-2 layout of ``json.dumps`` itself (with
+an indent, ``json.dumps`` skips its C string encoder), quoting with that
+encoder from ``_json``, or from ``json.encoder`` where ``_json`` is missing.
+The Pell listing's values and labels come from process-wide tables of text,
+built once and grown only past the largest bound asked for; ``_rows_pell``
+alone builds the signed, sorted listing from the branch ``degeneration`` walks.
 """
 
 from __future__ import annotations
@@ -28,9 +28,12 @@ import sys
 from collections import namedtuple
 from fractions import Fraction
 from itertools import chain, repeat
-from json.encoder import encode_basestring_ascii as _quote
 from math import comb
 from types import SimpleNamespace
+try:
+    from _json import encode_basestring_ascii as _quote
+except ImportError:
+    from json.encoder import encode_basestring_ascii as _quote
 
 from . import degeneration, fujiki, hodge_ring, lagrangian, llv, mukai
 

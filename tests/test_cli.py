@@ -329,6 +329,44 @@ def test_report_all_matches_golden():
     assert out == GOLDEN.read_text()
 
 
+def _cold_without_site(*args):
+    """A fresh ``python -S`` process with this checkout's ``src`` on its
+    path; stdout as bytes, stderr as text."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-S", *args], capture_output=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    return proc.returncode, proc.stdout, proc.stderr.decode()
+
+
+def test_a_cold_report_imports_no_json_module():
+    """The quoter comes from ``_json``, the C accelerator: ``json`` itself
+    would load ``json.decoder`` and ``json.scanner`` with their regexes on
+    every cold request.  ``-X importtime`` names each module it imports."""
+    code, out, err = _cold_without_site("-X", "importtime", "-m", "epwcalc.cli",
+                                        "report-all", "--json")
+    assert code == 0, err
+    assert out == GOLDEN.read_bytes()
+    imported = [line.rpartition("|")[2].strip() for line in err.splitlines()
+                if line.startswith("import time:")]
+    assert "_json" in imported
+    assert [name for name in imported if name == "json" or name.startswith("json.")] == []
+
+
+def test_without_json_accelerator_the_report_is_the_same():
+    """Where ``_json`` is missing, ``json.encoder`` supplies the quoter
+    (its pure-Python one here), and the report does not change."""
+    code, out, err = _cold_without_site("-c", (
+        "import runpy, sys\n"
+        "sys.modules['_json'] = None\n"
+        "sys.argv[1:] = ['report-all', '--json']\n"
+        "try:\n"
+        "    runpy.run_module('epwcalc.cli', run_name='__main__')\n"
+        "finally:\n"
+        "    print('json.encoder' in sys.modules, file=sys.stderr)\n"))
+    assert (code, err) == (0, "True\n")
+    assert out == GOLDEN.read_bytes()
+
+
 def test_a_point_where_both_involution_cases_are_admissible(capsys):
     """At q = 213 and degree 272214 both cases admit an eta coefficient:
     fixed-locus cannot pick one and is an error, while lagrangian reports
