@@ -15,9 +15,8 @@ in one process, and no option carries over from one call to the next.
 ``Report.to_json`` writes the indent-2 layout of ``json.dumps`` itself (with
 an indent, ``json.dumps`` skips its C string encoder), quoting with that
 encoder from ``_json``, or from ``json.encoder`` where ``_json`` is missing.
-The Pell listing's values and labels come from process-wide tables of text,
-built once and grown only past the largest bound asked for; ``_rows_pell``
-alone builds the signed, sorted listing from the branch ``degeneration`` walks.
+The Pell listing is joined once from process-wide tables of its row heads
+and values, grown only past the largest bound asked for (``_PellListing``).
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ import os
 import sys
 from collections import namedtuple
 from fractions import Fraction
-from itertools import chain, repeat
 from math import comb
 from types import SimpleNamespace
 try:
@@ -37,46 +35,54 @@ except ImportError:
 
 from . import degeneration, fujiki, hodge_ring, lagrangian, llv, mukai
 
-Row = tuple[str, Fraction | int | str, str]
+Row = tuple[str, Fraction | int, str]
 #: the value types that ``_text`` writes with ``str`` (a set: fast to test)
 _EXACT = frozenset((int, Fraction))
+#: each layout's row as the pieces around its label, value and note: module
+#: constants, as fast in an f-string as literal text
+_JSON_ROW = _J0, _J1, _J2, _J3 = ('{\n      "label": ', ',\n      "value": "',
+                                  '",\n      "paper_anchor": ', "\n    }")
+_TEXT_ROW = _T0, _T1, _T2, _T3 = ("  ", "  ", "  # ", "\n")
+_VALUE_WIDTH, _SEP = 12, ",\n    "  # the text values' column; JSON's object separator
 
 
 def _text(value) -> str:
-    """A value as p/q or an integer; a bool goes through Fraction, not as
-    "True", and a str, the decimal text of an int, is returned unchanged."""
-    return value if type(value) is str else str(value if type(value) in _EXACT else Fraction(value))
+    """A value as p/q or an integer; a bool goes through Fraction, not as "True"."""
+    return str(value if type(value) in _EXACT else Fraction(value))
 
 
-def _nested(items: list[str], ends: str, before: str = "", after: str = "") -> str:
-    """Encoded items as an object or array one level deep in the indent-2
-    layout, between ``before`` and ``after``.  These go onto the first and
-    last item, so the one join is the only copy of the items: the Pell
-    listing's 6.3 MB of JSON took 20 ms with two more copies and 11 ms
-    without (Python 3.11.7, shared 2-vCPU box)."""
+def _nested(items: list[str], ends: str, before: str = "", after: str = "", listing=()) -> str:
+    """Encoded items, then the pieces of ``listing`` (its first starts with a
+    separator), as an object or array one level deep in the indent-2 layout
+    between ``before`` and ``after``, which go onto the first and last piece:
+    one join, and no copy of the Pell listing's 6.3 MB of JSON beside it."""
     if not items:
         return before + ends + after
     items[0] = f"{before}{ends[0]}\n    {items[0]}"
+    if listing:
+        listing[0] = _SEP.join(items) + listing[0]
+        listing[-1] += f"\n  {ends[1]}{after}"
+        return "".join(listing)
     items[-1] += f"\n  {ends[1]}{after}"
-    return ",\n    ".join(items)
+    return _SEP.join(items)
 
 
 class Report(namedtuple("Report", "command params rows")):
-    """A command, its params (name -> value text) and its rows (label,
-    value, note), rendered as text or JSON; a value is an int, a Fraction or
-    the decimal text of an int (``_text``)."""
+    """A command, its params (name -> value text) and its rows (label, value,
+    note), then any Pell listing (``_PellRows``), rendered as text or JSON."""
     __slots__ = ()
 
     def to_json(self) -> str:
         """``json.dumps`` of the report's payload at ``indent=2``, and a newline."""
         params = [f"{_quote(name)}: {_quote(value)}" for name, value in self.params.items()]
         # _text yields only "-", digits and "/": nothing for _quote to escape
-        results = [f'{{\n      "label": {_quote(label)},\n      "value": "{_text(value)}",'
-                   f'\n      "paper_anchor": {_quote(note)}\n    }}'
+        results = [f"{_J0}{_quote(label)}{_J1}{_text(value)}{_J2}{_quote(note)}{_J3}"
                    for label, value, note in self.rows]
         head = (f'{{\n  "command": {_quote(self.command)},\n  "params": {_nested(params, "{}")},'
                 '\n  "results": ')
-        return _nested(results, "[]", head, "\n}\n")
+        listing = (_PELL_JSON.pieces(self.rows.n, 0, lambda label: _quote(label) + _J1)
+                   if type(self.rows) is _PellRows else ())
+        return _nested(results, "[]", head, "\n}\n", listing)
 
     def to_text(self) -> str:
         """The command and its params, then one aligned line per row, joined
@@ -87,8 +93,10 @@ class Report(namedtuple("Report", "command params rows")):
             head += "  (" + ", ".join(f"{k}={v}" for k, v in self.params.items()) + ")"
         width = max((len(label) for label, _, _ in self.rows), default=0)
         lines = [f"{head}\n"]
-        lines += [f"  {label.ljust(width)}  {_text(value).rjust(12)}  # {note}\n"
-                  for label, value, note in self.rows]
+        lines += [f"{_T0}{label.ljust(width)}{_T1}{_text(value).rjust(_VALUE_WIDTH)}"
+                  f"{_T2}{note}{_T3}" for label, value, note in self.rows]
+        if type(self.rows) is _PellRows:
+            lines += _PELL_TEXT.pieces(self.rows.n, width, lambda label: label.ljust(width) + _T1)
         return "".join(lines)
 
 
@@ -220,38 +228,58 @@ def _rows_walls(beta: Fraction) -> list[Row]:
     ]
 
 
-#: per element (x, y) of the Pell branch, the decimal text of x, -x, y and -y;
-#: per listed pair i, its labels ("x[i]", "y[i]").  A bound reads a prefix; a
-#: table grows by one slice write of entries set by their index alone.
-_PELL_TEXT: list[tuple[str, str, str, str]] = []
-_PELL_LABELS: list[tuple[str, str]] = []
+class _PellRows(list):
+    """Rows after which ``Report`` lists the first ``n`` branch elements' 4n + 2 pairs."""
+    __slots__ = ("n",)
 
 
-def _rows_pell(bound: int, list_solutions: bool = True) -> list[Row]:
+class _PellListing:
+    """The Pell listing in one layout, from tables grown by slice writes of
+    entries set by their index alone: row heads by label width and position
+    (x[0], y[0], x[1], ...); values padded to ``width``, four per branch
+    element, x, -y, x, y, and -x, -y, -x, y stored for a reversed slice."""
+
+    def __init__(self, row: tuple[str, str, str, str], quote=str, width: int = 0, sep: str = ""):
+        a, _, c, d = row  # start: before the first head; joint: from a value to the next
+        self.end = f"{c}{quote('Pell solution, sorted')}{d}"
+        self.start, self.joint, self.width = sep + a, f"{self.end}{sep}{a}", width
+        self.heads, self.positive, self.negative = {}, [], []
+        self.center = [v.rjust(width) for v in ("0", "-1", "0", "1")]  # (0, -1), (0, 1)
+
+    def pieces(self, n: int, label_width: int, head) -> list[str]:
+        """The first n branch elements' listing as pieces of one join, per
+        value: its head ``head(label)``, the value and ``joint``."""
+        m = 8 * n + 4  # x and y of each pair
+        heads = self.heads.setdefault(label_width, [])
+        if (k := len(heads)) < m:
+            heads[k:m] = [head(f"{'xy'[j % 2]}[{j // 2}]") for j in range(k, m)]
+        parts = [self.joint] * (3 * m)
+        parts[::3], parts[0], parts[-1] = heads[:m], self.start + heads[0], self.end
+        parts[1::3] = self.negative[:4 * n][::-1] + self.center + self.positive[:4 * n]
+        return parts
+
+
+_PELL_LISTINGS = _PELL_JSON, _PELL_TEXT = (_PellListing(_JSON_ROW, _quote, sep=_SEP),
+                                           _PellListing(_TEXT_ROW, width=_VALUE_WIDTH))
+
+
+def _rows_pell(bound: int) -> list[Row]:
     # the n branch pairs (x, y), their images (x, -y) and (-x, +-y), and
     # (0, +-1) are the 4n + 2 solutions with |x| <= bound
     branch = degeneration.pell_spherical_classes(bound)
     n = len(branch)
-    count = 4 * n + 2
+    # one str per x, -x, y, -y for every listing; the last table written is the shortest
+    if (k := len(_PELL_LISTINGS[-1].negative) // 4) < n:
+        texts = [(sx := str(x), "-" + sx, sy := str(y), "-" + sy) for x, y in branch[k:n]]
+        for f in _PELL_LISTINGS:  # x, -y, x, y and y, -x, -y, -x
+            f.positive[4 * k:4 * n] = [t[i].rjust(f.width) for t in texts for i in (0, 3, 0, 2)]
+            f.negative[4 * k:4 * n] = [t[i].rjust(f.width) for t in texts for i in (2, 1, 3, 1)]
     # the images (-x, +-y) with x + y/2 >= 0, doubled to stay in the integers
     violations = sum(1 for x, y in branch for sy in (-y, y) if sy >= 2 * x)
-    rows: list[Row] = [
-        ("solution count", count, f"2x^2 - y^2 = -1 with |x| <= {bound}"),
-        ("negative-x effectivity violations", violations,
-         "x < 0 must force effectivity ratio x + y/2 < 0"),
-    ]
-    if list_solutions:
-        # sorted: the branch negated and reversed, (0, -1) and (0, 1), then
-        # the branch, each x with -y before y; zip stops at the 4n + 2 pairs
-        text, labels = _PELL_TEXT, _PELL_LABELS
-        if (m := len(text)) < n:
-            text[m:n] = [(sx := str(x), "-" + sx, sy := str(y), "-" + sy) for x, y in branch[m:n]]
-        if (m := len(labels)) < count:
-            labels[m:count] = [(f"x[{i}]", f"y[{i}]") for i in range(m, count)]
-        values = [v for _, nx, sy, ny in reversed(text[:n]) for v in (nx, ny, nx, sy)]
-        values += ("0", "-1", "0", "1")
-        values += [v for sx, _, sy, ny in text[:n] for v in (sx, ny, sx, sy)]
-        rows += zip(chain.from_iterable(labels), values, repeat("Pell solution, sorted"))
+    rows = _PellRows([("solution count", 4 * n + 2, f"2x^2 - y^2 = -1 with |x| <= {bound}"),
+                      ("negative-x effectivity violations", violations,
+                       "x < 0 must force effectivity ratio x + y/2 < 0")])
+    rows.n = n
     return rows
 
 
@@ -307,10 +335,10 @@ def _rows_f3(genus: int) -> list[Row]:
 #: Past the first, ``Fraction`` builds an integer longer than the
 #: interpreter's default int-to-str limit of 4300 digits; past the second,
 #: the Pell report lists thousands of solutions, megabytes of them.  At the
-#: cap, ``pell --bound 10^1000`` walks 1306 branch steps (about 1.3 ms) and
+#: cap, ``pell --bound 10^1000`` walks 1306 branch steps (about 0.6 ms) and
 #: lists 5226 pairs (6.3 MB of JSON).  Medians, Python 3.11.7 on a shared
-#: 2-vCPU box, text and JSON alike: 14 ms in process with the Pell text
-#: tables built and 140 ms as a fresh process (16 runs each).
+#: 2-vCPU box, text and JSON alike: 1.9 ms in process with the listing's
+#: tables built and 73 ms as a fresh process (16 runs each).
 _MAX_EXPONENT = 4300
 _MAX_BOUND = 10 ** 1000
 
@@ -407,19 +435,11 @@ _REPORT_ALL = tuple(
     (prefix + ": ", _SECTIONS[name][1],
      {**{opt: spec["default"] for opt, spec in _SECTIONS[name][2].items()}, **arguments})
     for prefix, name, arguments in (
-        ("fujiki", "fujiki", {}),
-        ("ring", "ring", {}),
-        ("relations", "relations", {}),
+        *((name, name, {}) for name in ("fujiki", "ring", "relations")),
         *((f"{name} {case}", name, {"case": case})
           for case in llv.CASES for name in ("betti", "euler")),
-        ("lagrangian", "lagrangian", {}),
-        ("fixed-locus", "fixed-locus", {}),
-        ("walls", "walls", {}),
-        ("pell", "pell", {"list_solutions": False}),
-        ("ext", "ext", {}),
-        ("kuranishi", "kuranishi", {}),
-        ("symprod", "symprod", {}),
-        ("f3", "f3", {}),
+        *((name, name, {}) for name in ("lagrangian", "fixed-locus", "walls", "pell", "ext",
+                                        "kuranishi", "symprod", "f3")),
     ))
 
 

@@ -265,7 +265,7 @@ def test_pell_lists_solutions():
 
 
 def _violations(bound):
-    rows = {label: value for label, value, _ in cli._rows_pell(bound, list_solutions=False)}
+    rows = {label: value for label, value, _ in cli._rows_pell(bound)}
     return rows["negative-x effectivity violations"]
 
 
@@ -336,6 +336,27 @@ def _cold_without_site(*args):
     proc = subprocess.run([sys.executable, "-S", *args], capture_output=True,
                           env={**os.environ, "PYTHONPATH": str(src)})
     return proc.returncode, proc.stdout, proc.stderr.decode()
+
+
+def test_the_pell_tables_hold_at_most_a_megabyte():
+    """The Pell listing's tables keep one str per x, -x, y and -y, shared by
+    the text and JSON values, and per format a head per listed value.  A
+    fresh process renders ``pell --bound 10^k`` for k = 0..300 in both
+    formats; after ``gc.collect()``, what is still allocated since the
+    import (tracemalloc) is at most 1.0 MB."""
+    code, _, err = _cold_without_site("-c", (
+        "import gc, os, sys, tracemalloc\n"
+        "import epwcalc.cli\n"
+        "sys.stdout = open(os.devnull, 'w')\n"
+        "tracemalloc.start()\n"
+        "base = tracemalloc.get_traced_memory()[0]\n"
+        "for k in range(301):\n"
+        "    for fmt in ([], ['--json']):\n"
+        "        assert epwcalc.cli.run(['pell', '--bound', str(10 ** k), *fmt]) == 0\n"
+        "gc.collect()\n"
+        "print(tracemalloc.get_traced_memory()[0] - base, file=sys.stderr)\n"))
+    assert code == 0, err
+    assert int(err) <= 1_000_000
 
 
 def test_a_cold_report_imports_no_json_module():
@@ -514,8 +535,8 @@ def test_report_all_passes_q_and_degree_down():
 
 def test_every_row_value_is_an_exact_int_or_fraction():
     """The report prints an int or Fraction row value as ``str(value)``, so
-    every value is exactly one of the two, never a bool ("True"), or else
-    the decimal text of an int, which it prints as it stands."""
+    every value is exactly one of the two, never a bool ("True") or a str:
+    the Pell listing's decimal text is no row value."""
     calls = [(name, {option: spec["default"] for option, spec in options.items()})
              for name, (_, _, options) in cli._SECTIONS.items()]
     calls += [("betti", {"case": "opposite"}), ("euler", {"case": "opposite"}),
@@ -527,5 +548,4 @@ def test_every_row_value_is_an_exact_int_or_fraction():
         rows = cli._SECTIONS[name][1](**kwargs)
         assert rows
         for label, value, _ in rows:
-            assert type(value) in (int, Fraction) or (
-                type(value) is str and str(int(value)) == value), (name, label, value)
+            assert type(value) in (int, Fraction), (name, label, value)

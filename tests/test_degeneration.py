@@ -1,6 +1,9 @@
+import io
+import json
 import random
+from contextlib import redirect_stdout
 from fractions import Fraction
-from math import comb, factorial, isqrt, perm, prod
+from math import comb, factorial, gcd, isqrt, perm, prod
 
 import pytest
 from hypothesis import example, given
@@ -23,7 +26,7 @@ from epwcalc.degeneration import (
     theta_characteristic_counts,
     wall_alpha_sq,
 )
-from epwcalc.mukai import mukai_pairing
+from epwcalc.mukai import hyperbolic_lattice, mukai_pairing
 from test_mukai import combination
 
 # ---------------------------------------------------------------------------
@@ -201,8 +204,10 @@ def _pell_signed(bound):
 
 
 def _listed(bound):
-    """The pairs ``pell --bound`` lists, in its order, read back as integers."""
-    values = [int(value) for _, value, _ in cli._rows_pell(bound)[2:]]
+    """The pairs ``pell --bound`` lists, in its order, read back as integers
+    from the JSON report after its two summary rows."""
+    results = json.loads(cli.Report("pell", {}, cli._rows_pell(bound)).to_json())["results"]
+    values = [int(result["value"]) for result in results[2:]]
     return list(zip(values[::2], values[1::2]))
 
 
@@ -240,6 +245,37 @@ def test_pell_order_matches_set_and_sort(bound):
 
 def test_pell_against_brute_force():
     _check_pell(300, _pell_brute(300))
+
+
+def test_the_pell_equation_comes_from_the_lattice():
+    """The Pell equation from the Mukai lattice, not as a literal: v and s
+    span a saturated sublattice (the gcd of the 2x2 minors of their
+    coordinates is 1) with Gram matrix diag(4, -2), so the (-2)-classes
+    x*v + y*s are the solutions of 4x^2 - 2y^2 = -2.  Over |x| <= 1000,
+    and |y| past where 4x^2 - 2y^2 < -2 for every such x, the classes of
+    square -2, each also squared with ``mukai_pairing``, are exactly the
+    pairs that ``pell --bound 1000 --json`` lists."""
+    v, s = HILB_VECTOR, SPHERICAL_VECTOR
+    gram = hyperbolic_lattice(v, s)
+    assert gram == ((4, 0), (0, -2))
+    minors = [v[i] * s[j] - v[j] * s[i] for i, j in ((0, 1), (0, 2), (1, 2))]
+    assert gcd(*minors) == 1
+    bound, y_max = 1000, isqrt(2 * 1000 ** 2 + 1) + 1
+    # with gram[0][1] == 0 the square is gram[0][0] x^2 + gram[1][1] y^2: the y
+    # of the box by their term, then for each x the y completing it to -2
+    by_term = {}
+    for y in range(-y_max, y_max + 1):
+        by_term.setdefault(gram[1][1] * y * y, []).append(y)
+    spherical = {(x, y) for x in range(-bound, bound + 1)
+                 for y in by_term.get(-2 - gram[0][0] * x * x, ())}
+    assert all(mukai_pairing(w, w) == -2
+               for w in (combination((x, v), (y, s)) for x, y in spherical))
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert cli.run(["pell", "--bound", str(bound), "--json"]) == 0
+    values = {r["label"]: int(r["value"]) for r in json.loads(out.getvalue())["results"]}
+    listed = [(values[f"x[{i}]"], values[f"y[{i}]"]) for i in range(values["solution count"])]
+    assert sorted(spherical) == listed
 
 
 def test_pell_recurrence_preserves_the_form():

@@ -19,11 +19,13 @@ rules that ``llv`` keeps side by side.
 """
 
 from collections import Counter
+from fractions import Fraction
 from math import comb
 
 import pytest
 
 from epwcalc import llv
+from epwcalc.mukai import bbf_pairing, square_and_divisibility
 
 #: extended Mukai lattice of S^[n] under the natural involution, as
 #: (weight, sign) -> multiplicity: alpha, the invariant L and delta, the 21
@@ -100,3 +102,50 @@ def test_natural_case_matches_the_fixed_point_count(natural_lattice):
 def test_opposite_case_fails_the_control(natural_lattice):
     assert lefschetz_number(character(3, -1)) == -1152
     assert lefschetz_number(character(3, -1)) != fixed_point_euler(3)[3]
+
+
+#: the degree-2 classes L and delta of the Hilbert cube, and h = 2L - delta,
+#: the polarization the EPW involution reflects in, as (L, delta) coefficients
+L, DELTA, H = (1, 0), (0, 1), (2, -1)
+
+
+def _minus_reflection(x):
+    """-R_h(x) = 2 (x, h)/(h, h) h - x on <L, delta> tensor Q."""
+    k = Fraction(2 * bbf_pairing(x, H), bbf_pairing(H, H))
+    return tuple(k * h - t for t, h in zip(x, H))
+
+
+def _lattice_columns(involution, rank_of_rest, sign_on_rest):
+    """(det on H^2, action on the discriminant group Z/4) of an involution
+    given on <L, delta>, acting by ``sign_on_rest`` on the rest of H^2.
+    Z/4 is generated by delta/4, which pairs integrally with L and delta;
+    the action is +1 or -1 as delta/4 maps to +delta/4 or -delta/4 mod the
+    lattice, and exactly one of the two must hold."""
+    images = [involution(L), involution(DELTA)]
+    for x, gx in zip((L, DELTA), images):
+        assert all(Fraction(t).denominator == 1 for t in gx)  # the lattice is preserved
+        for y, gy in zip((L, DELTA), images):
+            assert bbf_pairing(gx, gy) == bbf_pairing(x, y)  # an isometry
+    (a, b), (c, d) = images
+    det = (a * d - b * c) * sign_on_rest ** rank_of_rest
+    quarter = (0, Fraction(1, 4))
+    assert all(bbf_pairing(quarter, x) % 1 == 0 for x in (L, DELTA))
+    image = involution(quarter)
+    signs = [sign for sign in (1, -1)
+             if all((t - sign * q) % 1 == 0 for t, q in zip(image, quarter))]
+    assert len(signs) == 1
+    return det, signs[0]
+
+
+def test_the_lattice_columns_of_the_two_involutions():
+    """The EPW involution is -R_h with h = 2L - delta, of square 4 and
+    divisibility 2.  It sends L to 3L - 2delta and delta to 4L - 3delta,
+    so its block on <L, delta> has det -1; the other 21 classes of H^2 are
+    orthogonal to h, so -R_h negates them, and det = -1 * (-1)^21 = +1.  It
+    fixes delta/4 mod the lattice, so it acts by +1 on Z/4.  The natural
+    involution of S^[3] fixes L and delta and negates the 21 classes: det
+    -1, and +1 on Z/4."""
+    assert square_and_divisibility(H) == (4, 2)
+    assert [_minus_reflection(L), _minus_reflection(DELTA)] == [(3, -2), (4, -3)]
+    assert _lattice_columns(_minus_reflection, 21, -1) == (1, 1)
+    assert _lattice_columns(lambda x: x, 21, -1) == (-1, 1)

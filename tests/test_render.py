@@ -2,11 +2,11 @@
 Pell listing against its equation at bounds no brute-force search reaches.
 
 ``Report.to_text`` and ``Report.to_json`` build the payload with one join,
-and the Pell listing takes its values and labels from process-wide tables
-of text; the references below write every value with ``str`` and quote
-every string with json's encoder, row by row, and must give the same
-bytes.  The Pell reference takes its pairs from the set-and-sort
-construction, not from the code under test."""
+and write the Pell listing from process-wide tables of row heads and
+values, with no row tuples; the references below write every row, the
+listing's too, with ``str`` and quote every string with json's encoder,
+row by row, and must give the same bytes.  The Pell reference takes its
+pairs from the set-and-sort construction, not from the code under test."""
 
 import io
 import json
@@ -87,15 +87,50 @@ def _stdout(argv) -> str:
     return out.getvalue()
 
 
-@pytest.mark.parametrize("digits", [0, 1, 2, 30, 300, 1000])
-def test_the_pell_listing_renders_as_the_per_row_reference(digits):
-    bound = 10 ** digits
+def _assert_pell_renders(bound):
+    """``pell --bound`` in text and JSON is the per-row reference, byte for
+    byte, and ``_rows_pell`` returns the reference's two summary rows."""
     reference = Report("pell", {"bound": str(bound)}, _reference_pell_rows(bound))
-    _assert_same([(label, int(value) if type(value) is str else value, note)
-                  for label, value, note in cli._rows_pell(bound)], reference.rows)
+    assert cli._rows_pell(bound) == reference.rows[:2]
     argv = ["pell", "--bound", str(bound)]
     _assert_same(_stdout(argv), _reference_text(reference))
     _assert_same(_stdout([*argv, "--json"]), _reference_json(reference))
+
+
+@pytest.mark.parametrize("digits", [0, 1, 2, 3, 7, 30, 150, 299, 300, 1000])
+def test_the_pell_listing_renders_as_the_per_row_reference(digits):
+    _assert_pell_renders(10 ** digits)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 299).flatmap(lambda k: st.integers(10 ** k + 1, 10 ** (k + 1) - 1)))
+@example(11)
+@example(10 ** 11 - 1)
+def test_the_pell_listing_renders_as_the_reference_between_powers_of_ten(bound):
+    """Bounds in [1, 10^300] that are not powers of ten, drawn digit count first."""
+    _assert_pell_renders(bound)
+
+
+def _fresh_pell_tables(monkeypatch):
+    for listing in cli._PELL_LISTINGS:
+        for name, empty in (("heads", {}), ("positive", []), ("negative", [])):
+            monkeypatch.setattr(listing, name, empty)
+
+
+def _pell_tables():
+    """Per listing (JSON, text): its positive and negative value tables and
+    its heads by label width."""
+    return [(listing.positive, listing.negative, listing.heads) for listing in cli._PELL_LISTINGS]
+
+
+def _pell_table_sizes():
+    return [(len(positive), len(negative), {width: len(h) for width, h in by_width.items()})
+            for positive, negative, by_width in _pell_tables()]
+
+
+#: the text layout's label width on a ``pell`` report: that of its longest
+#: summary label
+PELL_TEXT_WIDTH = len("negative-x effectivity violations")
 
 
 def test_the_pell_tables_serve_every_bound_in_any_order(monkeypatch):
@@ -105,22 +140,18 @@ def test_the_pell_tables_serve_every_bound_in_any_order(monkeypatch):
     Every request renders as the per-row reference, in text and in JSON,
     and lists what the set-and-sort construction gives, whose part with
     x, y > 0 is the branch ``pell_spherical_classes`` returns.  Changing a
-    list it returned leaves the next call as it was.  After the cap, the
-    listing's text holds the 1306 branch elements, with labels for all 5226
-    listed pairs.  A bound past the cap is rejected (exit 2) and grows
-    nothing, even from empty tables."""
-    def fresh_tables():
-        monkeypatch.setattr(cli, "_PELL_TEXT", [])
-        monkeypatch.setattr(cli, "_PELL_LABELS", [])
-
-    def sizes():
-        return len(cli._PELL_TEXT), len(cli._PELL_LABELS)
-
+    list it returned leaves the next call as it was.  After the cap, each
+    listing holds four values per side for the 1306 branch elements and a
+    head for each of the 2 * 5226 listed values, in JSON and at the text
+    width.  A bound past the cap is rejected (exit 2) and grows nothing,
+    even from empty tables."""
     cap = 10 ** 1000
+    at_cap = [(4 * 1306, 4 * 1306, {width: 2 * 5226})
+              for width in (0, PELL_TEXT_WIDTH)]
     ascending = sorted({10 ** k for k in (0, 1, 2, 30, 300)}
                        | {b for x in (2, 12, 70, 408) for b in (x, x - 1)})
     for order in ([cap, *reversed(ascending), *ascending], [*ascending, cap]):
-        fresh_tables()
+        _fresh_pell_tables(monkeypatch)
         misrendered = []  # bounds, not megabytes of text for pytest to diff
         for bound in order:
             argv = ["pell", "--bound", str(bound)]
@@ -135,45 +166,43 @@ def test_the_pell_tables_serve_every_bound_in_any_order(monkeypatch):
             if (text, as_json) != (_reference_text(reference), _reference_json(reference)):
                 misrendered.append(bound)
             if cap in order[:order.index(bound) + 1]:
-                assert sizes() == (1306, 5226)
+                assert _pell_table_sizes() == at_cap
         assert misrendered == []
-    fresh_tables()
+    _fresh_pell_tables(monkeypatch)
     with redirect_stderr(io.StringIO()):
         assert run(["pell", "--bound", str(cap + 1)]) == 2
-    assert sizes() == (0, 0)
+    assert _pell_table_sizes() == [(0, 0, {}), (0, 0, {})]
+
+
+def _render_pell(bound):
+    report = Report("pell", {"bound": str(bound)}, cli._rows_pell(bound))
+    return report.to_text(), report.to_json()
 
 
 def test_interleaved_requests_grow_the_pell_tables_once(monkeypatch):
     """Eight threads, released together and switching every microsecond,
-    request bounds from empty tables: two ascending, two descending and
-    four in shuffled orders, so that several grow the same entries at once.
-    Each gets the rows a lone request gets, and the tables end as one
-    request for the largest bound leaves them: no entry is written twice or
-    dropped.  Five rounds, each from empty tables."""
+    render bounds in text and JSON from empty tables: two ascending, two
+    descending and four in shuffled orders, so that several grow the same
+    entries at once.  Each gets the payloads a lone request gets, and the
+    tables end as one request for the largest bound in both formats leaves
+    them: no entry is written twice or dropped.  Five rounds, each from
+    empty tables."""
     bounds = [10 ** k for k in range(0, 301, 7)]
-    expected = {bound: cli._rows_pell(bound) for bound in bounds}
-
-    def fresh_tables():
-        monkeypatch.setattr(cli, "_PELL_TEXT", [])
-        monkeypatch.setattr(cli, "_PELL_LABELS", [])
-
-    def tables():
-        return cli._PELL_TEXT, cli._PELL_LABELS
-
-    fresh_tables()
-    cli._rows_pell(bounds[-1])
-    alone = tables()
+    expected = {bound: _render_pell(bound) for bound in bounds}
+    _fresh_pell_tables(monkeypatch)
+    _render_pell(bounds[-1])
+    alone = _pell_tables()
 
     def client(order, start, wrong):
         start.wait(timeout=60)
-        wrong.extend(bound for bound in order if cli._rows_pell(bound) != expected[bound])
+        wrong.extend(bound for bound in order if _render_pell(bound) != expected[bound])
 
     rng = random.Random(24)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(5):  # any one round may interleave without a race
-            fresh_tables()
+            _fresh_pell_tables(monkeypatch)
             orders = [bounds, bounds, bounds[::-1], bounds[::-1]]
             orders += [rng.sample(bounds, len(bounds)) for _ in range(4)]
             start, wrong = threading.Barrier(len(orders)), []
@@ -185,7 +214,7 @@ def test_interleaved_requests_grow_the_pell_tables_once(monkeypatch):
                 thread.join(timeout=60)
             assert not any(thread.is_alive() for thread in threads)
             assert wrong == []
-            assert tables() == alone
+            assert _pell_tables() == alone
     finally:
         sys.setswitchinterval(interval)
 
