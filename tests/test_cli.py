@@ -1,5 +1,7 @@
+import gc
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -329,11 +331,11 @@ def test_report_all_matches_golden():
     assert out == GOLDEN.read_text()
 
 
-def _cold_without_site(*args):
-    """A fresh ``python -S`` process with this checkout's ``src`` on its
-    path; stdout as bytes, stderr as text."""
+def _cold(*args):
+    """A fresh ``python`` process with this checkout's ``src`` on its path;
+    stdout as bytes, stderr as text."""
     src = Path(__file__).resolve().parents[1] / "src"
-    proc = subprocess.run([sys.executable, "-S", *args], capture_output=True,
+    proc = subprocess.run([sys.executable, *args], capture_output=True,
                           env={**os.environ, "PYTHONPATH": str(src)})
     return proc.returncode, proc.stdout, proc.stderr.decode()
 
@@ -344,7 +346,7 @@ def test_the_pell_tables_hold_at_most_a_megabyte():
     fresh process renders ``pell --bound 10^k`` for k = 0..300 in both
     formats; after ``gc.collect()``, what is still allocated since the
     import (tracemalloc) is at most 1.0 MB."""
-    code, _, err = _cold_without_site("-c", (
+    code, _, err = _cold("-S", "-c", (
         "import gc, os, sys, tracemalloc\n"
         "import epwcalc.cli\n"
         "sys.stdout = open(os.devnull, 'w')\n"
@@ -363,8 +365,8 @@ def test_a_cold_report_imports_no_json_module():
     """The quoter comes from ``_json``, the C accelerator: ``json`` itself
     would load ``json.decoder`` and ``json.scanner`` with their regexes on
     every cold request.  ``-X importtime`` names each module it imports."""
-    code, out, err = _cold_without_site("-X", "importtime", "-m", "epwcalc.cli",
-                                        "report-all", "--json")
+    code, out, err = _cold("-S", "-X", "importtime", "-m", "epwcalc.cli",
+                           "report-all", "--json")
     assert code == 0, err
     assert out == GOLDEN.read_bytes()
     imported = [line.rpartition("|")[2].strip() for line in err.splitlines()
@@ -376,7 +378,7 @@ def test_a_cold_report_imports_no_json_module():
 def test_without_json_accelerator_the_report_is_the_same():
     """Where ``_json`` is missing, ``json.encoder`` supplies the quoter
     (its pure-Python one here), and the report does not change."""
-    code, out, err = _cold_without_site("-c", (
+    code, out, err = _cold("-S", "-c", (
         "import runpy, sys\n"
         "sys.modules['_json'] = None\n"
         "sys.argv[1:] = ['report-all', '--json']\n"
@@ -385,6 +387,72 @@ def test_without_json_accelerator_the_report_is_the_same():
         "finally:\n"
         "    print('json.encoder' in sys.modules, file=sys.stderr)\n"))
     assert (code, err) == (0, "True\n")
+    assert out == GOLDEN.read_bytes()
+
+
+@pytest.mark.parametrize("section", cli._SECTIONS)
+def test_a_cold_process_ends_as_run_in_process(section, capsys):
+    """``main`` freezes the heap after ``run`` and changes nothing else: the
+    exit code, stdout and stderr of a cold ``-m`` process are ``run``'s."""
+    cold = _cold("-m", "epwcalc.cli", section, "--json")
+    code = run([section, "--json"])
+    out, err = capsys.readouterr()
+    assert cold == (code, out.encode(), err)
+
+
+def test_a_cold_error_keeps_its_code_and_its_one_line():
+    """A computation error and a usage error, run cold, keep their exit
+    codes (1 and 2) and their lines on stderr."""
+    assert _cold("-m", "epwcalc.cli", "ring", "--q", "-1") == (
+        1, b"", "error: the BBF square of a polarization must be positive\n")
+    code, out, err = _cold("-m", "epwcalc.cli", "ring", "--q", "x")
+    assert (code, out) == (2, b"")
+    usage, error = err.splitlines()
+    assert usage.startswith("usage: epwcalc ring ")
+    assert error == "epwcalc ring: error: argument --q: not a rational number: 'x'"
+
+
+def test_atexit_handlers_run_after_the_report():
+    """The process still finalizes: an ``atexit`` handler prints after the
+    report, and the exit code is 0.  An exit through ``os._exit`` skips it."""
+    code, out, err = _cold("-c", (
+        "import atexit, runpy; atexit.register(print, 'atexit ran'); "
+        "runpy.run_module('epwcalc.cli', run_name='__main__')"), "fujiki")
+    assert (code, err) == (0, "")
+    report = cli.Report("fujiki", {}, cli._rows_fujiki()).to_text()
+    assert out.decode() == report + "atexit ran\n"
+
+
+def test_run_freezes_nothing(capsys):
+    """Only ``main`` freezes: ``run`` in a process that stays leaves the
+    permanent generation as it found it."""
+    before = gc.get_freeze_count()
+    assert run(["report-all", "--json"]) == 0
+    assert gc.get_freeze_count() == before
+    capsys.readouterr()
+
+
+def test_a_cold_report_under_dev_mode_warns_of_nothing():
+    """``-X dev`` shows a ResourceWarning and other warnings hidden by
+    default, and ``-W error`` makes each one an error."""
+    code, out, err = _cold("-X", "dev", "-W", "error", "-m", "epwcalc.cli",
+                           "report-all", "--json")
+    assert (code, err) == (0, "")
+    assert out == GOLDEN.read_bytes()
+
+
+def test_the_console_script_ends_through_main():
+    """``[project.scripts]`` names ``main``, and the callable, imported and
+    called as a generated script does, prints the golden report.
+    ``tomllib`` is new in 3.11, so the table is read with a regex."""
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    scripts = re.search(r"^\[project\.scripts\]\n(.*?)(?:^\[|\Z)", pyproject, re.M | re.S)
+    module, function = re.search(r'^epwcalc\s*=\s*"([\w.]+):(\w+)"\s*$', scripts[1],
+                                 re.M).groups()
+    assert (module, function) == ("epwcalc.cli", "main")
+    code, out, err = _cold("-c", f"import sys; from {module} import {function}; "
+                                 f"sys.exit({function}())", "report-all", "--json")
+    assert (code, err) == (0, "")
     assert out == GOLDEN.read_bytes()
 
 
