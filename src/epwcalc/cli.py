@@ -19,14 +19,29 @@ The Pell listing is joined once from process-wide tables of its row heads
 and values, grown only past the largest bound asked for (``_PellListing``).
 A process ends in ``main``, ``run`` then ``gc.freeze()``: shutdown walks no
 loaded module.  ``run`` never freezes; a caller that stays would pin garbage.
+
+The seven modules below ``cli`` are bound by ``_lazy``, the lazy-import
+recipe of the importlib docs (``importlib.util.LazyLoader``): each is in
+``sys.modules`` and on the package from the start, but is compiled and run
+only when one of its attributes is first read, so a cold request compiles
+only the modules its rows use.  Lazy binding rather than importing on
+dispatch: whatever reads ``sys.modules["epwcalc.<name>"]`` once ``cli`` is
+imported (the benchmark's tracer does) finds the module there.  For this to
+pay, nothing at import reads a section module's attribute: an option's
+keywords (``_options``), ``report-all``'s table and the walls constants are
+built on first use.  ``run`` holds a lock from parse to payload: before
+Python 3.13 a module that one thread is loading is not safe to read from
+another.
 """
 
 from __future__ import annotations
 
 import functools
 import gc
+import importlib.util
 import os
 import sys
+from _thread import allocate_lock
 from collections import namedtuple
 from fractions import Fraction
 from math import comb
@@ -36,7 +51,22 @@ try:
 except ImportError:
     from json.encoder import encode_basestring_ascii as _quote
 
-from . import degeneration, fujiki, hodge_ring, lagrangian, llv, mukai
+
+def _lazy(name: str):
+    """The module ``epwcalc.<name>``: the one in ``sys.modules`` if it has
+    been imported, else a lazy one, put there and on the package."""
+    fullname = f"{__package__}.{name}"
+    if fullname not in sys.modules:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        sys.modules[fullname] = module = importlib.util.module_from_spec(spec)
+        setattr(sys.modules[__package__], name, module)
+        spec.loader.exec_module(module)
+    return sys.modules[fullname]
+
+
+qfield, fujiki, hodge_ring, llv, lagrangian, mukai, degeneration = map(
+    _lazy, ("qfield", "fujiki", "hodge_ring", "llv", "lagrangian", "mukai", "degeneration"))
 
 Row = tuple[str, Fraction | int, str]
 #: the value types that ``_text`` writes with ``str`` (a set: fast to test)
@@ -196,22 +226,23 @@ def _rows_fixed_locus(degree: Fraction, q: Fraction) -> list[Row]:
     ]
 
 
-#: the degree-2 image of the contracted ray, in ``_WALL_CONSTANTS``
-_RAY_IMAGE = mukai.theta_map(degeneration.CONTRACTED_RAY_VECTOR)
-#: the walls values that depend on no beta, computed once: the Gram matrix of
-#: (v, s), the contracted ray's image, its BBF square and divisibility, and
-#: the genus-2 (odd, even) theta-characteristic counts
-_WALL_CONSTANTS = (
-    mukai.hyperbolic_lattice(degeneration.HILB_VECTOR, degeneration.SPHERICAL_VECTOR),
-    _RAY_IMAGE, *mukai.square_and_divisibility(_RAY_IMAGE),
-    *degeneration.theta_characteristic_counts(2))
+@functools.cache
+def _wall_constants() -> tuple:
+    """The walls values that depend on no beta, computed once: the Gram
+    matrix of (v, s), the degree-2 image of the contracted ray, its BBF
+    square and divisibility, and the genus-2 (odd, even) theta-characteristic
+    counts."""
+    ray = mukai.theta_map(degeneration.CONTRACTED_RAY_VECTOR)
+    return (mukai.hyperbolic_lattice(degeneration.HILB_VECTOR, degeneration.SPHERICAL_VECTOR),
+            ray, *mukai.square_and_divisibility(ray),
+            *degeneration.theta_characteristic_counts(2))
 
 
 def _rows_walls(beta: Fraction) -> list[Row]:
     alpha_sq = degeneration.wall_alpha_sq(beta)
     (re_s, im_s), (re_v, im_v), ratio = degeneration.central_charges(
         degeneration.SPHERICAL_VECTOR, degeneration.HILB_VECTOR, beta)
-    gram, (a, b), square, div, odd, even = _WALL_CONSTANTS
+    gram, (a, b), square, div, odd, even = _wall_constants()
     return [
         ("alpha^2", alpha_sq, "wall equation (beta+2)^2 + alpha^2 = 2"),
         ("Re Z(v)", re_v, "central charge of the Hilbert-cube class"),
@@ -373,20 +404,27 @@ def _bound(text: str) -> int:
     return value
 
 
-_Q = {"type": _rational, "default": lagrangian.EPW_Q,
-      "help": f"BBF square of the polarization (default {lagrangian.EPW_Q})"}
-_DEGREE = {"type": _rational, "default": lagrangian.EPW_DEGREE,
-           "help": f"h^3-degree of the fixed locus (default {lagrangian.EPW_DEGREE})"}
-_CASE = {"choices": llv.CASES, "default": llv.CASES[0],
-         "help": "involution action on the non-Verbitsky summand"}
+def _q() -> dict:
+    return {"type": _rational, "default": hodge_ring.EPW_Q,
+            "help": "BBF square of the polarization (default %(default)s)"}
+
+
+def _degree() -> dict:
+    return {"type": _rational, "default": lagrangian.EPW_DEGREE,
+            "help": "h^3-degree of the fixed locus (default %(default)s)"}
+
+
+def _case() -> dict:
+    return {"choices": llv.CASES, "default": llv.CASES[0],
+            "help": "involution action on the non-Verbitsky summand"}
 
 
 def _rows_report_all(q: Fraction, degree: Fraction) -> list[Row]:
-    """Every section of ``_REPORT_ALL`` at its defaults, except that q and
+    """Every section of ``_report_all()`` at its defaults, except that q and
     degree pass down to the sections that take them."""
     shared = {"q": q, "degree": degree}
     rows: list[Row] = []
-    for head, section_rows, defaults in _REPORT_ALL:
+    for head, section_rows, defaults in _report_all():
         section = (section_rows(**{k: shared.get(k, v) for k, v in defaults.items()})
                    if defaults else section_rows())
         rows += [(head + label, value, note) for label, value, note in section]
@@ -394,56 +432,70 @@ def _rows_report_all(q: Fraction, degree: Fraction) -> list[Row]:
 
 
 #: subcommand -> (help, rows function, options).  ``options`` maps each
-#: option name to its ``add_argument`` keywords; the rows function takes the
-#: parsed options as keyword arguments, and the report's params are the same
-#: options, in declaration order, rendered with ``str``.
+#: option name to a function that returns its ``add_argument`` keywords
+#: (``_options``); the rows function takes the parsed options as keyword
+#: arguments, and the report's params are the same options, in declaration
+#: order, rendered with ``str``.
 _SECTIONS = {
     "fujiki": ("generalized Fujiki constants", _rows_fujiki, {}),
     "ring": ("top-degree integrals, Gram determinant, Chern numbers", _rows_ring,
-             {"q": _Q}),
-    "relations": ("degree-8 and degree-10 ring relations", _rows_relations, {"q": _Q}),
-    "betti": ("Betti numbers of the involution quotient", _rows_betti, {"case": _CASE}),
+             {"q": _q}),
+    "relations": ("degree-8 and degree-10 ring relations", _rows_relations, {"q": _q}),
+    "betti": ("Betti numbers of the involution quotient", _rows_betti, {"case": _case}),
     "euler": ("Euler characteristics of quotient and fixed locus", _rows_euler,
-              {"case": _CASE}),
+              {"case": _case}),
     "lagrangian": ("projection of the Lagrangian class", _rows_lagrangian,
-                   {"degree": _DEGREE, "q": _Q}),
+                   {"degree": _degree, "q": _q}),
     "fixed-locus": ("invariants of the fixed threefold", _rows_fixed_locus,
-                    {"degree": _DEGREE, "q": _Q}),
+                    {"degree": _degree, "q": _q}),
     "walls": ("wall point, central charges, contracted ray", _rows_walls,
-              {"beta": {"type": _rational, "default": Fraction(-2),
-                        "help": "beta coordinate on the wall branch (default -2)"}}),
+              {"beta": lambda: {"type": _rational, "default": Fraction(-2),
+                                "help": "beta coordinate on the wall branch "
+                                        "(default %(default)s)"}}),
     "pell": ("spherical classes on the wall from the Pell equation", _rows_pell,
-             {"bound": {"type": _bound, "default": 10 ** 6,
-                        "help": "list solutions with |x| up to this bound "
-                                "(default 10^6, at most 10^1000)"}}),
+             {"bound": lambda: {"type": _bound, "default": 10 ** 6,
+                                "help": "list solutions with |x| up to this bound "
+                                        "(default 10^6, at most 10^1000)"}}),
     "ext": ("Ext dimensions at the contraction", _rows_ext, {}),
     "kuranishi": ("Kuranishi identity for the singularity type", _rows_kuranishi, {}),
     "symprod": ("symmetric-product intersection calculus", _rows_symprod,
-                {"genus": {"type": int, "default": 10, "help": "genus of the curve (default 10)"}}),
+                {"genus": lambda: {"type": int, "default": degeneration.SEXTIC_GENUS,
+                                   "help": "genus of the curve (default %(default)s)"}}),
     "f3": ("Hodge-number relations for the fixed threefold", _rows_f3,
-           {"genus": {"type": int, "default": degeneration.SEXTIC_GENUS,
-                      "help": "genus override (default: plane sextic)"}}),
+           {"genus": lambda: {"type": int, "default": degeneration.SEXTIC_GENUS,
+                              "help": "genus override (default: plane sextic)"}}),
     "report-all": ("every headline number in one report", _rows_report_all,
-                   {"q": _Q, "degree": _DEGREE}),
+                   {"q": _q, "degree": _degree}),
 }
 
 
-#: (label prefix and ": ", rows function, keyword arguments) in report
-#: order, resolved once, at import, from a table of (label prefix, section,
-#: arguments beyond the section's options): the keyword arguments are the
-#: section's defaults and those arguments, and a request substitutes only q
-#: and degree.  A table rather than a walk over the registry, because the
-#: report interleaves the betti and euler rows of the two involution cases.
-_REPORT_ALL = tuple(
-    (prefix + ": ", _SECTIONS[name][1],
-     {**{opt: spec["default"] for opt, spec in _SECTIONS[name][2].items()}, **arguments})
-    for prefix, name, arguments in (
-        *((name, name, {}) for name in ("fujiki", "ring", "relations")),
-        *((f"{name} {case}", name, {"case": case})
-          for case in llv.CASES for name in ("betti", "euler")),
-        *((name, name, {}) for name in ("lagrangian", "fixed-locus", "walls", "pell", "ext",
-                                        "kuranishi", "symprod", "f3")),
-    ))
+@functools.cache
+def _options(command: str) -> dict[str, dict]:
+    """``command``'s options, each name -> its ``add_argument`` keywords,
+    built by the first request that reads them: a default is read from its
+    module then, not at import."""
+    return {name: keywords() for name, keywords in _SECTIONS[command][2].items()}
+
+
+@functools.cache
+def _report_all() -> tuple:
+    """(label prefix and ": ", rows function, keyword arguments) in report
+    order, resolved once, on first use, from a table of (label prefix,
+    section, arguments beyond the section's options): the keyword arguments
+    are the section's defaults and those arguments, and a request
+    substitutes only q and degree.  A table rather than a walk over the
+    registry, because the report interleaves the betti and euler rows of the
+    two involution cases."""
+    return tuple(
+        (prefix + ": ", _SECTIONS[name][1],
+         {**{opt: spec["default"] for opt, spec in _options(name).items()}, **arguments})
+        for prefix, name, arguments in (
+            *((name, name, {}) for name in ("fujiki", "ring", "relations")),
+            *((f"{name} {case}", name, {"case": case})
+              for case in llv.CASES for name in ("betti", "euler")),
+            *((name, name, {}) for name in ("lagrangian", "fixed-locus", "walls", "pell", "ext",
+                                            "kuranishi", "symprod", "f3")),
+        ))
 
 
 @functools.cache
@@ -482,22 +534,22 @@ def build_parser():
     common.add_argument("--json", action="store_true", help="emit a JSON report")
     common.add_argument("--out", metavar="PATH", help="write the report to a file")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (help_text, _, options) in _SECTIONS.items():
+    for command, (help_text, _, _) in _SECTIONS.items():
         p = sub.add_parser(command, parents=[common], help=help_text)
-        for name, kwargs in options.items():
+        for name, kwargs in _options(command).items():
             p.add_argument(f"--{name}", **kwargs)
     return parser
 
 
 def _parse_fast(argv):
     """The namespace ``build_parser().parse_args(argv)`` gives, read straight
-    from ``_SECTIONS``, when argv is a section and then only ``--json``,
+    from ``_options``, when argv is a section and then only ``--json``,
     ``--opt=value`` or ``--opt value`` (value not starting with "-") for
     ``--out`` and the section's options, each value taken by the option's
     ``type`` and ``choices``; ``None`` for every other argv."""
     if not argv or argv[0] not in _SECTIONS:
         return None
-    specs = {"out": {"default": None}, **_SECTIONS[argv[0]][2]}
+    specs = {"out": {"default": None}, **_options(argv[0])}
     args = {"command": argv[0], "json": False}
     args.update((name, spec["default"]) for name, spec in specs.items())
     tokens = iter(argv[1:])
@@ -539,29 +591,37 @@ def _flushed(stream, payload: str = "") -> bool:
     return True
 
 
+#: held by a request from its parse to its payload.  Before Python 3.13 a
+#: lazy module is not thread-safe: a thread that reads it while another is
+#: still loading it finds attributes missing (AttributeError).  From
+#: ``_thread``, which the interpreter has loaded; ``threading`` may not be.
+_REQUEST_LOCK = allocate_lock()
+
+
 def run(argv=None) -> int:
     """Entry point; returns the exit code (0 ok, 1 computation, 2 usage).
     ``_parse_fast`` reads the argv if it can, else ``build_parser``'s."""
-    args = _parse_fast(sys.argv[1:] if argv is None else argv)
-    try:
-        args = args or build_parser().parse_args(argv)
-    except SystemExit as exc:
-        # argparse ignores a reader of its help (stdout) or usage error
-        # (stderr) that has gone: flush both here, not at exit
-        if sys.stdout is not None and not _flushed(sys.stdout):
-            return 1
-        if sys.stderr is not None:
-            _flushed(sys.stderr)
-        return exc.code if isinstance(exc.code, int) else 2
-    _, rows, options = _SECTIONS[args.command]
-    values = {name: getattr(args, name) for name in options}
-    try:
-        report = Report(args.command, {name: str(value) for name, value in values.items()},
-                        rows(**values))
-        # rendering raises too: an int past the interpreter's digit limit
-        payload = report.to_json() if args.json else report.to_text()
-    except (ValueError, ZeroDivisionError) as exc:
-        return _error(exc)
+    with _REQUEST_LOCK:
+        args = _parse_fast(sys.argv[1:] if argv is None else argv)
+        try:
+            args = args or build_parser().parse_args(argv)
+        except SystemExit as exc:
+            # argparse ignores a reader of its help (stdout) or usage error
+            # (stderr) that has gone: flush both here, not at exit
+            if sys.stdout is not None and not _flushed(sys.stdout):
+                return 1
+            if sys.stderr is not None:
+                _flushed(sys.stderr)
+            return exc.code if isinstance(exc.code, int) else 2
+        _, rows, options = _SECTIONS[args.command]
+        values = {name: getattr(args, name) for name in options}
+        try:
+            report = Report(args.command, {name: str(value) for name, value in values.items()},
+                            rows(**values))
+            # rendering raises too: an int past the interpreter's digit limit
+            payload = report.to_json() if args.json else report.to_text()
+        except (ValueError, ZeroDivisionError) as exc:
+            return _error(exc)
     if args.out is None:  # 1 when stdout is closed (None) or its reader has gone
         if sys.stdout is None:
             return _error("standard output is closed")

@@ -10,7 +10,12 @@ Everything is computed on integers.  A wall point has rational beta = n/d
 and rational alpha^2, whose denominator divides d^2; a central charge is
 re + i*im*alpha with re over d^2 and im over d, and the ratio of two
 charges is one quotient of integer sums.  A class on the third symmetric
-product is its four integer coefficients on the monomials."""
+product is its four integer coefficients on the monomials.
+
+The other modules are reached through their names
+(``lagrangian.fixed_locus_invariants``), not bound at import: where ``cli``
+binds them lazily, a section loads ``lagrangian`` and ``mukai`` only if its
+rows call them."""
 
 from __future__ import annotations
 
@@ -20,9 +25,7 @@ from fractions import Fraction
 from itertools import product
 from math import comb, perm
 
-from .lagrangian import fixed_locus_invariants
-from .mukai import mukai_pairing
-from .qfield import Rational
+from . import lagrangian, mukai, qfield
 
 #: the Hilbert cube of the surface, as a moduli space
 HILB_VECTOR = (1, 0, -2)
@@ -38,7 +41,7 @@ CONTRACTED_RAY_VECTOR = (1, -2, 2)
 # the wall and exact central charges
 # ---------------------------------------------------------------------------
 
-def _wall_point(beta: Rational) -> tuple[int, int, int]:
+def _wall_point(beta: qfield.Rational) -> tuple[int, int, int]:
     """(n, d, alpha^2 * d^2) at beta = n/d, all integers; the wall
     (beta+2)^2 + alpha^2 = 2 gives alpha^2 * d^2 = 2d^2 - (n + 2d)^2."""
     n, d = beta.as_integer_ratio()
@@ -50,14 +53,15 @@ def _wall_point(beta: Rational) -> tuple[int, int, int]:
     return n, d, a
 
 
-def wall_alpha_sq(beta: Rational) -> Fraction:
+def wall_alpha_sq(beta: qfield.Rational) -> Fraction:
     """alpha^2 = 2 - (beta+2)^2 at the wall point over beta, which must lie
     on the branch beta < -1 with alpha > 0."""
     _, d, a = _wall_point(beta)
     return Fraction(a, d * d)
 
 
-def central_charges(u: tuple[int, int, int], v: tuple[int, int, int], beta: Rational) -> tuple[
+def central_charges(u: tuple[int, int, int], v: tuple[int, int, int],
+                    beta: qfield.Rational) -> tuple[
         tuple[Fraction, Fraction], tuple[Fraction, Fraction], Fraction]:
     """((Re Z(u), Im Z(u)/alpha), (Re Z(v), Im Z(v)/alpha), Re(Z(u)/Z(v)))
     at the wall point over beta, with
@@ -103,9 +107,9 @@ def ext_dimensions() -> dict[str, int]:
     dimension of the ambient moduli space (+2)."""
     v, s, a = HILB_VECTOR, SPHERICAL_VECTOR, FOURFOLD_VECTOR
     return {
-        "ext1(T,F)": mukai_pairing(s, a),
-        "ext1(F,F)": mukai_pairing(a, a) + 2,
-        "dim M(v)": mukai_pairing(v, v) + 2,
+        "ext1(T,F)": mukai.mukai_pairing(s, a),
+        "ext1(F,F)": mukai.mukai_pairing(a, a) + 2,
+        "dim M(v)": mukai.mukai_pairing(v, v) + 2,
     }
 
 
@@ -192,7 +196,7 @@ class F3RelationTable(namedtuple(
 def _epw_fixed_locus_invariants():
     """The fixed-locus invariants at the EPW point; they depend on no
     argument of ``f3_hodge_relations``, so they are computed once."""
-    return fixed_locus_invariants()
+    return lagrangian.fixed_locus_invariants()
 
 
 def f3_hodge_relations(genus: int = SEXTIC_GENUS) -> F3RelationTable:

@@ -43,6 +43,8 @@ C2_SQUARED_OVER_C4 = fujiki_constant("c2^2") / fujiki_constant("c4")
 
 #: self-pairing of the degree-6 class eta
 ETA_SQUARE = Fraction(4)
+#: BBF square of the polarization h of an EPW cube
+EPW_Q = Fraction(4)
 
 _Q = ParametricScalar.q()
 

@@ -49,13 +49,12 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .fujiki import sigma_sigbar_integral
-from .hodge_ring import DEGREE6_FORM, ETA_SQUARE, positive_q, solve_2x2
+from .hodge_ring import DEGREE6_FORM, EPW_Q, ETA_SQUARE, positive_q, solve_2x2
 from .llv import FIXED_LOCUS_EULER
 from .qfield import ParametricScalar, Rational, ratio_sqrt, rational_sum
 
-#: h^3-degree of the fixed locus inside an EPW cube, and the BBF square of h
+#: h^3-degree of the fixed locus inside an EPW cube (at q = ``EPW_Q``)
 EPW_DEGREE = Fraction(720)
-EPW_Q = Fraction(4)
 #: k with canonical class K_W = k*h|_W on the fixed locus
 CANONICAL_MULTIPLE = 2
 

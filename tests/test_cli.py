@@ -483,9 +483,9 @@ def test_report_all_walks_the_fixed_locus_once_per_section(monkeypatch, capsys):
     Lagrangian values went through the unit pairings, 14 before the Gram
     determinant read its entries' pairs); every scalar value, those
     included, is one ``pair_at`` (24 calls).  The walls rows compute alpha^2
-    and the two central charges once each, and the Kuranishi grid was walked
-    by the first request.  The argument-free values of the walls, symprod
-    and betti rows were built at import: no Gram matrix, theta map, cube
+    and the two central charges once each, and the Kuranishi grid and the
+    walls rows' argument-free values were built by the first request, those
+    of the symprod and betti rows at import: no Gram matrix, theta map, cube
     expansion or invariant dimension is computed.  The request builds at
     most 32 ``Fraction``s for its 81 rows (39 before the wall ratio became
     one quotient and the symprod rows stayed in the integers; 62 before the
@@ -554,8 +554,8 @@ def test_report_all_walks_the_fixed_locus_once_per_section(monkeypatch, capsys):
 @example(Fraction(-2))
 @example(Fraction(-3, 2))
 def test_walls_rows_match_the_library_calls(beta):
-    """The walls rows read their beta-free values from a constant built at
-    import; each row equals, in value and type, the library call it
+    """The walls rows read their beta-free values from constants built on
+    first use; each row equals, in value and type, the library call it
     reports, made here at the requested beta."""
     v, s = degeneration.HILB_VECTOR, degeneration.SPHERICAL_VECTOR
     (re_s, im_s), (re_v, im_v), ratio = degeneration.central_charges(s, v, beta)
@@ -593,10 +593,10 @@ def test_report_all_passes_q_and_degree_down():
     point = {"q": Fraction(16), "degree": Fraction(5760)}
     rows = cli._rows_report_all(**point)
     for name in ("ring", "relations", "lagrangian", "fixed-locus", "walls"):
-        _, section_rows, options = cli._SECTIONS[name]
-        kwargs = {opt: point.get(opt, spec["default"]) for opt, spec in options.items()}
+        kwargs = {opt: point.get(opt, spec["default"])
+                  for opt, spec in cli._options(name).items()}
         expected = [(f"{name}: {label}", value, note)
-                    for label, value, note in section_rows(**kwargs)]
+                    for label, value, note in cli._SECTIONS[name][1](**kwargs)]
         assert [row for row in rows if row[0].startswith(f"{name}: ")] == expected
     assert ("ring: integral h^6", 15 * 16 ** 3, "degree-12 monomial integral at q(h)=q") in rows
 
@@ -605,8 +605,8 @@ def test_every_row_value_is_an_exact_int_or_fraction():
     """The report prints an int or Fraction row value as ``str(value)``, so
     every value is exactly one of the two, never a bool ("True") or a str:
     the Pell listing's decimal text is no row value."""
-    calls = [(name, {option: spec["default"] for option, spec in options.items()})
-             for name, (_, _, options) in cli._SECTIONS.items()]
+    calls = [(name, {option: spec["default"] for option, spec in cli._options(name).items()})
+             for name in cli._SECTIONS]
     calls += [("betti", {"case": "opposite"}), ("euler", {"case": "opposite"}),
               ("fixed-locus", {"degree": Fraction(5760), "q": Fraction(16)}),
               ("lagrangian", {"degree": Fraction(5760), "q": Fraction(16)}),
