@@ -7,11 +7,12 @@ encoded as +1/-1 or 1/0 with the meaning spelled out in the note field.
 Output is byte-deterministic: same arguments, same bytes.
 
 The subcommands come from one registry of sections, and ``report-all``
-walks an ordered table over it.  ``run`` reads a well-formed argv straight
+calls their row builders itself.  ``run`` reads a well-formed argv straight
 from that registry (``_parse_fast``); help, abbreviations and every error go
-to the argparse parser of ``build_parser``, imported only then, which writes
-every help, usage and error message.  ``run`` can be called again and again
-in one process, and no option carries over from one call to the next.
+to the argparse parser of ``build_parser``, imported only then and built with
+the options of the section argv names alone, which writes every help, usage
+and error message.  ``run`` can be called again and again in one process,
+and no option carries over from one call to the next.
 ``Report.to_json`` writes the indent-2 layout of ``json.dumps`` itself (with
 an indent, ``json.dumps`` skips its C string encoder), quoting with that
 encoder from ``_json``, or from ``json.encoder`` where ``_json`` is missing.
@@ -28,10 +29,9 @@ only the modules its rows use.  Lazy binding rather than importing on
 dispatch: whatever reads ``sys.modules["epwcalc.<name>"]`` once ``cli`` is
 imported (the benchmark's tracer does) finds the module there.  For this to
 pay, nothing at import reads a section module's attribute: an option's
-keywords (``_options``), ``report-all``'s table and the walls constants are
-built on first use.  ``run`` holds a lock from parse to payload: before
-Python 3.13 a module that one thread is loading is not safe to read from
-another.
+keywords (``_options``) and the walls constants are built on first use.
+``run`` holds a lock from parse to payload: before Python 3.13 a module
+that one thread is loading is not safe to read from another.
 """
 
 from __future__ import annotations
@@ -308,8 +308,9 @@ def _rows_pell(bound: int) -> list[Row]:
         for f in _PELL_LISTINGS:  # x, -y, x, y and y, -x, -y, -x
             f.positive[4 * k:4 * n] = [t[i].rjust(f.width) for t in texts for i in (0, 3, 0, 2)]
             f.negative[4 * k:4 * n] = [t[i].rjust(f.width) for t in texts for i in (2, 1, 3, 1)]
-    # the images (-x, +-y) with x + y/2 >= 0, doubled to stay in the integers
-    violations = sum(1 for x, y in branch for sy in (-y, y) if sy >= 2 * x)
+    # the images (-x, +-y) with x + y/2 >= 0, doubled to stay in the integers:
+    # x, y > 0 on the branch, so no (-x, -y) is one
+    violations = sum(1 for x, y in branch if y >= 2 * x)
     rows = _PellRows([("solution count", 4 * n + 2, f"2x^2 - y^2 = -1 with |x| <= {bound}"),
                       ("negative-x effectivity violations", violations,
                        "x < 0 must force effectivity ratio x + y/2 < 0")])
@@ -419,16 +420,26 @@ def _case() -> dict:
             "help": "involution action on the non-Verbitsky summand"}
 
 
+#: the walls and pell defaults, which report-all reports at as well
+_BETA, _BOUND = Fraction(-2), 10 ** 6
+
+
 def _rows_report_all(q: Fraction, degree: Fraction) -> list[Row]:
-    """Every section of ``_report_all()`` at its defaults, except that q and
-    degree pass down to the sections that take them."""
-    shared = {"q": q, "degree": degree}
-    rows: list[Row] = []
-    for head, section_rows, defaults in _report_all():
-        section = (section_rows(**{k: shared.get(k, v) for k, v in defaults.items()})
-                   if defaults else section_rows())
-        rows += [(head + label, value, note) for label, value, note in section]
-    return rows
+    """Every section in report order, each label behind its section's name,
+    at q and degree where it takes them and else at its defaults; the betti
+    and euler rows interleave over the two involution cases."""
+    genus = degeneration.SEXTIC_GENUS
+    sections = [
+        ("fujiki", _rows_fujiki()), ("ring", _rows_ring(q)), ("relations", _rows_relations(q)),
+        *((f"{name} {case}", section(case)) for case in llv.CASES
+          for name, section in (("betti", _rows_betti), ("euler", _rows_euler))),
+        ("lagrangian", _rows_lagrangian(degree, q)), ("fixed-locus", _rows_fixed_locus(degree, q)),
+        ("walls", _rows_walls(_BETA)), ("pell", _rows_pell(_BOUND)), ("ext", _rows_ext()),
+        ("kuranishi", _rows_kuranishi()), ("symprod", _rows_symprod(genus)),
+        ("f3", _rows_f3(genus)),
+    ]
+    return [(f"{head}: {label}", value, note)
+            for head, rows in sections for label, value, note in rows]
 
 
 #: subcommand -> (help, rows function, options).  ``options`` maps each
@@ -449,11 +460,11 @@ _SECTIONS = {
     "fixed-locus": ("invariants of the fixed threefold", _rows_fixed_locus,
                     {"degree": _degree, "q": _q}),
     "walls": ("wall point, central charges, contracted ray", _rows_walls,
-              {"beta": lambda: {"type": _rational, "default": Fraction(-2),
+              {"beta": lambda: {"type": _rational, "default": _BETA,
                                 "help": "beta coordinate on the wall branch "
                                         "(default %(default)s)"}}),
     "pell": ("spherical classes on the wall from the Pell equation", _rows_pell,
-             {"bound": lambda: {"type": _bound, "default": 10 ** 6,
+             {"bound": lambda: {"type": _bound, "default": _BOUND,
                                 "help": "list solutions with |x| up to this bound "
                                         "(default 10^6, at most 10^1000)"}}),
     "ext": ("Ext dimensions at the contraction", _rows_ext, {}),
@@ -478,31 +489,11 @@ def _options(command: str) -> dict[str, dict]:
 
 
 @functools.cache
-def _report_all() -> tuple:
-    """(label prefix and ": ", rows function, keyword arguments) in report
-    order, resolved once, on first use, from a table of (label prefix,
-    section, arguments beyond the section's options): the keyword arguments
-    are the section's defaults and those arguments, and a request
-    substitutes only q and degree.  A table rather than a walk over the
-    registry, because the report interleaves the betti and euler rows of the
-    two involution cases."""
-    return tuple(
-        (prefix + ": ", _SECTIONS[name][1],
-         {**{opt: spec["default"] for opt, spec in _options(name).items()}, **arguments})
-        for prefix, name, arguments in (
-            *((name, name, {}) for name in ("fujiki", "ring", "relations")),
-            *((f"{name} {case}", name, {"case": case})
-              for case in llv.CASES for name in ("betti", "euler")),
-            *((name, name, {}) for name in ("lagrangian", "fixed-locus", "walls", "pell", "ext",
-                                            "kuranishi", "symprod", "f3")),
-        ))
-
-
-@functools.cache
-def build_parser():
-    """The argparse parser of every subcommand, built on the first call and
-    shared by every later one; parsing leaves no state in it.  ``run`` uses
-    it for every argv that ``_parse_fast`` does not read."""
+def build_parser(command: str | None = None):
+    """The argparse parser of every subcommand, with the options of
+    ``command`` alone (none for ``None``), built once per ``command``;
+    parsing leaves no state in it.  ``run`` uses it for every argv that
+    ``_parse_fast`` does not read."""
     import argparse
     import re
 
@@ -534,10 +525,11 @@ def build_parser():
     common.add_argument("--json", action="store_true", help="emit a JSON report")
     common.add_argument("--out", metavar="PATH", help="write the report to a file")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (help_text, _, _) in _SECTIONS.items():
-        p = sub.add_parser(command, parents=[common], help=help_text)
-        for name, kwargs in _options(command).items():
-            p.add_argument(f"--{name}", **kwargs)
+    for name, (help_text, _, _) in _SECTIONS.items():
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        if name == command:
+            for option, kwargs in _options(name).items():
+                p.add_argument(f"--{option}", **kwargs)
     return parser
 
 
@@ -601,10 +593,14 @@ _REQUEST_LOCK = allocate_lock()
 def run(argv=None) -> int:
     """Entry point; returns the exit code (0 ok, 1 computation, 2 usage).
     ``_parse_fast`` reads the argv if it can, else ``build_parser``'s."""
+    argv = sys.argv[1:] if argv is None else argv
     with _REQUEST_LOCK:
-        args = _parse_fast(sys.argv[1:] if argv is None else argv)
+        args = _parse_fast(argv)
         try:
-            args = args or build_parser().parse_args(argv)
+            # only options that take no value precede the subcommand, which
+            # argparse takes unabbreviated: argv's first section name, if any
+            args = args or build_parser(
+                next((token for token in argv if token in _SECTIONS), None)).parse_args(argv)
         except SystemExit as exc:
             # argparse ignores a reader of its help (stdout) or usage error
             # (stderr) that has gone: flush both here, not at exit

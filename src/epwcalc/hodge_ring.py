@@ -29,7 +29,7 @@ import functools
 from fractions import Fraction
 
 from .fujiki import fujiki_constant
-from .qfield import ONE, ZERO, ParametricScalar, Rational, rational_sum
+from .qfield import ONE, ZERO, ParametricScalar, Rational
 
 #: the basis monomials (i, j) of h^i * c2^j: h^0..h^6 and h^0..h^2 times c2
 BASIS = frozenset({(i, 0) for i in range(7)} | {(i, 1) for i in range(3)})
@@ -157,14 +157,14 @@ def integrate(x: dict) -> ParametricScalar:
     return x.get((6, 0), ZERO) * TOP_INTEGRALS["h^6"]
 
 
+#: g11*g22 - g12^2 on (h^3, h*c2) in ``DEGREE6_FORM``: 15q^3*1200q - (108q^2)^2 = 6336q^4
+_GRAM_DETERMINANT = DEGREE6_FORM[0][0] * DEGREE6_FORM[1][1] - DEGREE6_FORM[0][1] ** 2
+
+
 def verify_independence_degree6(q: Rational) -> tuple[bool, Fraction]:
     """Whether h^3 and h*c2 stay independent in the top pairing at q > 0,
-    with the Gram determinant g11*g22 - g12^2 of their minor of
-    ``DEGREE6_FORM`` as witness, added from the entries' integer pairs."""
-    q = positive_q(q)
-    (g11, g12, _), (_, g22, _), _ = DEGREE6_FORM
-    (a, b), (c, d), (e, f) = (g.pair_at(q) for g in (g11, g22, g12))
-    det = rational_sum(((a * c, b * d), (-e * e, f * f)))
+    with the Gram determinant ``_GRAM_DETERMINANT`` at q as witness."""
+    det = _GRAM_DETERMINANT.evaluate(positive_q(q))
     return det != 0, det
 
 

@@ -158,29 +158,28 @@ def fixed_locus_invariants(degree: Rational = EPW_DEGREE,
                            q: Rational = EPW_Q) -> FixedLocusInvariants:
     """Invariants of the fixed locus from its class [W] = a*h^3 + b*h*c2,
     under the involution case ``disambiguate_involution_case`` picks from
-    the base square [W]^2 = a*(h^3 . [W]) + b*(h*c2 . [W]).  The pairings
-    and the square are degree^k times ``_UNIT_PAIRINGS`` and
-    ``_UNIT_SQUARE``.
+    the base square [W]^2 = degree^2 * ``_UNIT_SQUARE``.
 
     With K_W = k*h| (k = ``CANONICAL_MULTIPLE``) and normal bundle Omega_W,
     the tangent Chern classes are c1 = -k*h|, c2 = (c2| + k^2*h^2|)/2 and
     c3 = chi_top, so every invariant is a pairing with the class itself:
     c1*c2 = -(k/2)*(h*c2 + k^2*h^3) . [W], chi(O) = c1*c2/24,
-    chi(Omega^1) = chi(O) - chi_top/2 and K^3 = k^3*h^3 . [W].  With
-    degree = n/d, h^3 . [W] = n*p/(d*r) and h*c2 . [W] = n*u/(d*v) for the
-    pairs (p, r) and (u, v) of ``_UNIT_PAIRINGS`` at q, so c1*c2 is the
-    integer numerator -k*n*(u*r + k^2*p*v) over 2*d*r*v, and each field is
-    one Fraction of integers.
+    chi(Omega^1) = chi(O) - chi_top/2 and K^3 = k^3*h^3 . [W].  The
+    projection is normalised by h^3 . [W] = degree, so only h*c2 . [W] is
+    evaluated: with degree = n/d and (u, v) the pair of the second entry of
+    ``_UNIT_PAIRINGS`` at q, h*c2 . [W] = n*u/(d*v), c1*c2 is the integer
+    numerator -k*n*(u + k^2*v) over 2*d*v, and each field is one Fraction
+    of integers.
     """
     q = positive_q(q)
     case, eta, chi_top = disambiguate_involution_case(_scaled(_UNIT_SQUARE, degree, 2, q))
     n, d = degree.as_integer_ratio()
-    (p, r), (u, v) = (s.pair_at(q) for s in _UNIT_PAIRINGS)
+    u, v = _UNIT_PAIRINGS[1].pair_at(q)
     k = CANONICAL_MULTIPLE
-    num, den = -k * n * (u * r + k * k * p * v), 2 * d * r * v
+    num, den = -k * n * (u + k * k * v), 2 * d * v
     return FixedLocusInvariants(case, eta, Fraction(num, den), Fraction(num, 24 * den),
                                 Fraction(num - 12 * chi_top * den, 24 * den),
-                                Fraction(chi_top), Fraction(k ** 3 * n * p, d * r))
+                                Fraction(chi_top), Fraction(k ** 3 * n, d))
 
 
 def hodge_symmetry_relation(chi_structure: Rational, chi_one_forms: Rational,

@@ -6,8 +6,7 @@ zero at weight 0.  The form is unique, so equality is structural, which the
 symbolic checks rely on.  ``ParametricScalar.pair_at`` gives the value at a
 rational q as an integer pair, and ``evaluate`` reduces that pair to one
 ``Fraction``; ``rational_sum`` adds such pairs as integers and reduces once,
-the kernel of ``hodge_ring.verify_independence_degree6`` and
-``lagrangian.self_intersection``.  ``ratio_sqrt`` takes the exact
+the kernel of ``lagrangian.self_intersection``.  ``ratio_sqrt`` takes the exact
 square root of an integer pair, the kernel of
 ``lagrangian.eta_coefficient``.
 

@@ -117,7 +117,7 @@ def test_run_without_stdout(monkeypatch, capsys, tmp_path):
 
 
 def test_exponent_notation_is_bounded():
-    parse = build_parser().parse_args
+    parse = build_parser("ring").parse_args
     assert parse(["ring", "--q", "1.5e3"]).q == 1500
     assert parse(["ring", "--q", "1e-4300"]).q == Fraction(1, 10 ** 4300)
     for value in ("1e4301", "1E-4301", "2.5e9999999"):
@@ -127,7 +127,7 @@ def test_exponent_notation_is_bounded():
 
 
 def test_pell_bound_is_capped_at_10_to_the_1000():
-    parse = build_parser().parse_args
+    parse = build_parser("pell").parse_args
     for bound in (10 ** 6, 10 ** 300, 10 ** 1000, 0):
         assert parse(["pell", "--bound", str(bound)]).bound == bound
     assert parse(["pell"]).bound == 10 ** 6
@@ -150,7 +150,7 @@ def test_out_to_an_unwritable_path_is_an_error(tmp_path, capsys):
 
 
 def test_reused_parser_leaks_no_state(tmp_path, capsys):
-    assert build_parser() is build_parser()
+    assert build_parser("ring") is build_parser("ring")
 
     assert run(["ring", "--q", "7", "--json"]) == 0
     capsys.readouterr()
@@ -472,25 +472,51 @@ def test_a_point_where_both_involution_cases_are_admissible(capsys):
     assert rows[2]["value"] == "1136"
 
 
+def test_the_opposite_involution_case_at_degree_288_and_q_2(capsys):
+    """At (d, q) = (288, 2) the base square 4d^2/(27q^3) = 1536 is -chi_top
+    of the opposite action, so the class needs no eta part.  Each number is
+    its closed form at K_W = 2h, worked out here from d and q alone:
+    c1*c2 = -4d(1 + 1/(3q)), chi(O) = c1*c2/24, chi(Omega^1) =
+    chi(O) - chi_top/2 and K^3 = 8d."""
+    d, q, chi_top = 288, 2, -1536
+    assert 4 * d ** 2 / Fraction(27 * q ** 3) == -chi_top
+    c1c2 = -4 * d * (1 + Fraction(1, 3 * q))
+    assert (c1c2, c1c2 / 24, c1c2 / 24 - Fraction(chi_top, 2), 8 * d) == (-1344, -56, 712, 2304)
+    point = ["--degree", str(d), "--q", str(q), "--json"]
+    assert run(["fixed-locus", *point]) == 0
+    rows = {r["label"]: r["value"] for r in json.loads(capsys.readouterr().out)["results"]}
+    assert rows == {
+        "involution case (+1 natural, -1 opposite)": "-1", "eta coefficient": "0",
+        "chi_top": "-1536", "c1*c2": "-1344", "chi(O)": "-56", "chi(Omega^1)": "712",
+        "c3": "-1536", "K^3": "2304", "hodge symmetry (1=holds)": "1"}
+    assert run(["lagrangian", *point]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    rows = {r["label"]: (r["value"], r["paper_anchor"]) for r in results}
+    assert rows["[W]^2 (ring value)"][0] == "1536"
+    assert rows["chi_top"] == ("-1536", "fixed-locus Euler characteristic (opposite action)")
+
+
 def test_report_all_walks_the_fixed_locus_once_per_section(monkeypatch, capsys):
     """A warm report-all projects the Lagrangian class once, in the
-    lagrangian section: fixed-locus reads its pairings and square as
+    lagrangian section: fixed-locus reads its h*c2 pairing and its square as
     degree^k times the single terms built at import, and f3 reads a cache.
     It solves no ring relation: those are solved at import.  It multiplies
     no ring classes and builds no ``ParametricScalar``: the Chern products
     were multiplied out by the first request.  ``evaluate`` serves only the
-    integral, Chern-number and relation rows (11 calls: 30 before the
-    Lagrangian values went through the unit pairings, 14 before the Gram
-    determinant read its entries' pairs); every scalar value, those
-    included, is one ``pair_at`` (24 calls).  The walls rows compute alpha^2
-    and the two central charges once each, and the Kuranishi grid and the
-    walls rows' argument-free values were built by the first request, those
-    of the symprod and betti rows at import: no Gram matrix, theta map, cube
-    expansion or invariant dimension is computed.  The request builds at
-    most 32 ``Fraction``s for its 81 rows (39 before the wall ratio became
-    one quotient and the symprod rows stayed in the integers; 62 before the
-    walls and symprod rows stopped copying ``Fraction``s and expanding the
-    cube; 94 before the
+    integral, Gram-determinant, Chern-number and relation rows (12 calls:
+    30 before the Lagrangian values went through the unit pairings, 14
+    before the Gram determinant read its entries' pairs, 11 before it
+    became one term); every scalar value, those included, is one
+    ``pair_at`` (21 calls: 24 before the Gram determinant became one term
+    and the fixed-locus numbers stopped evaluating h^3 . [W], which is the
+    degree).  The walls rows compute alpha^2 and the two central charges
+    once each, and the Kuranishi grid and the walls rows' argument-free
+    values were built by the first request, those of the symprod and betti
+    rows at import: no Gram matrix, theta map, cube expansion or invariant
+    dimension is computed.  The request builds at most 32 ``Fraction``s for
+    its 81 rows (39 before the wall ratio became one quotient and the
+    symprod rows stayed in the integers; 62 before the walls and symprod
+    rows stopped copying ``Fraction``s and expanding the cube; 94 before the
     involution case, the fixed-locus numbers and the Gram determinant were
     computed on integers; Python 3.12 and later build some arithmetic
     results without ``__new__``, so fewer there)."""
@@ -541,8 +567,8 @@ def test_report_all_walks_the_fixed_locus_once_per_section(monkeypatch, capsys):
     assert "solve_2x2" not in calls
     assert "multiply" not in calls
     assert "__init__" not in calls
-    assert calls.count("evaluate") == 11
-    assert calls.count("pair_at") == 24
+    assert calls.count("evaluate") == 12
+    assert calls.count("pair_at") == 21
     assert calls.count("wall_alpha_sq") == calls.count("central_charges") == 1
     assert "product" not in calls
     for name in ("hyperbolic_lattice", "theta_map", "comb", "invariant_dimension"):

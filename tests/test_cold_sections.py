@@ -35,6 +35,18 @@ LOADS = {
     "f3": ALL - {"mukai"},
     "report-all": ALL,
 }
+#: argv on the usage path (help or a usage error) -> its exit code and the
+#: modules a cold run of it loads: the parser gets the options of the
+#: section argv names alone, and of none when argv names no section; an
+#: unknown top-level option before the section still names it
+USAGE_LOADS = {
+    ("--help",): (0, set()),
+    ("ring", "--help"): (0, LOADS["ring"]),
+    ("ring", "--q", "x"): (2, LOADS["ring"]),
+    ("--bogus", "ring", "--q", "x"): (2, LOADS["ring"]),
+    ("betti", "--case", "x"): (2, LOADS["betti"]),
+    ("fixed-locus", "--bogus"): (2, ALL - {"degeneration", "mukai"}),
+}
 #: prints the epwcalc modules that are loaded, plain ``ModuleType``s, and
 #: those still waiting for a first attribute read, as two JSON lists
 _LOADED = (
@@ -60,6 +72,24 @@ def test_a_cold_section_loads_only_its_modules(section):
     loaded, lazy = json.loads(err)
     assert set(loaded) == LOADS[section]
     assert set(lazy) == ALL - LOADS[section]
+
+
+@pytest.mark.parametrize("argv", USAGE_LOADS, ids=" ".join)
+def test_help_or_a_usage_error_loads_only_the_named_sections_modules(argv):
+    """``python -m epwcalc.cli <argv>`` for help or a usage error exits as
+    argparse does, and loads only the modules that the options of the
+    section argv names read their defaults from."""
+    code, _, err = _cold("-S", "-c", (
+        "import runpy, sys\n"
+        f"sys.argv[1:] = {list(argv)!r}\n"
+        "try:\n"
+        "    runpy.run_module('epwcalc.cli', run_name='__main__')\n"
+        "finally:\n" + "".join("    " + line + "\n" for line in _LOADED.splitlines())))
+    expected_code, loads = USAGE_LOADS[argv]
+    assert code == expected_code, err
+    loaded, lazy = json.loads(err.splitlines()[-1])
+    assert set(loaded) == loads
+    assert set(lazy) == ALL - loads
 
 
 def test_importing_cli_loads_no_section_module():

@@ -64,6 +64,15 @@ def test_hyperbolic_lattice():
             hyperbolic_lattice(v, w)
 
 
+@pytest.mark.parametrize("v, t", [((1, 2, 3), 2), ((-3, 1, 5), -4), ((2, -7, 1), 3)])
+def test_hyperbolic_lattice_rejects_dependent_vectors_with_no_zero_entry(v, t):
+    """v and t*v with no coordinate 0: each 2x2 minor is a difference of two
+    nonzero products, so a minor whose minus turned into a plus would read
+    2*t*x*y and pass the pair as independent."""
+    with pytest.raises(ValueError, match="linearly dependent"):
+        hyperbolic_lattice(v, tuple(t * x for x in v))
+
+
 def test_bbf_form():
     L = (1, 0)
     delta = (0, 1)

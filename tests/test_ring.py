@@ -260,6 +260,15 @@ def test_classes_of_mixed_degree():
             multiply(x, y)
 
 
+def test_a_product_of_degree_14_names_its_degree():
+    """Degree 14, the first past the top, raised with its degree, on each
+    power of c2 it can carry: h^7, h^5*c2 and h^3*c2^2."""
+    for x, y in ((h_power(6), h_power(1)), (h_power(4), {(1, 1): ONE}),
+                 ({(1, 1): ONE}, {(2, 1): ONE})):
+        with pytest.raises(ValueError, match="^product degree 14 exceeds the top degree 12$"):
+            multiply(x, y)
+
+
 def test_products_leave_their_factors_and_the_rewrites_unchanged():
     """``_rewrite`` hands the same dict to every product that meets a
     monomial, and products combine those dicts: after every product of
