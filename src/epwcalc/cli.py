@@ -1,18 +1,20 @@
 """Command-line front end: every computation exposed as a subcommand, with
 plain-text or machine-readable JSON reports.
 
-All reported values are exact rationals rendered as "p/q" (or a bare
-integer); facts that are not numbers (the involution case, booleans) are
-encoded as +1/-1 or 1/0 with the meaning spelled out in the note field.
-Output is byte-deterministic: same arguments, same bytes.
+Every row value is an int or a ``Fraction``, written with ``str`` as "p/q"
+or a bare integer; facts that are not numbers (the involution case,
+booleans) are encoded as +1/-1 or 1/0 with the meaning spelled out in the
+note field.  Output is byte-deterministic: same arguments, same bytes.  A
+value too long for the interpreter's int-to-str limit is one error line.
 
 The subcommands come from one registry of sections, and ``report-all``
 calls their row builders itself.  ``run`` reads a well-formed argv straight
-from that registry (``_parse_fast``); help, abbreviations and every error go
-to the argparse parser of ``build_parser``, imported only then and built with
-the options of the section argv names alone, which writes every help, usage
-and error message.  ``run`` can be called again and again in one process,
-and no option carries over from one call to the next.
+from that registry (``_parse_fast``, a dict of options); help, abbreviations
+and every error go to the argparse parser of ``build_parser``, imported only
+then and built with the options of the section argv names alone, which
+writes every help, usage and error message (``vars()`` of its namespace is
+the same dict).  ``run`` can be called again and again in one process, and
+no option carries over from one call to the next.
 ``Report.to_json`` writes the indent-2 layout of ``json.dumps`` itself (with
 an indent, ``json.dumps`` skips its C string encoder), quoting with that
 encoder from ``_json``, or from ``json.encoder`` where ``_json`` is missing.
@@ -45,7 +47,6 @@ from _thread import allocate_lock
 from collections import namedtuple
 from fractions import Fraction
 from math import comb
-from types import SimpleNamespace
 try:
     from _json import encode_basestring_ascii as _quote
 except ImportError:
@@ -69,19 +70,12 @@ qfield, fujiki, hodge_ring, llv, lagrangian, mukai, degeneration = map(
     _lazy, ("qfield", "fujiki", "hodge_ring", "llv", "lagrangian", "mukai", "degeneration"))
 
 Row = tuple[str, Fraction | int, str]
-#: the value types that ``_text`` writes with ``str`` (a set: fast to test)
-_EXACT = frozenset((int, Fraction))
 #: each layout's row as the pieces around its label, value and note: module
 #: constants, as fast in an f-string as literal text
 _JSON_ROW = _J0, _J1, _J2, _J3 = ('{\n      "label": ', ',\n      "value": "',
                                   '",\n      "paper_anchor": ', "\n    }")
 _TEXT_ROW = _T0, _T1, _T2, _T3 = ("  ", "  ", "  # ", "\n")
 _VALUE_WIDTH, _SEP = 12, ",\n    "  # the text values' column; JSON's object separator
-
-
-def _text(value) -> str:
-    """A value as p/q or an integer; a bool goes through Fraction, not as "True"."""
-    return str(value if type(value) in _EXACT else Fraction(value))
 
 
 def _nested(items: list[str], ends: str, before: str = "", after: str = "", listing=()) -> str:
@@ -108,8 +102,8 @@ class Report(namedtuple("Report", "command params rows")):
     def to_json(self) -> str:
         """``json.dumps`` of the report's payload at ``indent=2``, and a newline."""
         params = [f"{_quote(name)}: {_quote(value)}" for name, value in self.params.items()]
-        # _text yields only "-", digits and "/": nothing for _quote to escape
-        results = [f"{_J0}{_quote(label)}{_J1}{_text(value)}{_J2}{_quote(note)}{_J3}"
+        # an int or Fraction writes only "-", digits and "/": nothing to escape
+        results = [f"{_J0}{_quote(label)}{_J1}{value}{_J2}{_quote(note)}{_J3}"
                    for label, value, note in self.rows]
         head = (f'{{\n  "command": {_quote(self.command)},\n  "params": {_nested(params, "{}")},'
                 '\n  "results": ')
@@ -126,7 +120,7 @@ class Report(namedtuple("Report", "command params rows")):
             head += "  (" + ", ".join(f"{k}={v}" for k, v in self.params.items()) + ")"
         width = max((len(label) for label, _, _ in self.rows), default=0)
         lines = [f"{head}\n"]
-        lines += [f"{_T0}{label.ljust(width)}{_T1}{_text(value).rjust(_VALUE_WIDTH)}"
+        lines += [f"{_T0}{label.ljust(width)}{_T1}{str(value).rjust(_VALUE_WIDTH)}"
                   f"{_T2}{note}{_T3}" for label, value, note in self.rows]
         if type(self.rows) is _PellRows:
             lines += _PELL_TEXT.pieces(self.rows.n, width, lambda label: label.ljust(width) + _T1)
@@ -533,9 +527,9 @@ def build_parser(command: str | None = None):
     return parser
 
 
-def _parse_fast(argv):
-    """The namespace ``build_parser().parse_args(argv)`` gives, read straight
-    from ``_options``, when argv is a section and then only ``--json``,
+def _parse_fast(argv) -> dict | None:
+    """``vars()`` of ``build_parser().parse_args(argv)``, read straight from
+    ``_options``, when argv is a section and then only ``--json``,
     ``--opt=value`` or ``--opt value`` (value not starting with "-") for
     ``--out`` and the section's options, each value taken by the option's
     ``type`` and ``choices``; ``None`` for every other argv."""
@@ -562,7 +556,7 @@ def _parse_fast(argv):
             return None
         if "choices" in spec and args[name] not in spec["choices"]:
             return None
-    return SimpleNamespace(**args)
+    return args
 
 
 def _error(exc: Exception | str) -> int:
@@ -599,8 +593,8 @@ def run(argv=None) -> int:
         try:
             # only options that take no value precede the subcommand, which
             # argparse takes unabbreviated: argv's first section name, if any
-            args = args or build_parser(
-                next((token for token in argv if token in _SECTIONS), None)).parse_args(argv)
+            args = args or vars(build_parser(
+                next((token for token in argv if token in _SECTIONS), None)).parse_args(argv))
         except SystemExit as exc:
             # argparse ignores a reader of its help (stdout) or usage error
             # (stderr) that has gone: flush both here, not at exit
@@ -609,21 +603,24 @@ def run(argv=None) -> int:
             if sys.stderr is not None:
                 _flushed(sys.stderr)
             return exc.code if isinstance(exc.code, int) else 2
-        _, rows, options = _SECTIONS[args.command]
-        values = {name: getattr(args, name) for name in options}
-        try:
-            report = Report(args.command, {name: str(value) for name, value in values.items()},
-                            rows(**values))
-            # rendering raises too: an int past the interpreter's digit limit
-            payload = report.to_json() if args.json else report.to_text()
-        except (ValueError, ZeroDivisionError) as exc:
-            return _error(exc)
-    if args.out is None:  # 1 when stdout is closed (None) or its reader has gone
+        _, rows, options = _SECTIONS[args["command"]]
+        values = {name: args[name] for name in options}
+        try:  # str raises ValueError on an int past the interpreter's digit limit
+            params = {name: str(value) for name, value in values.items()}
+            try:
+                report = Report(args["command"], params, rows(**values))
+            except (ValueError, ZeroDivisionError) as exc:  # a computation error
+                return _error(exc)
+            payload = report.to_json() if args["json"] else report.to_text()
+        except ValueError:
+            return _error(f"the answer has more than {sys.get_int_max_str_digits()} digits"
+                          " (the interpreter's int-to-str limit)")
+    if args["out"] is None:  # 1 when stdout is closed (None) or its reader has gone
         if sys.stdout is None:
             return _error("standard output is closed")
         return 0 if _flushed(sys.stdout, payload) else 1
     try:
-        with open(args.out, "w", encoding="utf-8") as f:
+        with open(args["out"], "w", encoding="utf-8") as f:
             f.write(payload)
     except (OSError, ValueError) as exc:  # ValueError: a NUL or a lone surrogate in the path
         return _error(exc)

@@ -46,7 +46,7 @@ ETA_SQUARE = Fraction(4)
 #: BBF square of the polarization h of an EPW cube
 EPW_Q = Fraction(4)
 
-_Q = ParametricScalar.q()
+_Q = ParametricScalar(1, 1)  # the indeterminate q
 
 #: integrals of the degree-12 monomials in h, c2, c4, each C(alpha) * q^(3-k)
 TOP_INTEGRALS: dict[str, ParametricScalar] = {

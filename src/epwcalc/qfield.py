@@ -11,7 +11,8 @@ square root of an integer pair, the kernel of
 ``lagrangian.eta_coefficient``.
 
 A ``ParametricScalar`` is immutable: its two fields are set once, in
-``__init__``, through which copy and pickle rebuild it."""
+``__init__``, through which copy and pickle rebuild it.  q itself is
+``ParametricScalar(1, 1)``."""
 
 from __future__ import annotations
 
@@ -55,7 +56,7 @@ class ParametricScalar:
 
     __slots__ = ("coeff", "weight")
 
-    def __init__(self, coeff: Rational = 0, weight: int = 0):
+    def __init__(self, coeff: Rational, weight: int = 0):
         coeff = Fraction(coeff)
         object.__setattr__(self, "coeff", coeff)
         object.__setattr__(self, "weight", weight if coeff else 0)
@@ -67,11 +68,6 @@ class ParametricScalar:
 
     def __reduce__(self):  # copy and pickle rebuild through __init__
         return ParametricScalar, (self.coeff, self.weight)
-
-    @classmethod
-    def q(cls) -> "ParametricScalar":
-        """The indeterminate itself."""
-        return cls(1, 1)
 
     @staticmethod
     def _coerce(value):

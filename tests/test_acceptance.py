@@ -46,7 +46,7 @@ from epwcalc.qfield import ParametricScalar, ratio_sqrt
 from fujiki_oracle import AbstractClassSpace, polarized_integral
 from test_degeneration import _cubed, effectivity_of_pell_class
 
-Q = ParametricScalar.q()
+Q = ParametricScalar(1, 1)
 
 
 def _check(tag: str, ok: bool, detail: str = "") -> None:

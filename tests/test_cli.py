@@ -67,6 +67,25 @@ def test_exit_codes(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="no int-to-str digit limit on this interpreter")
+@pytest.mark.parametrize("argv", [["ring", "--q", "1e4300"], ["ring", "--q", "1e2000", "--json"]],
+                         ids=["option", "answer"])
+def test_an_answer_past_the_digit_limit_is_one_error_line(argv, capsys):
+    """A value that ``str`` cannot write, the option itself (q = 10^4300
+    has 4301 digits) or a row (15q^3 at q = 10^2000), is one line of
+    epwcalc's own that states the limit: exit 1, nothing on stdout.  A
+    computation error keeps its own text."""
+    limit = sys.get_int_max_str_digits()
+    assert run(argv) == 1
+    assert capsys.readouterr() == (
+        "", f"error: the answer has more than {limit} digits (the interpreter's int-to-str"
+            " limit)\n")
+    assert run(["ring", "--q", "-1"]) == 1
+    assert capsys.readouterr() == (
+        "", "error: the BBF square of a polarization must be positive\n")
+
+
 @pytest.mark.parametrize("argv, broken, code", [
     pytest.param(["report-all"], "stdout", 1, id="report-all"),
     pytest.param(["fujiki"], "stdout", 1, id="fujiki"),

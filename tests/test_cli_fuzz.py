@@ -144,7 +144,7 @@ def test_a_value_reads_alike_after_a_space_and_after_an_equals_sign(case):
 def test_the_fast_parser_reads_an_argv_as_argparse_does(argv):
     fast = _parse_fast(argv)
     if fast is not None:
-        assert vars(fast) == vars(build_parser(argv[0]).parse_args(argv))
+        assert fast == vars(build_parser(argv[0]).parse_args(argv))
 
 
 def test_the_fast_parser_reads_every_benchmark_request():
@@ -161,7 +161,7 @@ def test_the_fast_parser_reads_every_benchmark_request():
 #: any text: quotes, backslashes, control characters, non-ASCII, lone surrogates
 TEXT = st.text(st.characters(exclude_categories=())
                | st.sampled_from('"\\\x00\x1f\x7f\xe9\u2028\ud800\udfff'))
-ROW_VALUES = st.integers() | st.fractions() | st.booleans()
+ROW_VALUES = st.integers() | st.fractions()
 
 
 @settings(max_examples=300, deadline=None)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from epwcalc.qfield import ONE, ZERO, ParametricScalar, ratio_sqrt, rational_sum
 
-Q = ParametricScalar.q()
+Q = ParametricScalar(1, 1)
 
 
 def test_canonical_form_reduces_common_factors():
@@ -52,6 +52,14 @@ def test_field_operations():
     assert a - a == ZERO
     assert (a * Q ** 2) / Q ** 2 == a
     assert a * b / (7 * Q) == (a / Q) * (b / 7)
+
+
+def test_a_number_minus_a_scalar():
+    """``int - ParametricScalar`` reaches ``__rsub__``: the number minus the
+    term, not the term minus the number."""
+    assert 2 - ParametricScalar(1) == ONE
+    assert 0 - 3 * Q == ParametricScalar(-3, 1)
+    assert Fraction(1, 2) - ParametricScalar(Fraction(3, 2)) == -1
 
 
 def test_power():
@@ -201,6 +209,12 @@ def test_rational_sqrt():
     assert rational_sqrt(Fraction(84)) is None
     assert rational_sqrt(2) is None
     assert rational_sqrt(-4) is None
+
+
+def test_ratio_sqrt_of_a_negative_denominator():
+    """The pair's signs flip together before the root is taken."""
+    assert ratio_sqrt(-4, -9) == Fraction(2, 3)
+    assert ratio_sqrt(4, -9) is None
 
 
 def _sqrt_reference(x):

@@ -8,7 +8,9 @@ listing's too, with ``str`` and quote every string with json's encoder,
 row by row, and must give the same bytes.  The Pell reference takes its
 pairs from the set-and-sort construction, not from the code under test."""
 
+import importlib.util
 import io
+import itertools
 import json
 import random
 import sys
@@ -16,6 +18,7 @@ import threading
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -25,6 +28,8 @@ from test_degeneration import _pell_set_and_sort
 
 from epwcalc import cli, degeneration
 from epwcalc.cli import Report, run
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
 def _reference_fmt(value) -> str:
@@ -222,12 +227,12 @@ def test_interleaved_requests_grow_the_pell_tables_once(monkeypatch):
 @st.composite
 def mixed_rows(draw):
     """Rows whose values mix ints of either sign and zero, with a few
-    magnitudes repeated, the decimal text of ints, Fractions and bools."""
+    magnitudes repeated, the decimal text of ints, and Fractions."""
     magnitudes = draw(st.lists(st.integers(0, 9) | st.integers(0, 10 ** 80),
                                min_size=1, max_size=4))
     ints = st.builds(lambda magnitude, sign: sign * magnitude,
                      st.sampled_from(magnitudes), st.sampled_from((1, -1)))
-    values = ints | st.integers() | ints.map(str) | st.fractions() | st.booleans()
+    values = ints | st.integers() | ints.map(str) | st.fractions()
     text = st.text(max_size=8)
     return draw(st.lists(st.tuples(text, values, text), max_size=12))
 
@@ -242,6 +247,40 @@ def test_reports_render_as_the_per_row_reference(command, params, rows):
     report = Report(command, params, rows)
     assert report.to_text() == _reference_text(report)
     assert report.to_json() == _reference_json(report)
+
+
+def _param_sweep_argvs(seed: int, count: int) -> list[list[str]]:
+    """The first ``count`` requests of the benchmark's param-sweep stream."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return list(itertools.islice(workloads.stream("param-sweep", seed), count))
+
+
+def test_every_row_value_is_an_int_or_a_fraction(monkeypatch):
+    """The renderers write a row's value with ``str``, which reads right only
+    for an int or a Fraction (a bool would print "True").  Every row holds
+    one: every section in text and JSON, both involution cases, report-all
+    at (720, 4) and (288, 2), and 1000 seeded param-sweep requests."""
+    argvs = [[name] for name in cli._SECTIONS]
+    argvs += [[name, "--case", "opposite"] for name in ("betti", "euler")]
+    argvs += [[name, "--degree", "288", "--q", "2"]
+              for name in ("lagrangian", "fixed-locus", "report-all")]
+    argvs = [argv + json_flag for argv in argvs for json_flag in ([], ["--json"])]
+    sweep = _param_sweep_argvs(1, 1000)
+    seen, built = set(), []
+
+    def spy(command, params, rows):
+        built.append(command)
+        seen.update(type(value) for _, value, _ in rows)
+        return Report(command, params, rows)
+
+    monkeypatch.setattr(cli, "Report", spy)
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        codes = [run(argv) for argv in argvs + sweep]
+    assert codes[:len(argvs)] == [0] * len(argvs)
+    assert set(codes) <= {0, 1} and len(built) > len(argvs) + len(sweep) // 2
+    assert seen == {int, Fraction}
 
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),

@@ -27,7 +27,7 @@ from epwcalc.hodge_ring import (
 from epwcalc.qfield import ONE, ZERO, ParametricScalar
 from fujiki_oracle import AbstractClassSpace, polarized_integral
 
-Q = ParametricScalar.q()
+Q = ParametricScalar(1, 1)
 
 #: classes are dicts from monomials (i, j) of h^i * c2^j to coefficients
 C2 = {(0, 1): ONE}
