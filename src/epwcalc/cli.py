@@ -7,14 +7,15 @@ booleans) are encoded as +1/-1 or 1/0 with the meaning spelled out in the
 note field.  Output is byte-deterministic: same arguments, same bytes.  A
 value too long for the interpreter's int-to-str limit is one error line.
 
-The subcommands come from one registry of sections, and ``report-all``
-calls their row builders itself.  ``run`` reads a well-formed argv straight
-from that registry (``_parse_fast``, a dict of options); help, abbreviations
-and every error go to the argparse parser of ``build_parser``, imported only
-then and built with the options of the section argv names alone, which
-writes every help, usage and error message (``vars()`` of its namespace is
-the same dict).  ``run`` can be called again and again in one process, and
-no option carries over from one call to the next.
+The subcommands come from one registry of sections, each naming its
+options, whose ``add_argument`` keywords are written once, in ``_OPTIONS``;
+``report-all`` calls the sections' row builders itself.  ``run`` reads a
+well-formed argv straight from the two (``_parse_fast``, a dict of options);
+help, abbreviations and every error go to the argparse parser of
+``build_parser``, imported only then and built with the options of the
+section argv names alone, which writes every help, usage and error message
+(``vars()`` of its namespace is the same dict).  ``run`` may be called again
+and again in one process; no option carries over from one call to the next.
 ``Report.to_json`` writes the indent-2 layout of ``json.dumps`` itself (with
 an indent, ``json.dumps`` skips its C string encoder), quoting with that
 encoder from ``_json``, or from ``json.encoder`` where ``_json`` is missing.
@@ -78,38 +79,30 @@ _TEXT_ROW = _T0, _T1, _T2, _T3 = ("  ", "  ", "  # ", "\n")
 _VALUE_WIDTH, _SEP = 12, ",\n    "  # the text values' column; JSON's object separator
 
 
-def _nested(items: list[str], ends: str, before: str = "", after: str = "", listing=()) -> str:
-    """Encoded items, then the pieces of ``listing`` (its first starts with a
-    separator), as an object or array one level deep in the indent-2 layout
-    between ``before`` and ``after``, which go onto the first and last piece:
-    one join, and no copy of the Pell listing's 6.3 MB of JSON beside it."""
-    if not items:
-        return before + ends + after
-    items[0] = f"{before}{ends[0]}\n    {items[0]}"
-    if listing:
-        listing[0] = _SEP.join(items) + listing[0]
-        listing[-1] += f"\n  {ends[1]}{after}"
-        return "".join(listing)
-    items[-1] += f"\n  {ends[1]}{after}"
-    return _SEP.join(items)
-
-
 class Report(namedtuple("Report", "command params rows")):
     """A command, its params (name -> value text) and its rows (label, value,
     note), then any Pell listing (``_PellRows``), rendered as text or JSON."""
     __slots__ = ()
 
     def to_json(self) -> str:
-        """``json.dumps`` of the report's payload at ``indent=2``, and a newline."""
-        params = [f"{_quote(name)}: {_quote(value)}" for name, value in self.params.items()]
+        """``json.dumps`` of the report's payload at ``indent=2``, and a newline,
+        joined once: the head goes onto the first piece, the tail onto the last."""
+        params = _SEP.join([f"{_quote(k)}: {_quote(v)}" for k, v in self.params.items()])
+        params = f"{{\n    {params}\n  }}" if params else "{}"
+        head = f'{{\n  "command": {_quote(self.command)},\n  "params": {params},\n  "results": ['
+        if not self.rows:
+            return f"{head}]\n}}\n"
         # an int or Fraction writes only "-", digits and "/": nothing to escape
         results = [f"{_J0}{_quote(label)}{_J1}{value}{_J2}{_quote(note)}{_J3}"
                    for label, value, note in self.rows]
-        head = (f'{{\n  "command": {_quote(self.command)},\n  "params": {_nested(params, "{}")},'
-                '\n  "results": ')
-        listing = (_PELL_JSON.pieces(self.rows.n, 0, lambda label: _quote(label) + _J1)
-                   if type(self.rows) is _PellRows else ())
-        return _nested(results, "[]", head, "\n}\n", listing)
+        results[0] = f"{head}\n    {results[0]}"
+        if type(self.rows) is _PellRows:  # the listing's pieces start with a separator
+            listing = _PELL_JSON.pieces(self.rows.n, 0, lambda label: _quote(label) + _J1)
+            listing[0] = _SEP.join(results) + listing[0]
+            listing[-1] += "\n  ]\n}\n"
+            return "".join(listing)
+        results[-1] += "\n  ]\n}\n"
+        return _SEP.join(results)
 
     def to_text(self) -> str:
         """The command and its params, then one aligned line per row, joined
@@ -360,15 +353,17 @@ def _rows_f3(genus: int) -> list[Row]:
 # argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
-#: largest exponent a value such as "1.5e3" may carry, and largest --bound.
-#: Past the first, ``Fraction`` builds an integer longer than the
-#: interpreter's default int-to-str limit of 4300 digits; past the second,
-#: the Pell report lists thousands of solutions, megabytes of them.  At the
-#: cap, ``pell --bound 10^1000`` walks 1306 branch steps (about 0.6 ms) and
-#: lists 5226 pairs (6.3 MB of JSON).  Medians, Python 3.11.7 on a shared
-#: 2-vCPU box, text and JSON alike: 1.9 ms in process with the listing's
-#: tables built and 52 ms as a fresh process (16 runs each).
-_MAX_EXPONENT = 4300
+#: most digits of an option value's numerator and denominator, and largest
+#: --bound.  The first is the interpreter's default int-to-str limit: the
+#: report could not echo a longer value.  It caps the exponent of a value
+#: such as "1.5e3" as well, before ``Fraction`` builds the power of ten.
+#: Past the second, the Pell report lists thousands of solutions, megabytes
+#: of them.  At the cap, ``pell --bound 10^1000`` walks 1306 branch steps
+#: (about 0.6 ms) and lists 5226 pairs (6.3 MB of JSON).  Medians, Python
+#: 3.11.7 on a shared 2-vCPU box, text and JSON alike: 1.9 ms in process
+#: with the listing's tables built and 52 ms as a fresh process (16 runs each).
+_MAX_DIGITS = 4300
+_TOO_LONG = 10 ** _MAX_DIGITS  # the least integer with more digits
 _MAX_BOUND = 10 ** 1000
 
 
@@ -382,11 +377,14 @@ def _rational(text: str) -> Fraction:
     _, e, exponent = text.lower().rpartition("e")
     try:
         # a string with an "e" is a rational only if what follows is an int
-        if e and abs(int(exponent)) > _MAX_EXPONENT:
-            raise _invalid(f"exponent beyond {_MAX_EXPONENT} in magnitude: {text!r}")
-        return Fraction(text)
+        if e and abs(int(exponent)) > _MAX_DIGITS:
+            raise _invalid(f"exponent beyond {_MAX_DIGITS} in magnitude: {text!r}")
+        value = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise _invalid(f"not a rational number: {text!r}") from None
+    if -_TOO_LONG < value.numerator < _TOO_LONG and value.denominator < _TOO_LONG:
+        return value
+    raise _invalid(f"numerator or denominator has more than {_MAX_DIGITS} digits: {text!r}")
 
 
 def _bound(text: str) -> int:
@@ -399,23 +397,25 @@ def _bound(text: str) -> int:
     return value
 
 
-def _q() -> dict:
-    return {"type": _rational, "default": hodge_ring.EPW_Q,
-            "help": "BBF square of the polarization (default %(default)s)"}
-
-
-def _degree() -> dict:
-    return {"type": _rational, "default": lagrangian.EPW_DEGREE,
-            "help": "h^3-degree of the fixed locus (default %(default)s)"}
-
-
-def _case() -> dict:
-    return {"choices": llv.CASES, "default": llv.CASES[0],
-            "help": "involution action on the non-Verbitsky summand"}
-
-
 #: the walls and pell defaults, which report-all reports at as well
 _BETA, _BOUND = Fraction(-2), 10 ** 6
+
+#: option -> a function that returns its ``add_argument`` keywords (``_options``)
+_OPTIONS = {
+    "q": lambda: {"type": _rational, "default": hodge_ring.EPW_Q,
+                  "help": "BBF square of the polarization (default %(default)s)"},
+    "degree": lambda: {"type": _rational, "default": lagrangian.EPW_DEGREE,
+                       "help": "h^3-degree of the fixed locus (default %(default)s)"},
+    "case": lambda: {"choices": llv.CASES, "default": llv.CASES[0],
+                     "help": "involution action on the non-Verbitsky summand"},
+    "beta": lambda: {"type": _rational, "default": _BETA,
+                     "help": "beta coordinate on the wall branch (default %(default)s)"},
+    "bound": lambda: {"type": _bound, "default": _BOUND,
+                      "help": "list solutions with |x| up to this bound "
+                              "(default 10^6, at most 10^1000)"},
+    "genus": lambda: {"type": int, "default": degeneration.SEXTIC_GENUS,
+                      "help": "genus of the curve (default %(default)s)"},
+}
 
 
 def _rows_report_all(q: Fraction, degree: Fraction) -> list[Row]:
@@ -436,50 +436,30 @@ def _rows_report_all(q: Fraction, degree: Fraction) -> list[Row]:
             for head, rows in sections for label, value, note in rows]
 
 
-#: subcommand -> (help, rows function, options).  ``options`` maps each
-#: option name to a function that returns its ``add_argument`` keywords
-#: (``_options``); the rows function takes the parsed options as keyword
-#: arguments, and the report's params are the same options, in declaration
-#: order, rendered with ``str``.
+#: subcommand -> (help, rows function, option names).  The rows function takes
+#: the options as keywords; the report's params are the same options, as ``str``.
 _SECTIONS = {
-    "fujiki": ("generalized Fujiki constants", _rows_fujiki, {}),
-    "ring": ("top-degree integrals, Gram determinant, Chern numbers", _rows_ring,
-             {"q": _q}),
-    "relations": ("degree-8 and degree-10 ring relations", _rows_relations, {"q": _q}),
-    "betti": ("Betti numbers of the involution quotient", _rows_betti, {"case": _case}),
-    "euler": ("Euler characteristics of quotient and fixed locus", _rows_euler,
-              {"case": _case}),
-    "lagrangian": ("projection of the Lagrangian class", _rows_lagrangian,
-                   {"degree": _degree, "q": _q}),
-    "fixed-locus": ("invariants of the fixed threefold", _rows_fixed_locus,
-                    {"degree": _degree, "q": _q}),
-    "walls": ("wall point, central charges, contracted ray", _rows_walls,
-              {"beta": lambda: {"type": _rational, "default": _BETA,
-                                "help": "beta coordinate on the wall branch "
-                                        "(default %(default)s)"}}),
-    "pell": ("spherical classes on the wall from the Pell equation", _rows_pell,
-             {"bound": lambda: {"type": _bound, "default": _BOUND,
-                                "help": "list solutions with |x| up to this bound "
-                                        "(default 10^6, at most 10^1000)"}}),
-    "ext": ("Ext dimensions at the contraction", _rows_ext, {}),
-    "kuranishi": ("Kuranishi identity for the singularity type", _rows_kuranishi, {}),
-    "symprod": ("symmetric-product intersection calculus", _rows_symprod,
-                {"genus": lambda: {"type": int, "default": degeneration.SEXTIC_GENUS,
-                                   "help": "genus of the curve (default %(default)s)"}}),
-    "f3": ("Hodge-number relations for the fixed threefold", _rows_f3,
-           {"genus": lambda: {"type": int, "default": degeneration.SEXTIC_GENUS,
-                              "help": "genus override (default: plane sextic)"}}),
-    "report-all": ("every headline number in one report", _rows_report_all,
-                   {"q": _q, "degree": _degree}),
+    "fujiki": ("generalized Fujiki constants", _rows_fujiki, ()),
+    "ring": ("top-degree integrals, Gram determinant, Chern numbers", _rows_ring, ("q",)),
+    "relations": ("degree-8 and degree-10 ring relations", _rows_relations, ("q",)),
+    "betti": ("Betti numbers of the involution quotient", _rows_betti, ("case",)),
+    "euler": ("Euler characteristics of quotient and fixed locus", _rows_euler, ("case",)),
+    "lagrangian": ("projection of the Lagrangian class", _rows_lagrangian, ("degree", "q")),
+    "fixed-locus": ("invariants of the fixed threefold", _rows_fixed_locus, ("degree", "q")),
+    "walls": ("wall point, central charges, contracted ray", _rows_walls, ("beta",)),
+    "pell": ("spherical classes on the wall from the Pell equation", _rows_pell, ("bound",)),
+    "ext": ("Ext dimensions at the contraction", _rows_ext, ()),
+    "kuranishi": ("Kuranishi identity for the singularity type", _rows_kuranishi, ()),
+    "symprod": ("symmetric-product intersection calculus", _rows_symprod, ("genus",)),
+    "f3": ("Hodge-number relations for the fixed threefold", _rows_f3, ("genus",)),
+    "report-all": ("every headline number in one report", _rows_report_all, ("q", "degree")),
 }
 
 
 @functools.cache
 def _options(command: str) -> dict[str, dict]:
-    """``command``'s options, each name -> its ``add_argument`` keywords,
-    built by the first request that reads them: a default is read from its
-    module then, not at import."""
-    return {name: keywords() for name, keywords in _SECTIONS[command][2].items()}
+    """``command``'s options, each name -> its ``add_argument`` keywords."""
+    return {name: _OPTIONS[name]() for name in _SECTIONS[command][2]}
 
 
 @functools.cache

@@ -34,7 +34,7 @@ def test_exit_codes(capsys):
     assert run(["ring", "--q", "abc"]) == 2
     assert run(["betti", "--case", "sideways"]) == 2
     assert run(["lagrangian", "--degree=--"]) == 2
-    # inputs past their caps (exponent 4300, bound 10^1000) are usage errors
+    # inputs past their caps (4300 digits, bound 10^1000) are usage errors
     assert run(["ring", "--q", "1e9999999"]) == 2
     assert run(["pell", "--bound", str(10 ** 1000 + 1)]) == 2
     # precondition violations surface as computation errors
@@ -69,18 +69,24 @@ def test_exit_codes(capsys):
 
 @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
                     reason="no int-to-str digit limit on this interpreter")
-@pytest.mark.parametrize("argv", [["ring", "--q", "1e4300"], ["ring", "--q", "1e2000", "--json"]],
-                         ids=["option", "answer"])
-def test_an_answer_past_the_digit_limit_is_one_error_line(argv, capsys):
-    """A value that ``str`` cannot write, the option itself (q = 10^4300
-    has 4301 digits) or a row (15q^3 at q = 10^2000), is one line of
-    epwcalc's own that states the limit: exit 1, nothing on stdout.  A
-    computation error keeps its own text."""
-    limit = sys.get_int_max_str_digits()
-    assert run(argv) == 1
-    assert capsys.readouterr() == (
-        "", f"error: the answer has more than {limit} digits (the interpreter's int-to-str"
-            " limit)\n")
+@pytest.mark.parametrize("argv, code, last_line", [
+    (["ring", "--q", "1e4300"], 2, "epwcalc ring: error: argument --q: numerator or"
+                                   " denominator has more than 4300 digits: '1e4300'"),
+    (["ring", "--q", "1e2000", "--json"], 1, "error: the answer has more than {limit} digits"
+                                             " (the interpreter's int-to-str limit)"),
+], ids=["option", "answer"])
+def test_an_answer_past_the_digit_limit_is_one_error_line(argv, code, last_line, capsys):
+    """A row that ``str`` cannot write (15q^3 at q = 10^2000 has 6002
+    digits) is one line of epwcalc's own that states the limit: exit 1,
+    nothing on stdout.  An option that long (q = 10^4300 has 4301 digits),
+    which the report could not echo, is a usage error: exit 2, the usage
+    line and one error line.  A computation error keeps its own text."""
+    assert run(argv) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1] == last_line.format(limit=sys.get_int_max_str_digits())
+    # exit 1: the error line alone; exit 2: the usage line, then the error line
+    assert err.count("\n") == code and err.count("error:") == 1
     assert run(["ring", "--q", "-1"]) == 1
     assert capsys.readouterr() == (
         "", "error: the BBF square of a polarization must be positive\n")
@@ -136,10 +142,17 @@ def test_run_without_stdout(monkeypatch, capsys, tmp_path):
 
 
 def test_exponent_notation_is_bounded():
+    """A rational option may have at most 4300 digits in its numerator and
+    in its denominator, the interpreter's default int-to-str limit; an
+    exponent past 4300 in magnitude is refused before any ``Fraction`` is
+    built."""
     parse = build_parser("ring").parse_args
     assert parse(["ring", "--q", "1.5e3"]).q == 1500
-    assert parse(["ring", "--q", "1e-4300"]).q == Fraction(1, 10 ** 4300)
-    for value in ("1e4301", "1E-4301", "2.5e9999999"):
+    assert parse(["ring", "--q", "1e4299"]).q == 10 ** 4299
+    assert parse(["ring", "--q", "1e-4299"]).q == Fraction(1, 10 ** 4299)
+    assert parse(["ring", "--q", "-5e-4300"]).q == Fraction(-1, 2 * 10 ** 4299)
+    for value in ("1e4300", "1e-4300", "-1e4300", "0.1e-4300", "0." + "0" * 4299 + "1",
+                  "1e4301", "1E-4301", "2.5e9999999"):
         with pytest.raises(SystemExit) as exc:
             parse(["ring", "--q", value])
         assert exc.value.code == 2
@@ -154,6 +167,44 @@ def test_pell_bound_is_capped_at_10_to_the_1000():
         with pytest.raises(SystemExit) as exc:
             parse(["pell", "--bound", text])
         assert exc.value.code == 2
+
+
+#: each option's line in ``--help``, whitespace collapsed, and its default
+HELP_LINES = {
+    "q": ("--q Q BBF square of the polarization (default 4)", 4),
+    "degree": ("--degree DEGREE h^3-degree of the fixed locus (default 720)", 720),
+    "case": ("--case {natural,opposite} involution action on the non-Verbitsky summand",
+             "natural"),
+    "beta": ("--beta BETA beta coordinate on the wall branch (default -2)", -2),
+    "bound": ("--bound BOUND list solutions with |x| up to this bound (default 10^6,"
+              " at most 10^1000)", 10 ** 6),
+    "genus": ("--genus GENUS genus of the curve (default 10)", 10),
+}
+
+
+@pytest.mark.parametrize("section", cli._SECTIONS)
+def test_each_section_help_names_its_options_with_their_defaults(section, capsys):
+    """``<section> --help`` names exactly the options of its ``_SECTIONS``
+    entry, besides --help, --json and --out, each with its help text and
+    the default it states; parsing no option gives those defaults."""
+    options = cli._SECTIONS[section][2]
+    assert run([section, "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert set(re.findall(r"--([a-z]+)", text)) == {"help", "json", "out", *options}
+    for option in options:
+        assert HELP_LINES[option][0] in text
+    parsed = vars(build_parser(section).parse_args([section]))
+    assert {option: parsed[option] for option in options} == {
+        option: HELP_LINES[option][1] for option in options}
+
+
+def test_symprod_and_f3_print_the_same_genus_line(capsys):
+    """Both sections take the one --genus option of ``_OPTIONS``."""
+    lines = []
+    for section in ("symprod", "f3"):
+        assert run([section, "--help"]) == 0
+        lines += [line for line in capsys.readouterr().out.splitlines() if "--genus GENUS " in line]
+    assert lines == ["  --genus GENUS  genus of the curve (default 10)"] * 2
 
 
 def test_out_to_an_unwritable_path_is_an_error(tmp_path, capsys):

@@ -174,7 +174,7 @@ def test_json_report_is_json_dumps_of_its_payload(command, params, rows):
     payload = {
         "command": command,
         "params": params,
-        "results": [{"label": label, "value": str(Fraction(value)), "paper_anchor": note}
+        "results": [{"label": label, "value": str(value), "paper_anchor": note}
                     for label, value, note in rows],
     }
     assert Report(command, params, rows).to_json() == json.dumps(payload, indent=2) + "\n"

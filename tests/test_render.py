@@ -32,10 +32,6 @@ from epwcalc.cli import Report, run
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
-def _reference_fmt(value) -> str:
-    return str(value) if type(value) in (int, Fraction) else str(Fraction(value))
-
-
 def _reference_text(report: Report) -> str:
     head = report.command
     if report.params:
@@ -43,7 +39,7 @@ def _reference_text(report: Report) -> str:
     width = max((len(label) for label, _, _ in report.rows), default=0)
     lines = [head]
     for label, value, note in report.rows:
-        lines.append(f"  {label:<{width}}  {_reference_fmt(value):>12}  # {note}")
+        lines.append(f"  {label:<{width}}  {str(value):>12}  # {note}")
     return "\n".join(lines) + "\n"
 
 
@@ -54,7 +50,7 @@ def _reference_nested(items, ends):
 def _reference_json(report: Report) -> str:
     quote = encode_basestring_ascii
     params = [f"{quote(name)}: {quote(value)}" for name, value in report.params.items()]
-    results = [f'{{\n      "label": {quote(label)},\n      "value": "{_reference_fmt(value)}",'
+    results = [f'{{\n      "label": {quote(label)},\n      "value": "{value}",'
                f'\n      "paper_anchor": {quote(note)}\n    }}'
                for label, value, note in report.rows]
     return (f'{{\n  "command": {quote(report.command)},'
@@ -114,6 +110,17 @@ def test_the_pell_listing_renders_as_the_per_row_reference(digits):
 def test_the_pell_listing_renders_as_the_reference_between_powers_of_ten(bound):
     """Bounds in [1, 10^300] that are not powers of ten, drawn digit count first."""
     _assert_pell_renders(bound)
+
+
+@pytest.mark.parametrize("bound", [1, 10, 10 ** 30])
+def test_a_pell_report_without_params_renders_as_the_reference(bound):
+    """``to_json`` with no params and a Pell listing (the empty params
+    object, then the listing's pieces after the summary rows) and
+    ``to_text`` with no params head are the per-row reference too."""
+    report = Report("pell", {}, cli._rows_pell(bound))
+    reference = Report("pell", {}, _reference_pell_rows(bound))
+    _assert_same(report.to_json(), _reference_json(reference))
+    _assert_same(report.to_text(), _reference_text(reference))
 
 
 def _fresh_pell_tables(monkeypatch):
@@ -227,12 +234,12 @@ def test_interleaved_requests_grow_the_pell_tables_once(monkeypatch):
 @st.composite
 def mixed_rows(draw):
     """Rows whose values mix ints of either sign and zero, with a few
-    magnitudes repeated, the decimal text of ints, and Fractions."""
+    magnitudes repeated, and Fractions."""
     magnitudes = draw(st.lists(st.integers(0, 9) | st.integers(0, 10 ** 80),
                                min_size=1, max_size=4))
     ints = st.builds(lambda magnitude, sign: sign * magnitude,
                      st.sampled_from(magnitudes), st.sampled_from((1, -1)))
-    values = ints | st.integers() | ints.map(str) | st.fractions()
+    values = ints | st.integers() | st.fractions()
     text = st.text(max_size=8)
     return draw(st.lists(st.tuples(text, values, text), max_size=12))
 
