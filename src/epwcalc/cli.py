@@ -20,7 +20,7 @@ and again in one process; no option carries over from one call to the next.
 an indent, ``json.dumps`` skips its C string encoder), quoting with that
 encoder from ``_json``, or from ``json.encoder`` where ``_json`` is missing.
 The Pell listing is joined once from process-wide tables of its row heads
-and values, grown only past the largest bound asked for (``_PellListing``).
+and values, its negative half put in backwards by one slice (``_PellListing``).
 A process ends in ``main``, ``run`` then ``gc.freeze()``: shutdown walks no
 loaded module.  ``run`` never freezes; a caller that stays would pin garbage.
 
@@ -97,17 +97,15 @@ class Report(namedtuple("Report", "command params rows")):
                    for label, value, note in self.rows]
         results[0] = f"{head}\n    {results[0]}"
         if type(self.rows) is _PellRows:  # the listing's pieces start with a separator
-            listing = _PELL_JSON.pieces(self.rows.n, 0, lambda label: _quote(label) + _J1)
-            listing[0] = _SEP.join(results) + listing[0]
-            listing[-1] += "\n  ]\n}\n"
-            return "".join(listing)
+            return _PELL_JSON.render(self.rows.n, 0, lambda label: _quote(label) + _J1,
+                                     _SEP.join(results), "\n  ]\n}\n")
         results[-1] += "\n  ]\n}\n"
         return _SEP.join(results)
 
     def to_text(self) -> str:
         """The command and its params, then one aligned line per row, joined
-        once: each line ends in its newline, so the payload is not copied
-        again to add the last one."""
+        once: each line ends in its newline, and any Pell listing takes the
+        lines onto its first piece, so no payload is copied again."""
         head = self.command
         if self.params:
             head += "  (" + ", ".join(f"{k}={v}" for k, v in self.params.items()) + ")"
@@ -116,7 +114,8 @@ class Report(namedtuple("Report", "command params rows")):
         lines += [f"{_T0}{label.ljust(width)}{_T1}{str(value).rjust(_VALUE_WIDTH)}"
                   f"{_T2}{note}{_T3}" for label, value, note in self.rows]
         if type(self.rows) is _PellRows:
-            lines += _PELL_TEXT.pieces(self.rows.n, width, lambda label: label.ljust(width) + _T1)
+            return _PELL_TEXT.render(self.rows.n, width, lambda label: label.ljust(width) + _T1,
+                                     "".join(lines), "")
         return "".join(lines)
 
 
@@ -256,28 +255,28 @@ class _PellRows(list):
 
 class _PellListing:
     """The Pell listing in one layout, from tables grown by slice writes of
-    entries set by their index alone: row heads by label width and position
-    (x[0], y[0], x[1], ...); values padded to ``width``, four per branch
-    element, x, -y, x, y, and -x, -y, -x, y stored for a reversed slice."""
+    entries set by their index alone: row heads by label width and position;
+    values padded to ``width``, from (0, 1) x, -y, x, y per branch element,
+    and from (0, -1) y, -x, -y, -x, which the listing reads backwards."""
 
     def __init__(self, row: tuple[str, str, str, str], quote=str, width: int = 0, sep: str = ""):
         a, _, c, d = row  # start: before the first head; joint: from a value to the next
         self.end = f"{c}{quote('Pell solution, sorted')}{d}"
         self.start, self.joint, self.width = sep + a, f"{self.end}{sep}{a}", width
-        self.heads, self.positive, self.negative = {}, [], []
-        self.center = [v.rjust(width) for v in ("0", "-1", "0", "1")]  # (0, -1), (0, 1)
+        pad = [v.rjust(width) for v in ("-1", "0", "1")]  # (0, 1), and (0, -1) backwards
+        self.heads, self.positive, self.negative = {}, pad[1:], pad[:2]
 
-    def pieces(self, n: int, label_width: int, head) -> list[str]:
-        """The first n branch elements' listing as pieces of one join, per
-        value: its head ``head(label)``, the value and ``joint``."""
-        m = 8 * n + 4  # x and y of each pair
+    def render(self, n: int, label_width: int, head, lead: str, tail: str) -> str:
+        """``lead``, the first n branch elements' listing and ``tail``, joined
+        once: per value, its head ``head(label)``, the value and ``joint``."""
         heads = self.heads.setdefault(label_width, [])
-        if (k := len(heads)) < m:
+        if (k := len(heads)) < (m := 8 * n + 4):  # x and y of each pair
             heads[k:m] = [head(f"{'xy'[j % 2]}[{j // 2}]") for j in range(k, m)]
         parts = [self.joint] * (3 * m)
-        parts[::3], parts[0], parts[-1] = heads[:m], self.start + heads[0], self.end
-        parts[1::3] = self.negative[:4 * n][::-1] + self.center + self.positive[:4 * n]
-        return parts
+        parts[::3], parts[0], parts[-1] = heads[:m], lead + self.start + heads[0], self.end + tail
+        parts[12 * n + 4::-3] = self.negative[:4 * n + 2]  # from (0, -1) backwards
+        parts[12 * n + 7::3] = self.positive[:4 * n + 2]
+        return "".join(parts)
 
 
 _PELL_LISTINGS = _PELL_JSON, _PELL_TEXT = (_PellListing(_JSON_ROW, _quote, sep=_SEP),
@@ -290,14 +289,14 @@ def _rows_pell(bound: int) -> list[Row]:
     branch = degeneration.pell_spherical_classes(bound)
     n = len(branch)
     # one str per x, -x, y, -y for every listing; the last table written is the shortest
-    if (k := len(_PELL_LISTINGS[-1].negative) // 4) < n:
+    if (k := (len(_PELL_LISTINGS[-1].negative) - 2) // 4) < n:
         texts = [(sx := str(x), "-" + sx, sy := str(y), "-" + sy) for x, y in branch[k:n]]
         for f in _PELL_LISTINGS:  # x, -y, x, y and y, -x, -y, -x
-            f.positive[4 * k:4 * n] = [t[i].rjust(f.width) for t in texts for i in (0, 3, 0, 2)]
-            f.negative[4 * k:4 * n] = [t[i].rjust(f.width) for t in texts for i in (2, 1, 3, 1)]
+            for side, order in ((f.positive, (0, 3, 0, 2)), (f.negative, (2, 1, 3, 1))):
+                side[4 * k + 2:4 * n + 2] = [t[i].rjust(f.width) for t in texts for i in order]
     # the images (-x, +-y) with x + y/2 >= 0, doubled to stay in the integers:
     # x, y > 0 on the branch, so no (-x, -y) is one
-    violations = sum(1 for x, y in branch if y >= 2 * x)
+    violations = sum(1 for x, y in branch if y >= x + x)
     rows = _PellRows([("solution count", 4 * n + 2, f"2x^2 - y^2 = -1 with |x| <= {bound}"),
                       ("negative-x effectivity violations", violations,
                        "x < 0 must force effectivity ratio x + y/2 < 0")])
@@ -357,11 +356,10 @@ def _rows_f3(genus: int) -> list[Row]:
 #: --bound.  The first is the interpreter's default int-to-str limit: the
 #: report could not echo a longer value.  It caps the exponent of a value
 #: such as "1.5e3" as well, before ``Fraction`` builds the power of ten.
-#: Past the second, the Pell report lists thousands of solutions, megabytes
-#: of them.  At the cap, ``pell --bound 10^1000`` walks 1306 branch steps
-#: (about 0.6 ms) and lists 5226 pairs (6.3 MB of JSON).  Medians, Python
-#: 3.11.7 on a shared 2-vCPU box, text and JSON alike: 1.9 ms in process
-#: with the listing's tables built and 52 ms as a fresh process (16 runs each).
+#: Past the second, the Pell report lists thousands of solutions, megabytes of
+#: them: at the cap, ``pell --bound 10^1000`` walks 1306 branch steps (0.45 ms)
+#: and lists 5226 pairs (6.3 MB of JSON) in 1.9 ms with the tables built, 81 ms
+#: as a fresh process (medians of 16, Python 3.11.7 on a shared 2-vCPU box).
 _MAX_DIGITS = 4300
 _TOO_LONG = 10 ** _MAX_DIGITS  # the least integer with more digits
 _MAX_BOUND = 10 ** 1000
@@ -589,7 +587,9 @@ def run(argv=None) -> int:
             params = {name: str(value) for name, value in values.items()}
             try:
                 report = Report(args["command"], params, rows(**values))
-            except (ValueError, ZeroDivisionError) as exc:  # a computation error
+            except (ValueError, ZeroDivisionError) as exc:  # a computation error,
+                if "int_max_str_digits" in str(exc):  # unless a note hit the limit (f3's)
+                    raise
                 return _error(exc)
             payload = report.to_json() if args["json"] else report.to_text()
         except ValueError:

@@ -83,17 +83,19 @@ def central_charges(u: tuple[int, int, int], v: tuple[int, int, int],
 # ---------------------------------------------------------------------------
 
 def pell_spherical_classes(bound: int) -> list[tuple[int, int]]:
-    """The integer pairs (x, y) with 2x^2 - y^2 = -1 and 0 < x <= bound,
-    y > 0, in increasing x: the images (2, 3), (12, 17), ... of the
-    fundamental solution (0, 1) under the automorphism
-    (x, y) -> (3x + 2y, 4x + 3y) of the form.  The other solutions with
+    """The pairs (x, y) with 2x^2 - y^2 = -1, 0 < x <= bound and y > 0, in
+    increasing x: the images (2, 3), (12, 17), ... of (0, 1) under the
+    automorphism (x, y) -> (3x + 2y, 4x + 3y) = (2s + x, 3s + x) of the form,
+    s = x + y, a step of additions alone.  The other solutions with
     |x| <= bound are (0, +-1) and the sign images (+-x, +-y) of these."""
     if bound < 1:
         raise ValueError("bound must be a positive integer")
     branch, x, y = [], 2, 3
     while x <= bound:
         branch.append((x, y))
-        x, y = 3 * x + 2 * y, 4 * x + 3 * y
+        s = x + y
+        x = s + s + x
+        y = x + s
     return branch
 
 

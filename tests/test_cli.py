@@ -1,5 +1,6 @@
 import gc
 import json
+import math
 import os
 import re
 import subprocess
@@ -90,6 +91,25 @@ def test_an_answer_past_the_digit_limit_is_one_error_line(argv, code, last_line,
     assert run(["ring", "--q", "-1"]) == 1
     assert capsys.readouterr() == (
         "", "error: the BBF square of a polarization must be positive\n")
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="no int-to-str digit limit on this interpreter")
+@pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+def test_an_f3_note_past_the_digit_limit_is_one_error_line(fmt, capsys):
+    """f3 writes comb(g, 3) into a relation note, and at a genus of 1434
+    nines that has 4300 digits or more; the request is the digit-limit line,
+    not the interpreter's own text: exit 1, nothing on stdout.  At genus 10
+    and at 1433 nines it prints its report, whose notes hold the binomials."""
+    for digits in (1434, 1500):
+        assert run(["f3", "--genus", "9" * digits, *fmt]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: the answer has more than {sys.get_int_max_str_digits()} digits"
+                " (the interpreter's int-to-str limit)\n")
+    for genus in (10, int("9" * 1433)):
+        assert run(["f3", "--genus", str(genus), *fmt]) == 0
+        out = capsys.readouterr().out
+        assert f"h^(0,3) = {math.comb(genus, 3)} + dim H^2(W, R)" in out
 
 
 @pytest.mark.parametrize("argv, broken, code", [

@@ -183,6 +183,21 @@ def test_pell_small_bounds():
     assert pell_spherical_classes(12) == [(2, 3), (12, 17)]
 
 
+def test_the_additions_step_is_the_automorphism_up_to_the_cap():
+    """``pell_spherical_classes`` steps by additions, to (2s + x, 3s + x)
+    with s = x + y.  Element by element up to the 10^1000 cap, its 1306
+    elements are the images of (2, 3) under (x, y) -> (3x + 2y, 4x + 3y),
+    and each solves 2x^2 - y^2 = -1."""
+    branch = pell_spherical_classes(10 ** 1000)
+    assert len(branch) == 1306
+    x, y = 2, 3
+    for element in branch:
+        assert element == (x, y)
+        assert 2 * x * x - y * y == -1
+        x, y = 3 * x + 2 * y, 4 * x + 3 * y
+    assert x > 10 ** 1000
+
+
 def _pell_set_and_sort(bound):
     """The reference construction: every sign image of each solution on the
     walk from (0, 1), gathered in a set and sorted."""

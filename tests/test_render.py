@@ -124,14 +124,17 @@ def test_a_pell_report_without_params_renders_as_the_reference(bound):
 
 
 def _fresh_pell_tables(monkeypatch):
+    """Each listing's tables as the import makes them: no heads, and values
+    for (0, 1) and (0, -1) alone."""
     for listing in cli._PELL_LISTINGS:
-        for name, empty in (("heads", {}), ("positive", []), ("negative", [])):
-            monkeypatch.setattr(listing, name, empty)
+        monkeypatch.setattr(listing, "heads", {})
+        for name in ("positive", "negative"):
+            monkeypatch.setattr(listing, name, getattr(listing, name)[:2])
 
 
 def _pell_tables():
-    """Per listing (JSON, text): its positive and negative value tables and
-    its heads by label width."""
+    """Per listing (JSON, text): its positive and negative value tables, each
+    led by its half of (0, +-1), and its heads by label width."""
     return [(listing.positive, listing.negative, listing.heads) for listing in cli._PELL_LISTINGS]
 
 
@@ -146,19 +149,19 @@ PELL_TEXT_WIDTH = len("negative-x effectivity violations")
 
 
 def test_the_pell_tables_serve_every_bound_in_any_order(monkeypatch):
-    """From empty tables, in one process: the cap 10^1000 first, then bounds
+    """From fresh tables, in one process: the cap 10^1000 first, then bounds
     in descending order, then ascending, with x and x - 1 at the first four
-    branch x; and again from empty tables, ascending and then the cap.
+    branch x; and again from fresh tables, ascending and then the cap.
     Every request renders as the per-row reference, in text and in JSON,
     and lists what the set-and-sort construction gives, whose part with
     x, y > 0 is the branch ``pell_spherical_classes`` returns.  Changing a
     list it returned leaves the next call as it was.  After the cap, each
-    listing holds four values per side for the 1306 branch elements and a
-    head for each of the 2 * 5226 listed values, in JSON and at the text
-    width.  A bound past the cap is rejected (exit 2) and grows nothing,
-    even from empty tables."""
+    listing holds 8 * 1306 + 4 values, four per side for each of the 1306
+    branch elements and the four of (0, +-1), and a head for each of the
+    2 * 5226 listed values, in JSON and at the text width.  A bound past the
+    cap is rejected (exit 2) and fills nothing, even from fresh tables."""
     cap = 10 ** 1000
-    at_cap = [(4 * 1306, 4 * 1306, {width: 2 * 5226})
+    at_cap = [(4 * 1306 + 2, 4 * 1306 + 2, {width: 2 * 5226})
               for width in (0, PELL_TEXT_WIDTH)]
     ascending = sorted({10 ** k for k in (0, 1, 2, 30, 300)}
                        | {b for x in (2, 12, 70, 408) for b in (x, x - 1)})
@@ -183,7 +186,7 @@ def test_the_pell_tables_serve_every_bound_in_any_order(monkeypatch):
     _fresh_pell_tables(monkeypatch)
     with redirect_stderr(io.StringIO()):
         assert run(["pell", "--bound", str(cap + 1)]) == 2
-    assert _pell_table_sizes() == [(0, 0, {}), (0, 0, {})]
+    assert _pell_table_sizes() == [(2, 2, {}), (2, 2, {})]
 
 
 def _render_pell(bound):
@@ -193,12 +196,12 @@ def _render_pell(bound):
 
 def test_interleaved_requests_grow_the_pell_tables_once(monkeypatch):
     """Eight threads, released together and switching every microsecond,
-    render bounds in text and JSON from empty tables: two ascending, two
+    render bounds in text and JSON from fresh tables: two ascending, two
     descending and four in shuffled orders, so that several grow the same
     entries at once.  Each gets the payloads a lone request gets, and the
     tables end as one request for the largest bound in both formats leaves
     them: no entry is written twice or dropped.  Five rounds, each from
-    empty tables."""
+    fresh tables."""
     bounds = [10 ** k for k in range(0, 301, 7)]
     expected = {bound: _render_pell(bound) for bound in bounds}
     _fresh_pell_tables(monkeypatch)
