@@ -12,10 +12,10 @@ re + i*im*alpha with re over d^2 and im over d, and the ratio of two
 charges is one quotient of integer sums.  A class on the third symmetric
 product is its four integer coefficients on the monomials.
 
-The other modules are reached through their names
-(``lagrangian.fixed_locus_invariants``), not bound at import: where ``cli``
-binds them lazily, a section loads ``lagrangian`` and ``mukai`` only if its
-rows call them."""
+The module imports only ``lagrangian`` and ``mukai`` of the package, and
+reaches them through their names (``lagrangian.fixed_locus_invariants``),
+not bound at import: where ``cli`` binds them lazily, a section loads
+``lagrangian`` and ``mukai`` only if its rows call them."""
 
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ from fractions import Fraction
 from itertools import product
 from math import comb, perm
 
-from . import lagrangian, mukai, qfield
+from . import lagrangian, mukai
 
 #: the Hilbert cube of the surface, as a moduli space
 HILB_VECTOR = (1, 0, -2)
@@ -41,7 +41,7 @@ CONTRACTED_RAY_VECTOR = (1, -2, 2)
 # the wall and exact central charges
 # ---------------------------------------------------------------------------
 
-def _wall_point(beta: qfield.Rational) -> tuple[int, int, int]:
+def _wall_point(beta: Fraction | int) -> tuple[int, int, int]:
     """(n, d, alpha^2 * d^2) at beta = n/d, all integers; the wall
     (beta+2)^2 + alpha^2 = 2 gives alpha^2 * d^2 = 2d^2 - (n + 2d)^2."""
     n, d = beta.as_integer_ratio()
@@ -53,7 +53,7 @@ def _wall_point(beta: qfield.Rational) -> tuple[int, int, int]:
     return n, d, a
 
 
-def wall_alpha_sq(beta: qfield.Rational) -> Fraction:
+def wall_alpha_sq(beta: Fraction | int) -> Fraction:
     """alpha^2 = 2 - (beta+2)^2 at the wall point over beta, which must lie
     on the branch beta < -1 with alpha > 0."""
     _, d, a = _wall_point(beta)
@@ -61,7 +61,7 @@ def wall_alpha_sq(beta: qfield.Rational) -> Fraction:
 
 
 def central_charges(u: tuple[int, int, int], v: tuple[int, int, int],
-                    beta: qfield.Rational) -> tuple[
+                    beta: Fraction | int) -> tuple[
         tuple[Fraction, Fraction], tuple[Fraction, Fraction], Fraction]:
     """((Re Z(u), Im Z(u)/alpha), (Re Z(v), Im Z(v)/alpha), Re(Z(u)/Z(v)))
     at the wall point over beta, with

@@ -29,7 +29,7 @@ import functools
 from fractions import Fraction
 
 from .fujiki import fujiki_constant
-from .qfield import ONE, ZERO, ParametricScalar, Rational
+from .qfield import ONE, ZERO, ParametricScalar
 
 #: the basis monomials (i, j) of h^i * c2^j: h^0..h^6 and h^0..h^2 times c2
 BASIS = frozenset({(i, 0) for i in range(7)} | {(i, 1) for i in range(3)})
@@ -63,7 +63,7 @@ DEGREE6_FORM = ((TOP_INTEGRALS["h^6"], TOP_INTEGRALS["h^4*c2"], ZERO),
                 (ZERO, ZERO, ParametricScalar(ETA_SQUARE)))
 
 
-def positive_q(q: Rational) -> Fraction:
+def positive_q(q: Fraction | int) -> Fraction:
     """q as a Fraction, a Fraction argument itself; ValueError unless q > 0,
     as a polarization's BBF square."""
     if not isinstance(q, Fraction):
@@ -95,13 +95,13 @@ DEGREE10_RELATIONS = tuple(TOP_INTEGRALS[m] / TOP_INTEGRALS["h^6"]
                            for m in ("h^4*c2", "h^2*c2^2", "h^2*c4"))
 
 
-def derive_degree8_relation(q: Rational) -> tuple[Fraction, Fraction]:
+def derive_degree8_relation(q: Fraction | int) -> tuple[Fraction, Fraction]:
     """``DEGREE8_RELATION`` at q > 0."""
     q = positive_q(q)
     return tuple(c.evaluate(q) for c in DEGREE8_RELATION)
 
 
-def derive_degree10_relations(q: Rational) -> tuple[Fraction, Fraction, Fraction]:
+def derive_degree10_relations(q: Fraction | int) -> tuple[Fraction, Fraction, Fraction]:
     """``DEGREE10_RELATIONS`` at q > 0."""
     q = positive_q(q)
     return tuple(r.evaluate(q) for r in DEGREE10_RELATIONS)
@@ -161,7 +161,7 @@ def integrate(x: dict) -> ParametricScalar:
 _GRAM_DETERMINANT = DEGREE6_FORM[0][0] * DEGREE6_FORM[1][1] - DEGREE6_FORM[0][1] ** 2
 
 
-def verify_independence_degree6(q: Rational) -> tuple[bool, Fraction]:
+def verify_independence_degree6(q: Fraction | int) -> tuple[bool, Fraction]:
     """Whether h^3 and h*c2 stay independent in the top pairing at q > 0,
     with the Gram determinant ``_GRAM_DETERMINANT`` at q as witness."""
     det = _GRAM_DETERMINANT.evaluate(positive_q(q))
@@ -176,7 +176,7 @@ def _chern_products() -> tuple[ParametricScalar, ParametricScalar]:
     return integrate(multiply(multiply(c2, c2), c2)), integrate(multiply(c2, c4))
 
 
-def chern_numbers_from_ring(q: Rational) -> tuple[Fraction, Fraction, Fraction]:
+def chern_numbers_from_ring(q: Fraction | int) -> tuple[Fraction, Fraction, Fraction]:
     """(c2^3, c2*c4, c6) at the given q, the first two from ``_chern_products``.
 
     None of the three can fail as a check, whatever the inputs.  c2*c4

@@ -29,8 +29,8 @@ the involution case depends on the point (degree, q) only through the base
 square (a h^3 + b h c2)^2, held against the Euler characteristics
 ``llv.FIXED_LOCUS_EULER``, which are constants.  The case is decided on
 integers: the eta coefficient of each case is the square root of one
-integer pair, reduced once and tested with ``isqrt``
-(``qfield.ratio_sqrt``), and the fixed-locus invariants are integer
+integer pair, reduced once and tested with ``isqrt`` in
+``eta_coefficient``, and the fixed-locus invariants are integer
 numerators over integer denominators, one Fraction per value.
 
 [W]^2 = -chi_top(W) is a theorem, not a sign convention: [W]^2 is c3 of
@@ -47,11 +47,12 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from math import gcd, isqrt
 
 from .fujiki import sigma_sigbar_integral
 from .hodge_ring import DEGREE6_FORM, EPW_Q, ETA_SQUARE, positive_q, solve_2x2
 from .llv import FIXED_LOCUS_EULER
-from .qfield import ParametricScalar, Rational, ratio_sqrt, rational_sum
+from .qfield import ParametricScalar
 
 #: h^3-degree of the fixed locus inside an EPW cube (at q = ``EPW_Q``)
 EPW_DEGREE = Fraction(720)
@@ -68,7 +69,7 @@ _UNIT_PAIRINGS = tuple(g0 * _UNIT_PROJECTION[0] + g1 * _UNIT_PROJECTION[1]
 _UNIT_SQUARE = sum(x * y for x, y in zip(_UNIT_PROJECTION, _UNIT_PAIRINGS))
 
 
-def _scaled(s: ParametricScalar, degree: Rational, k: int, q: Fraction) -> Fraction:
+def _scaled(s: ParametricScalar, degree: Fraction | int, k: int, q: Fraction) -> Fraction:
     """degree^k * s at q, as one Fraction: the value of a degree-1 quantity
     of homogeneous degree k in the class."""
     num, den = s.pair_at(q)
@@ -76,14 +77,15 @@ def _scaled(s: ParametricScalar, degree: Rational, k: int, q: Fraction) -> Fract
     return Fraction(num * n ** k, den * d ** k)
 
 
-def project_lagrangian_class(degree: Rational, q: Rational) -> tuple[Fraction, Fraction]:
+def project_lagrangian_class(degree: Fraction | int,
+                             q: Fraction | int) -> tuple[Fraction, Fraction]:
     """Coefficients (a, b) of the projection a*h^3 + b*h*c2 of a Lagrangian
     class with h^3 . [W] = degree, at BBF square q(h) = q > 0."""
     q = positive_q(q)
     return tuple(_scaled(c, degree, 1, q) for c in _UNIT_PROJECTION)
 
 
-def projection_square(degree: Rational, q: Rational) -> Fraction:
+def projection_square(degree: Fraction | int, q: Fraction | int) -> Fraction:
     """(a*h^3 + b*h*c2)^2 for the projection at (degree, q), q > 0:
     degree^2 times ``_UNIT_SQUARE``."""
     q = positive_q(q)
@@ -95,21 +97,24 @@ _FORM_ENTRIES = [(i, j, g) for i, row in enumerate(DEGREE6_FORM)
                  for j, g in enumerate(row) if g]
 
 
-def self_intersection(a: Rational, b: Rational, c: Rational, q: Rational) -> Fraction:
+def self_intersection(a: Fraction | int, b: Fraction | int, c: Fraction | int,
+                      q: Fraction | int) -> Fraction:
     """(a*h^3 + b*h*c2 + c*eta)^2 integrated over the sixfold at q: the sum
-    of w_i*w_j*form[i][j] over the nonzero entries, added as integer pairs."""
+    of w_i*w_j*form[i][j] over the nonzero entries, kept as one running
+    integer pair and reduced once, at the end."""
     q = positive_q(q)
     w = [x.as_integer_ratio() for x in (a, b, c)]
-    terms = []
+    num, den = 0, 1
     for i, j, g in _FORM_ENTRIES:
         (ni, di), (nj, dj) = w[i], w[j]
         if ni and nj:
-            num, den = g.pair_at(q)
-            terms.append((ni * nj * num, di * dj * den))
-    return rational_sum(terms)
+            gn, gd = g.pair_at(q)
+            d = di * dj * gd
+            num, den = num * d + ni * nj * gn * den, den * d
+    return Fraction(num, den)
 
 
-def eta_coefficient(base_square: Rational, chi_top: Rational) -> Fraction | None:
+def eta_coefficient(base_square: Fraction | int, chi_top: Fraction | int) -> Fraction | None:
     """The nonnegative rational c with base_square + eta^2 c^2 = -chi_top,
     or None when no rational c exists.
 
@@ -117,15 +122,22 @@ def eta_coefficient(base_square: Rational, chi_top: Rational) -> Fraction | None
     characteristic (a theorem: see the module docstring), which forces
     eta^2 c^2 = -chi_top - base_square to be the square of a rational
     (times eta^2).  Decided on integers: with base_square = n/d and
-    chi_top = m/e, c^2 = -(m*d + n*e)/(eta^2*d*e) is one integer pair,
-    and ``ratio_sqrt`` reduces it once and tests it with ``isqrt``."""
+    chi_top = m/e, c^2 = -(m*d + n*e)/(eta^2*d*e) is one integer pair with
+    a positive second entry (d, e and eta^2 are positive), reduced once and
+    each part tested with ``isqrt``."""
     n, d = base_square.as_integer_ratio()
     m, e = chi_top.as_integer_ratio()
     s, t = ETA_SQUARE.as_integer_ratio()
-    return ratio_sqrt(-(m * d + n * e) * t, s * d * e)
+    num, den = -(m * d + n * e) * t, s * d * e
+    if num < 0:
+        return None
+    g = gcd(num, den)
+    num, den = num // g, den // g
+    rn, rd = isqrt(num), isqrt(den)
+    return Fraction(rn, rd) if rn * rn == num and rd * rd == den else None
 
 
-def disambiguate_involution_case(base_square: Rational) -> tuple[str, Fraction, int]:
+def disambiguate_involution_case(base_square: Fraction | int) -> tuple[str, Fraction, int]:
     """Pick the involution action whose fixed-locus Euler characteristic is
     compatible with a rational eta coefficient, given the square of the
     class with its eta part left out; each case is decided on integers by
@@ -154,8 +166,8 @@ class FixedLocusInvariants(namedtuple(
     __slots__ = ()
 
 
-def fixed_locus_invariants(degree: Rational = EPW_DEGREE,
-                           q: Rational = EPW_Q) -> FixedLocusInvariants:
+def fixed_locus_invariants(degree: Fraction | int = EPW_DEGREE,
+                           q: Fraction | int = EPW_Q) -> FixedLocusInvariants:
     """Invariants of the fixed locus from its class [W] = a*h^3 + b*h*c2,
     under the involution case ``disambiguate_involution_case`` picks from
     the base square [W]^2 = degree^2 * ``_UNIT_SQUARE``.
@@ -182,8 +194,8 @@ def fixed_locus_invariants(degree: Rational = EPW_DEGREE,
                                 Fraction(chi_top), Fraction(k ** 3 * n, d))
 
 
-def hodge_symmetry_relation(chi_structure: Rational, chi_one_forms: Rational,
-                            chi_top: Rational) -> bool:
+def hodge_symmetry_relation(chi_structure: Fraction | int, chi_one_forms: Fraction | int,
+                            chi_top: Fraction | int) -> bool:
     """Check chi_top/2 = chi(O) - chi(Omega^1), the Euler-characteristic
     shadow of Hodge symmetry on a threefold, cross-multiplied over the
     (positive) denominators of the three values."""

@@ -70,6 +70,13 @@ def q_321(c) -> int:
     return c[3] * q_21(c) - c[2] * q_pair(c, 3, 1) + c[1] * q_pair(c, 3, 2)
 
 
+def sym2_dual_chern(a: int, b: int, c: int) -> list[int]:
+    """c_0, ..., c_3 of Sym^2 K^dual for K^dual of rank 3 with Chern classes
+    a, b and c: the normal bundle of W_A = {dim(A ^ F) >= 3}, with K = A ^ F.
+    Its c_1 = 4a is the (r + 1) c1(K^dual) of ``canonical_multiple``."""
+    return [1, 4 * a, 5 * (a * a + b), 2 * a ** 3 + 11 * a * b + 7 * c]
+
+
 class Grassmannian:
     """Gr(k, 6) through its torus-fixed points at one set of weights."""
 

@@ -35,6 +35,7 @@ from epwcalc.hodge_ring import (
 )
 from epwcalc.lagrangian import (
     disambiguate_involution_case,
+    eta_coefficient,
     fixed_locus_invariants,
     hodge_symmetry_relation,
     project_lagrangian_class,
@@ -42,7 +43,7 @@ from epwcalc.lagrangian import (
 )
 from epwcalc.llv import betti_of_quotient, euler_of_fixed_locus, euler_of_quotient
 from epwcalc.mukai import hyperbolic_lattice
-from epwcalc.qfield import ParametricScalar, ratio_sqrt
+from epwcalc.qfield import ParametricScalar
 from fujiki_oracle import AbstractClassSpace, polarized_integral
 from test_degeneration import _cubed, effectivity_of_pell_class
 
@@ -115,7 +116,7 @@ def test_criterion_06_involution_disambiguation():
     ok = (
         (case, c, chi_top) == ("natural", 0, -1200)
         and four_c_sq == {"natural": 0, "opposite": 336}
-        and ratio_sqrt(336, 4) is None  # c^2 = 84 is not a rational square
+        and eta_coefficient(base, -1536) is None  # c^2 = 84 is not a rational square
     )
     _check("criterion 6: natural action selected; 4c^2 candidates {0, 336} with "
            "c^2 = 84 rejected as irrational", ok)

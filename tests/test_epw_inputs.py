@@ -13,10 +13,14 @@ Y^{>=1} in P^5, whose involution fixes the surface Y^{>=2} of degree 40
 with K = 3H.
 
 Every integral is taken at two sets of torus weights, which must agree.
+The Chern classes of the normal bundle Sym^2 K^dual of W_A, the first step
+towards the Chern numbers of W_A from Gr(3, 6), are checked against their
+Chern roots, in integers.
 The module does not need pytest: ``PYTHONPATH=src python
 tests/test_epw_inputs.py`` runs its tests under any interpreter."""
 
 from fractions import Fraction
+from itertools import product
 
 from schubert_oracle import (
     CROSS_CHECK_WEIGHTS,
@@ -24,9 +28,11 @@ from schubert_oracle import (
     EPW_SEXTIC,
     WEIGHTS,
     Grassmannian,
+    _elementary,
     q_21,
     q_321,
     q_pair,
+    sym2_dual_chern,
 )
 
 from epwcalc import hodge_ring, lagrangian
@@ -93,6 +99,25 @@ def test_the_canonical_class_of_the_fixed_locus_is_2h():
         assert gr.sigma1_multiple(lambda p: p.c[1]) == 4
         assert gr.sigma1_multiple(lambda p: sum(p.tangent)) == 6
         assert gr.canonical_multiple(rank) == 2 == lagrangian.CANONICAL_MULTIPLE
+
+
+def test_the_normal_bundle_chern_classes_from_the_roots():
+    """c(Sym^2 K^dual) = prod_{i <= j} (1 + x_i + x_j) for Chern roots x_1,
+    x_2, x_3 of K^dual, degree by degree up to 3: each side of degree k is a
+    polynomial of degree at most 3 in each root, so agreeing on the grid
+    {0, ..., 3}^3 makes the two equal.  The same roots over i < j give
+    wedge^2 K^dual, whose classes 1, 2a, a^2 + b, ab - c differ, as a
+    control; c_1 = 4a is the kernel rank of W_A plus one, times a."""
+    differs = False
+    for x in product(range(4), repeat=3):
+        a, b, c = _elementary(x)[1:]
+        sym2 = _elementary([x[i] + x[j] for i in range(3) for j in range(i, 3)])
+        wedge2 = _elementary([x[i] + x[j] for i in range(3) for j in range(i + 1, 3)])
+        assert sym2[:4] == sym2_dual_chern(a, b, c)
+        assert wedge2 == [1, 2 * a, a * a + b, a * b - c]
+        differs |= wedge2 != sym2_dual_chern(a, b, c)
+    assert differs
+    assert sym2_dual_chern(1, 0, 0)[1] == EPW_CUBE[1] + 1
 
 
 def test_the_double_epw_sextic_control():

@@ -214,16 +214,21 @@ _POSITIVE_Q = st.one_of(st.integers(1, 50).map(Fraction),
 @example(Fraction(-10 ** 29, 3), 0, Fraction(5, 10 ** 30), Fraction(10 ** 30, 10 ** 30 - 3))
 @example(0, -10 ** 30, 0, Fraction(1, 10 ** 30))
 @example(Fraction(15, 8), Fraction(-5, 8), 0, Fraction(4))
+@example(Fraction(-7, 2), Fraction(10 ** 30, 10 ** 30 - 1), 0, Fraction(10 ** 30, 3))
+@example(0, -10 ** 30, Fraction(-3, 10 ** 30 - 1), Fraction(1, 10 ** 30))
 def test_self_intersection_matches_the_fraction_sum(a, b, c, q):
     """sum of w_i*w_j*g_ij(q) over the whole form, each entry c*q^k taken in
-    Fraction arithmetic, zero entries and zero components included."""
+    Fraction arithmetic, zero entries and zero components included; and
+    w . (form w) with the pairings of w taken by ``_pairings``.  The running
+    integer pair is reduced once, to a positive denominator."""
     w = (a, b, c)
     expected = sum((w[i] * w[j] * g.coeff * q ** g.weight
                     for i, row in enumerate(DEGREE6_FORM) for j, g in enumerate(row)),
                    Fraction(0))
     value = self_intersection(a, b, c, q)
-    assert type(value) is Fraction
+    assert type(value) is Fraction and value.denominator > 0
     assert value == expected
+    assert value == sum((t * p for t, p in zip(w, _pairings(w, q))), Fraction(0))
 
 
 def _invariants_through_the_pairings(degree, q):
@@ -290,16 +295,27 @@ def test_eta_coefficient():
     assert eta_coefficient(1200, -1536) is None   # 4c^2 = 336 has no rational root
     assert eta_coefficient(1200, -1100) is None   # would need 4c^2 < 0
     assert eta_coefficient(0, -9) == Fraction(3, 2)
+    # at chi_top = 0, c is the root of -base/eta^2 = -base/4
+    assert eta_coefficient(Fraction(-225, 4), 0) == Fraction(15, 4)
+    assert eta_coefficient(0, 0) == 0
+    assert eta_coefficient(-4, 0) == 1
+    assert eta_coefficient(-336, 0) is None      # c^2 = 84
+    assert eta_coefficient(-8, 0) is None        # c^2 = 2
+    assert eta_coefficient(16, 0) is None        # c^2 = -4
+
+
+def _sqrt_reference(x):
+    """The root of a Fraction x from its (reduced) numerator and denominator."""
+    if x < 0:
+        return None
+    rn, rd = isqrt(x.numerator), isqrt(x.denominator)
+    return Fraction(rn, rd) if (rn * rn, rd * rd) == (x.numerator, x.denominator) else None
 
 
 def _eta_reference(base_square, chi_top, eta_square=ETA_SQUARE):
     """The eta coefficient in Fraction arithmetic: the root of
     (-chi_top - base_square)/eta^2 when that is the square of a rational."""
-    x = (-Fraction(chi_top) - Fraction(base_square)) / eta_square
-    if x < 0:
-        return None
-    rn, rd = isqrt(x.numerator), isqrt(x.denominator)
-    return Fraction(rn, rd) if (rn * rn, rd * rd) == (x.numerator, x.denominator) else None
+    return _sqrt_reference((-Fraction(chi_top) - Fraction(base_square)) / eta_square)
 
 
 def _case_reference(base_square):
@@ -334,6 +350,28 @@ def test_eta_coefficient_matches_the_fraction_arithmetic(base, chi_top, c, with_
     assert got == _eta_reference(base, chi_top)
     assert got is None or type(got) is Fraction
     assert got == abs(Fraction(c)) or not with_root
+
+
+_WIDE_INT = st.one_of(st.integers(-50, 50), st.integers(-10 ** 30, 10 ** 30))
+
+
+@given(_WIDE_INT, _WIDE_INT.filter(bool), st.integers(1, 5))
+@example(0, -3, 1)
+@example(-9, -4, 1)
+@example(9 * 10 ** 30, 4 * 10 ** 30, 1)
+@example(7, 3, 6)
+def test_eta_coefficient_matches_the_fraction_root(num, den, scale):
+    """c^2 = num/den and c^2 = scale*(num/den)^2, each met with a chi_top of
+    denominator scale*|den|, so the integer pair shares factors before it
+    is reduced: the root of c^2 or None; at chi_top = 0, a square c^2 gives
+    |num/den|."""
+    x = Fraction(num, den)
+    chi_top = Fraction(-1, scale * abs(den))
+    for c_sq in (x, scale * x * x):
+        got = eta_coefficient(-chi_top - ETA_SQUARE * c_sq, chi_top)
+        assert got == _sqrt_reference(c_sq)
+        assert got is None or type(got) is Fraction
+    assert eta_coefficient(-ETA_SQUARE * x * x, 0) == abs(x)
 
 
 @pytest.mark.parametrize("eta_square", [Fraction(4, 9), Fraction(9, 2), 1])

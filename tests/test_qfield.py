@@ -1,13 +1,10 @@
-import copy
-import pickle
 from fractions import Fraction
-from math import isqrt
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from epwcalc.qfield import ONE, ZERO, ParametricScalar, ratio_sqrt, rational_sum
+from epwcalc.qfield import ONE, ZERO, ParametricScalar
 
 Q = ParametricScalar(1, 1)
 
@@ -28,11 +25,12 @@ def test_terms_of_different_weight_do_not_add():
         assert ZERO + term == term and term + ZERO == term and 0 + term == term
         assert term - ZERO == term and ZERO - term == -term
     for total in (lambda: 15 * Q ** 3 + 108 * Q ** 2, lambda: 15 * Q ** 3 - 108 * Q ** 2):
-        with pytest.raises(ValueError) as error:
+        with pytest.raises(ValueError, match=r"^cannot add terms of weights 3 and 2 in q$"):
             total()
-        assert "15*q^3" in str(error.value) and "108*q^2" in str(error.value)
-    with pytest.raises(ValueError):
-        1 + Q
+    # __radd__ is __add__, so the scalar's weight comes first either way
+    for total in (lambda: Q + Fraction(1, 2), lambda: 1 + Q):
+        with pytest.raises(ValueError, match=r"^cannot add terms of weights 1 and 0 in q$"):
+            total()
 
 
 def test_constant_embedding():
@@ -88,35 +86,9 @@ def test_evaluate():
         pole.evaluate(0)
 
 
-def test_str_clears_denominators():
-    assert str(-160 / Q ** 2) == "-160/q^2"
-    assert str(80 / (3 * Q)) == "80/(3*q)"
-    assert str(15 * Q ** 3) == "15*q^3"
-    assert str(ZERO) == "0"
-    # a q-free denominator prints bare; only a product is parenthesised
-    assert str(ParametricScalar(Fraction(1, 2))) == "1/2"
-    assert str(ParametricScalar(Fraction(-7, 3))) == "-7/3"
-    assert str(15 * Q ** 3 / 2) == "15*q^3/2"
-    assert str(-Q / 5) == "-q/5"
-    assert str(1 / Q) == "1/q"
-    assert str(ParametricScalar(Fraction(-1, 2), -2)) == "-1/(2*q^2)"
-    with pytest.raises(ValueError, match=r"cannot add q and 1/2:"):
-        Q + Fraction(1, 2)
-
-
-def test_hash_matches_equality():
-    assert hash(Q / 2) == hash(ParametricScalar(Fraction(1, 2), 1))
-    assert len({Q, Q * 1, Q ** 1}) == 1
-    for constant in (0, 3, Fraction(1, 2)):
-        scalar = ParametricScalar(constant)
-        assert scalar == constant and hash(scalar) == hash(constant)
-        assert len({scalar, constant}) == 1
-        assert constant in {scalar} and scalar in {constant}
-
-
 def test_scalar_value_semantics():
-    """A scalar coerces its coefficient to Fraction, cannot be changed, never
-    equals the tuple (coeff, weight), and survives copy and pickle."""
+    """A scalar coerces its coefficient to Fraction, cannot be changed, and
+    never equals the tuple (coeff, weight)."""
     x = ParametricScalar(Fraction(-1, 2), 3)
     assert type(ParametricScalar(3, 2).coeff) is Fraction
     for field in ("coeff", "weight"):
@@ -126,9 +98,6 @@ def test_scalar_value_semantics():
             delattr(x, field)
     assert x != (x.coeff, x.weight) and (x.coeff, x.weight) != x
     assert x == ParametricScalar(Fraction(-1, 2), 3)  # nothing above changed it
-    assert copy.copy(x) == x
-    assert copy.deepcopy(x) == x
-    assert pickle.loads(pickle.dumps(x)) == x
 
 
 _COEFFS = st.fractions(min_value=-50, max_value=50, max_denominator=12)
@@ -174,7 +143,7 @@ _SIGNED_POINT = st.one_of(st.just(Fraction(0)), _BIG.filter(lambda x: x > 0),
 @example(ParametricScalar(0), Fraction(-2, 3))
 def test_evaluate_matches_the_fraction_sum(scalar, x):
     if x == 0 and scalar.weight < 0:
-        with pytest.raises(ZeroDivisionError, match="negative power of q at q=0"):
+        with pytest.raises(ZeroDivisionError, match="negative power of q at q=0: weight -"):
             scalar.evaluate(x)
         return
     value = scalar.evaluate(x)
@@ -182,59 +151,3 @@ def test_evaluate_matches_the_fraction_sum(scalar, x):
     assert value == _fraction_value(scalar, x)
     if x == 0:
         assert value == (scalar.coeff if scalar.weight == 0 else 0)
-
-
-_WIDE_INT = st.one_of(st.integers(-50, 50), st.integers(-10 ** 30, 10 ** 30))
-
-
-@given(st.lists(st.tuples(_WIDE_INT, _WIDE_INT.filter(bool)), max_size=8))
-@example([])
-@example([(0, -3), (-7, 2), (10 ** 30, -(10 ** 30 - 1))])
-def test_rational_sum_matches_the_fraction_sum(pairs):
-    total = rational_sum(pairs)
-    assert type(total) is Fraction and total.denominator > 0
-    assert total == sum((Fraction(a, b) for a, b in pairs), Fraction(0))
-
-
-def rational_sqrt(value):
-    """Exact square root of a rational, or None: ``ratio_sqrt`` of its
-    integer ratio."""
-    return ratio_sqrt(*value.as_integer_ratio())
-
-
-def test_rational_sqrt():
-    assert rational_sqrt(Fraction(225, 16)) == Fraction(15, 4)
-    assert rational_sqrt(0) == 0
-    assert rational_sqrt(1) == 1
-    assert rational_sqrt(Fraction(84)) is None
-    assert rational_sqrt(2) is None
-    assert rational_sqrt(-4) is None
-
-
-def test_ratio_sqrt_of_a_negative_denominator():
-    """The pair's signs flip together before the root is taken."""
-    assert ratio_sqrt(-4, -9) == Fraction(2, 3)
-    assert ratio_sqrt(4, -9) is None
-
-
-def _sqrt_reference(x):
-    """The root of a Fraction x from its (reduced) numerator and denominator."""
-    if x < 0:
-        return None
-    rn, rd = isqrt(x.numerator), isqrt(x.denominator)
-    return Fraction(rn, rd) if (rn * rn, rd * rd) == (x.numerator, x.denominator) else None
-
-
-@given(_WIDE_INT, _WIDE_INT.filter(bool), st.integers(1, 5))
-@example(0, -3, 1)
-@example(-9, -4, 1)
-@example(9 * 10 ** 30, 4 * 10 ** 30, 1)
-@example(7, 3, 6)
-def test_ratio_sqrt_matches_the_fraction_root(num, den, scale):
-    """An unreduced pair, of either sign, gives the root of its Fraction or
-    None; so does ``rational_sqrt`` of the Fraction itself."""
-    for n, d in ((num, den), (num * num * scale, den * den * scale)):
-        got = ratio_sqrt(n, d)
-        assert got == _sqrt_reference(Fraction(n, d)) == rational_sqrt(Fraction(n, d))
-        assert got is None or type(got) is Fraction
-    assert ratio_sqrt(num * num * scale, den * den * scale) == abs(Fraction(num, den))

@@ -230,7 +230,7 @@ def test_terms_of_different_weight_do_not_add():
     """(h^3 + h*c2)^2 puts h^3*h^3 = h^6 and h^3*h*c2 = (36/(5q))*h^6 on
     the one monomial h^6, with weights in q one apart."""
     x = {(3, 0): ONE, (1, 1): ONE}
-    message = "cannot add 1 and 36/(5*q): terms of different weight in q"
+    message = "cannot add terms of weights 0 and -1 in q"
     with pytest.raises(ValueError, match=re.escape(message)):
         multiply(x, x)
 
