@@ -295,13 +295,6 @@ def test_eta_coefficient():
     assert eta_coefficient(1200, -1536) is None   # 4c^2 = 336 has no rational root
     assert eta_coefficient(1200, -1100) is None   # would need 4c^2 < 0
     assert eta_coefficient(0, -9) == Fraction(3, 2)
-    # at chi_top = 0, c is the root of -base/eta^2 = -base/4
-    assert eta_coefficient(Fraction(-225, 4), 0) == Fraction(15, 4)
-    assert eta_coefficient(0, 0) == 0
-    assert eta_coefficient(-4, 0) == 1
-    assert eta_coefficient(-336, 0) is None      # c^2 = 84
-    assert eta_coefficient(-8, 0) is None        # c^2 = 2
-    assert eta_coefficient(16, 0) is None        # c^2 = -4
 
 
 def _sqrt_reference(x):

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from epwcalc.hodge_ring import ETA_SQUARE
+from epwcalc.lagrangian import eta_coefficient
 from epwcalc.qfield import ONE, ZERO, ParametricScalar
 
 Q = ParametricScalar(1, 1)
@@ -151,3 +153,38 @@ def test_evaluate_matches_the_fraction_sum(scalar, x):
     assert value == _fraction_value(scalar, x)
     if x == 0:
         assert value == (scalar.coeff if scalar.weight == 0 else 0)
+
+
+_WIDE_INT = st.one_of(st.integers(-50, 50), st.integers(-10 ** 30, 10 ** 30))
+
+
+@given(st.lists(st.tuples(_WIDE_INT, _WIDE_INT.filter(bool)), max_size=8),
+       st.integers(-6, 6), _SIGNED_POINT.filter(bool))
+@example([], 3, Fraction(1))
+@example([(0, -3), (-7, 2), (10 ** 30, -(10 ** 30 - 1))], -2, Fraction(-10 ** 30, 3))
+@example([(5, 7), (-5, 7)], 4, Fraction(2))
+def test_rational_sum_matches_the_fraction_sum(pairs, k, x):
+    """Terms (a/b)*q^k over integer pairs (a, b), either sign, summed from
+    ``ZERO``: the coefficient is the Fraction sum, with a positive
+    denominator, and the value at q = x is that sum times x^k."""
+    expected = sum((Fraction(a, b) for a, b in pairs), Fraction(0))
+    total = sum((ParametricScalar(Fraction(a, b), k) for a, b in pairs), ZERO)
+    assert type(total.coeff) is Fraction and total.coeff.denominator > 0
+    assert total == ParametricScalar(expected, k)
+    assert total.evaluate(x) == expected * x ** k
+
+
+def rational_sqrt(value):
+    """Exact square root of a rational, or None: the root that
+    ``lagrangian.eta_coefficient`` takes on integers, met at chi_top = 0,
+    where c^2 = -base_square/eta^2."""
+    return eta_coefficient(-ETA_SQUARE * Fraction(value), 0)
+
+
+def test_rational_sqrt():
+    assert rational_sqrt(Fraction(225, 16)) == Fraction(15, 4)
+    assert rational_sqrt(0) == 0
+    assert rational_sqrt(1) == 1
+    assert rational_sqrt(Fraction(84)) is None
+    assert rational_sqrt(2) is None
+    assert rational_sqrt(-4) is None
