@@ -10,34 +10,33 @@ value too long for the interpreter's int-to-str limit is one error line.
 The subcommands come from one registry of sections, each naming its
 options, whose ``add_argument`` keywords are written once, in ``_OPTIONS``;
 ``report-all`` calls the sections' row builders itself.  ``run`` reads a
-well-formed argv straight from the two (``_parse_fast``, a dict of options);
-help, abbreviations and every error go to the argparse parser of
-``build_parser``, imported only then and built with the options of the
-section argv names alone, which writes every help, usage and error message
-(``vars()`` of its namespace is the same dict).  ``run`` may be called again
-and again in one process; no option carries over from one call to the next.
-``Report.to_json`` writes the indent-2 layout of ``json.dumps`` itself (with
-an indent, ``json.dumps`` skips its C string encoder), quoting with that
-encoder from ``_json``, or from ``json.encoder`` where ``_json`` is missing.
-The Pell listing is joined once from process-wide tables of its row heads
-and values, its negative half put in backwards by one slice (``_PellListing``).
-A process ends in ``main``, ``run`` then ``gc.freeze()``: shutdown walks no
-loaded module.  ``run`` never freezes; a caller that stays would pin garbage.
+well-formed argv straight from the two: ``_parse_fast`` copies its section's
+parse table (``_fast_table``, built once per section), and ``_rational`` reads
+a plain "p/q" from its two ints.  Help, abbreviations and every error go to
+the argparse parser of ``build_parser``, imported only then and built with
+the options of the section argv names alone, which writes every help, usage
+and error message (``vars()`` of its namespace is the same dict).  ``run``
+may be called again and again in one process; no option carries over from
+one call to the next, and a broken pipe keeps no descriptor open.
+``Report.to_json`` writes ``json.dumps``'s indent-2 layout itself, quoting
+with the C encoder of ``_json`` (``json.encoder``'s where it is missing),
+which ``json.dumps`` skips once it has an indent.  The Pell listing is
+joined once from process-wide tables of its row heads and values, its
+negative half put in backwards by one slice (``_PellListing``).  A process
+ends in ``main``, ``run`` then ``gc.freeze()``: shutdown walks no loaded
+module.  ``run`` never freezes; a caller that stays would pin garbage.
 
 The seven modules below ``cli`` are bound by ``_lazy``, the lazy-import
 recipe of the importlib docs (``importlib.util.LazyLoader``): each is in
-``sys.modules`` and on the package from the start, but is compiled and run
-only when one of its attributes is first read, so a cold request compiles
-only the modules its rows use.  Lazy binding rather than importing on
-dispatch: whatever reads ``sys.modules["epwcalc.<name>"]`` once ``cli`` is
-imported (the benchmark's tracer does) finds the module there.  For this to
-pay, nothing at import reads a section module's attribute: an option's
-keywords (``_options``) and the walls constants are built on first use.
-``run`` holds a lock from parse to payload: before Python 3.13 a module
-that one thread is loading is not safe to read from another.
+``sys.modules`` and on the package from the start, where whatever looks for
+it once ``cli`` is imported (the benchmark's tracer does) finds it, but is
+compiled and run only when one of its attributes is first read, so a cold
+request compiles only the modules its rows use.  For this to pay, nothing
+at import reads a section module's attribute: an option's keywords
+(``_options``) and the walls constants are built on first use.  ``run``
+holds a lock from parse to payload: before Python 3.13 a module that one
+thread is loading is not safe to read from another.
 """
-
-from __future__ import annotations
 
 import functools
 import gc
@@ -108,8 +107,8 @@ class Report(namedtuple("Report", "command params rows")):
         lines onto its first piece, so no payload is copied again."""
         head = self.command
         if self.params:
-            head += "  (" + ", ".join(f"{k}={v}" for k, v in self.params.items()) + ")"
-        width = max((len(label) for label, _, _ in self.rows), default=0)
+            head += "  (" + ", ".join([f"{k}={v}" for k, v in self.params.items()]) + ")"
+        width = max([len(label) for label, _, _ in self.rows], default=0)
         lines = [f"{head}\n"]
         lines += [f"{_T0}{label.ljust(width)}{_T1}{str(value).rjust(_VALUE_WIDTH)}"
                   f"{_T2}{note}{_T3}" for label, value, note in self.rows]
@@ -372,12 +371,17 @@ def _invalid(message: str) -> Exception:
 
 
 def _rational(text: str) -> Fraction:
-    _, e, exponent = text.lower().rpartition("e")
-    try:
-        # a string with an "e" is a rational only if what follows is an int
-        if e and abs(int(exponent)) > _MAX_DIGITS:
+    """``Fraction(text)``: a plain ASCII "[-]digits[/digits]" read from its two
+    ints, any other text once its exponent is bounded; a usage error where
+    that fails or has more than ``_MAX_DIGITS`` digits in either term."""
+    num, slash, den = text.partition("/")
+    try:  # int() refuses what Fraction() does: "--5", a non-int exponent, too many digits
+        if text.isascii() and num.lstrip("-").isdigit() and (den.isdigit() or not slash):
+            value = Fraction(int(num), int(den)) if slash else Fraction(int(num))
+        elif "e" in (low := text.lower()) and abs(int(low.rpartition("e")[2])) > _MAX_DIGITS:
             raise _invalid(f"exponent beyond {_MAX_DIGITS} in magnitude: {text!r}")
-        value = Fraction(text)
+        else:
+            value = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise _invalid(f"not a rational number: {text!r}") from None
     if -_TOO_LONG < value.numerator < _TOO_LONG and value.denominator < _TOO_LONG:
@@ -505,17 +509,26 @@ def build_parser(command: str | None = None):
     return parser
 
 
+@functools.cache
+def _fast_table(command: str) -> tuple[dict, dict]:
+    """``_parse_fast``'s table for ``command``, built once: each option, ``out``
+    too, -> its ``type`` or a lookup in its ``choices``; the bare command's parse."""
+    specs = {"out": {"default": None}, **_options(command)}
+    return ({name: {c: c for c in spec["choices"]}.__getitem__ if "choices" in spec
+             else spec.get("type", str) for name, spec in specs.items()},
+            {"command": command, "json": False, **{k: v["default"] for k, v in specs.items()}})
+
+
 def _parse_fast(argv) -> dict | None:
-    """``vars()`` of ``build_parser().parse_args(argv)``, read straight from
-    ``_options``, when argv is a section and then only ``--json``,
+    """``vars()`` of ``build_parser().parse_args(argv)``, read with the
+    section's ``_fast_table`` when argv is a section and then only ``--json``,
     ``--opt=value`` or ``--opt value`` (value not starting with "-") for
     ``--out`` and the section's options, each value taken by the option's
     ``type`` and ``choices``; ``None`` for every other argv."""
     if not argv or argv[0] not in _SECTIONS:
         return None
-    specs = {"out": {"default": None}, **_options(argv[0])}
-    args = {"command": argv[0], "json": False}
-    args.update((name, spec["default"]) for name, spec in specs.items())
+    readers, defaults = _fast_table(argv[0])
+    args = defaults.copy()
     tokens = iter(argv[1:])
     for token in tokens:
         if token == "--json":
@@ -525,14 +538,11 @@ def _parse_fast(argv) -> dict | None:
         if not eq:
             text = next(tokens, "-")  # no value left: as malformed as "-x"
         name = option[2:] if option.startswith("--") else None
-        if name not in specs or text == "--" or not eq and text.startswith("-"):
+        if name not in readers or text == "--" or not eq and text.startswith("-"):
             return None
-        spec = specs[name]
         try:
-            args[name] = spec.get("type", str)(text)
+            args[name] = readers[name](text)
         except Exception:  # argparse reports whatever the converter raised
-            return None
-        if "choices" in spec and args[name] not in spec["choices"]:
             return None
     return args
 
@@ -550,7 +560,8 @@ def _flushed(stream, payload: str = "") -> bool:
         stream.write(payload)
         stream.flush()
     except BrokenPipeError:
-        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+        os.dup2(devnull := os.open(os.devnull, os.O_WRONLY), stream.fileno())
+        os.close(devnull)
         return False
     return True
 
@@ -582,9 +593,11 @@ def run(argv=None) -> int:
                 _flushed(sys.stderr)
             return exc.code if isinstance(exc.code, int) else 2
         _, rows, options = _SECTIONS[args["command"]]
-        values = {name: args[name] for name in options}
+        values, params = {}, {}
         try:  # str raises ValueError on an int past the interpreter's digit limit
-            params = {name: str(value) for name, value in values.items()}
+            for name in options:
+                values[name] = value = args[name]
+                params[name] = str(value)
             try:
                 report = Report(args["command"], params, rows(**values))
             except (ValueError, ZeroDivisionError) as exc:  # a computation error,

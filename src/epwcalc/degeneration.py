@@ -17,8 +17,6 @@ reaches them through their names (``lagrangian.fixed_locus_invariants``),
 not bound at import: where ``cli`` binds them lazily, a section loads
 ``lagrangian`` and ``mukai`` only if its rows call them."""
 
-from __future__ import annotations
-
 import functools
 from collections import namedtuple
 from fractions import Fraction

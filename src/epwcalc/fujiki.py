@@ -14,8 +14,6 @@ the condition [W] . h*sigma*sigbar = 0 on a Lagrangian class (see
 lives in the tests (``tests/fujiki_oracle.py``) as its reference.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 
 from .qfield import ParametricScalar

@@ -23,8 +23,6 @@ reads it; the tests check its (h^3, h*c2) block against the ring.  The
 Chern products c2^3 and c2*c4 are multiplied out once, on first use.
 """
 
-from __future__ import annotations
-
 import functools
 from fractions import Fraction
 

@@ -43,8 +43,6 @@ summand Lambda^2 H~.  Invariance: iota*[W] = [W], while in the "opposite"
 case iota* sends eta to -eta.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from fractions import Fraction
 from math import gcd, isqrt

@@ -17,8 +17,6 @@ the two cases are kept side by side.  Betti numbers of the quotient are the
 are read from the characters once, at import, into per-case tables.
 """
 
-from __future__ import annotations
-
 from collections import Counter
 from itertools import combinations_with_replacement
 from math import comb, prod

@@ -9,8 +9,6 @@ class a*L + b*delta is an int pair (a, b).  The functions unpack their
 arguments, so a tuple of the wrong length raises ValueError.
 """
 
-from __future__ import annotations
-
 from math import gcd
 
 

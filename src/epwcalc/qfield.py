@@ -11,8 +11,6 @@ hashed or pickled.
 A ``ParametricScalar`` is immutable: its two fields are set once, in
 ``__init__``.  q itself is ``ParametricScalar(1, 1)``."""
 
-from __future__ import annotations
-
 from fractions import Fraction
 
 

@@ -17,6 +17,7 @@ from epwcalc import cli, degeneration, hodge_ring, lagrangian, llv, mukai
 from epwcalc.cli import build_parser, run
 from epwcalc.qfield import ParametricScalar
 
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 GOLDEN = Path(__file__).parent / "golden" / "report_all.json"
 
 
@@ -138,6 +139,22 @@ def test_a_broken_pipe_exits_1_without_a_traceback(argv, broken, code):
         os.close(write)
     other = proc.stderr if broken == "stdout" else proc.stdout
     assert (proc.returncode, other) == (code, "")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+def test_a_broken_pipe_leaks_no_file_descriptor(monkeypatch):
+    """In process, ``run`` twice with ``sys.stdout`` a text stream over a pipe
+    whose reader has gone: each request exits 1 and points the stream at
+    ``os.devnull`` through a descriptor that it closes again, so the count
+    of open descriptors ends where it started."""
+    before = len(os.listdir("/proc/self/fd"))
+    for _ in range(2):
+        read, write = os.pipe()
+        os.close(read)
+        with open(write, "w", encoding="utf-8") as stream, monkeypatch.context() as patch:
+            patch.setattr(sys, "stdout", stream)
+            assert run(["fujiki"]) == 1
+    assert len(os.listdir("/proc/self/fd")) == before
 
 
 def test_a_closed_stdout_is_an_error_not_a_traceback():
@@ -451,18 +468,65 @@ def test_the_pell_tables_hold_at_most_a_megabyte():
     assert int(err) <= 1_000_000
 
 
-def test_a_cold_report_imports_no_json_module():
-    """The quoter comes from ``_json``, the C accelerator: ``json`` itself
-    would load ``json.decoder`` and ``json.scanner`` with their regexes on
-    every cold request.  ``-X importtime`` names each module it imports."""
+def test_no_request_leaves_memory_behind():
+    """A fresh process grows the Pell tables to ``pell --bound 10^300`` in
+    both formats, then runs the first 2000 ``param-sweep`` requests of the
+    benchmark stream at seed 0 and 4000 more.  After ``gc.collect()``, what
+    the 4000 leave allocated (tracemalloc) is under 16 B a request, and the
+    fast parser's table holds at most one entry per section."""
+    code, _, err = _cold("-S", "-c", (
+        "import gc, importlib.util, itertools, os, sys, tracemalloc\n"
+        "from epwcalc import cli\n"
+        f"spec = importlib.util.spec_from_file_location('workloads', {str(WORKLOADS)!r})\n"
+        "workloads = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(workloads)\n"
+        "sys.stdout = sys.stderr = open(os.devnull, 'w')\n"
+        "for fmt in ([], ['--json']):\n"
+        "    assert cli.run(['pell', '--bound', str(10 ** 300), *fmt]) == 0\n"
+        "requests = workloads.stream('param-sweep', 0)\n"
+        "tracemalloc.start()\n"
+        "for argv in itertools.islice(requests, 2000):\n"
+        "    assert cli.run(argv) in (0, 1)\n"
+        "gc.collect()\n"
+        "base = tracemalloc.get_traced_memory()[0]\n"
+        "for argv in itertools.islice(requests, 4000):\n"
+        "    assert cli.run(argv) in (0, 1)\n"
+        "gc.collect()\n"
+        "grown = tracemalloc.get_traced_memory()[0] - base\n"
+        "print(grown, cli._fast_table.cache_info().currsize, file=sys.__stderr__)\n"))
+    assert code == 0, err
+    grown, tables = map(int, err.split())
+    assert grown < 16 * 4000
+    assert tables <= len(cli._SECTIONS)
+
+
+def _cold_report_imports() -> list[str]:
+    """Every module a cold ``-S`` ``report-all --json`` imports, as ``-X
+    importtime`` names them; the report must be the golden one."""
     code, out, err = _cold("-S", "-X", "importtime", "-m", "epwcalc.cli",
                            "report-all", "--json")
     assert code == 0, err
     assert out == GOLDEN.read_bytes()
-    imported = [line.rpartition("|")[2].strip() for line in err.splitlines()
-                if line.startswith("import time:")]
+    return [line.rpartition("|")[2].strip() for line in err.splitlines()
+            if line.startswith("import time:")]
+
+
+def test_a_cold_report_imports_no_json_module():
+    """The quoter comes from ``_json``, the C accelerator: ``json`` itself
+    would load ``json.decoder`` and ``json.scanner`` with their regexes on
+    every cold request."""
+    imported = _cold_report_imports()
     assert "_json" in imported
     assert [name for name in imported if name == "json" or name.startswith("json.")] == []
+
+
+def test_a_cold_report_imports_no_future_module():
+    """No src module imports ``__future__``: every annotation names what is
+    bound when its ``def`` runs, so postponing them buys nothing, and a cold
+    request would load the module for it."""
+    imported = _cold_report_imports()
+    assert "epwcalc" in imported
+    assert "__future__" not in imported
 
 
 def test_without_json_accelerator_the_report_is_the_same():
