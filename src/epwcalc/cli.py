@@ -11,13 +11,14 @@ The subcommands come from one registry of sections, each naming its
 options, whose ``add_argument`` keywords are written once, in ``_OPTIONS``;
 ``report-all`` calls the sections' row builders itself.  ``run`` reads a
 well-formed argv straight from the two: ``_parse_fast`` copies its section's
-parse table (``_fast_table``, built once per section), and ``_rational`` reads
-a plain "p/q" from its two ints.  Help, abbreviations and every error go to
-the argparse parser of ``build_parser``, imported only then and built with
-the options of the section argv names alone, which writes every help, usage
-and error message (``vars()`` of its namespace is the same dict).  ``run``
-may be called again and again in one process; no option carries over from
-one call to the next, and a broken pipe keeps no descriptor open.
+parse table (``_fast_table``, built once per section, the parse layer's only
+memo), and ``_rational`` reads a plain "p/q" from its two ints.  Help,
+abbreviations and every error go to an argparse parser, imported only then
+and built by ``build_parser`` for that argv with the options of the section
+it names alone, which writes every help, usage and error message (``vars()``
+of its namespace is the same dict).  ``run`` may be called again and again
+in one process; no option carries over from one call to the next, and a
+broken pipe keeps no descriptor open.
 ``Report.to_json`` writes ``json.dumps``'s indent-2 layout itself, quoting
 with the C encoder of ``_json`` (``json.encoder``'s where it is missing),
 which ``json.dumps`` skips once it has an indent.  The Pell listing is
@@ -32,10 +33,10 @@ recipe of the importlib docs (``importlib.util.LazyLoader``): each is in
 it once ``cli`` is imported (the benchmark's tracer does) finds it, but is
 compiled and run only when one of its attributes is first read, so a cold
 request compiles only the modules its rows use.  For this to pay, nothing
-at import reads a section module's attribute: an option's keywords
-(``_options``) and the walls constants are built on first use.  ``run``
-holds a lock from parse to payload: before Python 3.13 a module that one
-thread is loading is not safe to read from another.
+at import reads a section module's attribute: ``_options`` builds an
+option's keywords when asked, and the walls constants are built on first
+use.  ``run`` holds a lock from parse to payload: before Python 3.13 a
+module that one thread is loading is not safe to read from another.
 """
 
 import functools
@@ -458,18 +459,15 @@ _SECTIONS = {
 }
 
 
-@functools.cache
 def _options(command: str) -> dict[str, dict]:
     """``command``'s options, each name -> its ``add_argument`` keywords."""
     return {name: _OPTIONS[name]() for name in _SECTIONS[command][2]}
 
 
-@functools.cache
 def build_parser(command: str | None = None):
     """The argparse parser of every subcommand, with the options of
-    ``command`` alone (none for ``None``), built once per ``command``;
-    parsing leaves no state in it.  ``run`` uses it for every argv that
-    ``_parse_fast`` does not read."""
+    ``command`` alone (none for ``None``).  ``run`` builds one for every
+    argv that ``_parse_fast`` does not read."""
     import argparse
     import re
 

@@ -12,15 +12,9 @@ onto the basis: c2^2 through the degree-8 relation and h^3*c2 through the
 degree-10 relation.  Both relations are solved once, at import and
 symbolically in q, from the Fujiki constants and the Chern number
 c2*c4 = 14720, not copied in: ``DEGREE8_RELATION`` and
-``DEGREE10_RELATIONS`` are the single source of ``_rewrite``, which puts a
-monomial on the basis the first time a product meets it.
-
-The degree-6 class eta lies outside this subring and is data: it is
-orthogonal to h^3 and h*c2, with eta^2 = ``ETA_SQUARE``.
-``DEGREE6_FORM``, the top pairing on (h^3, h*c2, eta), is stated from
-``TOP_INTEGRALS`` and ``ETA_SQUARE``, and every pairing of degree-6 classes
-reads it; the tests check its (h^3, h*c2) block against the ring.  The
-Chern products c2^3 and c2*c4 are multiplied out once, on first use.
+``DEGREE10_RELATIONS`` are the single source of ``_rewrite``, which puts
+each product monomial on the basis.  The Chern products c2^3 and c2*c4 are
+multiplied out once, on first use; no report row multiplies otherwise.
 """
 
 import functools
@@ -39,8 +33,6 @@ CHERN_NUMBER_C6 = Fraction(3200)
 #: C(c2^2)/C(c4): both degree-8 classes are multiples of c4 in the ring
 C2_SQUARED_OVER_C4 = fujiki_constant("c2^2") / fujiki_constant("c4")
 
-#: self-pairing of the degree-6 class eta
-ETA_SQUARE = Fraction(4)
 #: BBF square of the polarization h of an EPW cube
 EPW_Q = Fraction(4)
 
@@ -53,12 +45,6 @@ TOP_INTEGRALS: dict[str, ParametricScalar] = {
     "h^2*c2^2": fujiki_constant("c2^2") * _Q,
     "h^2*c4": fujiki_constant("c4") * _Q,
 }
-
-#: the top pairing on (h^3, h*c2, eta): ((15q^3, 108q^2, 0),
-#: (108q^2, 1200q, 0), (0, 0, 4)), eta being orthogonal to h^3 and h*c2
-DEGREE6_FORM = ((TOP_INTEGRALS["h^6"], TOP_INTEGRALS["h^4*c2"], ZERO),
-                (TOP_INTEGRALS["h^4*c2"], TOP_INTEGRALS["h^2*c2^2"], ZERO),
-                (ZERO, ZERO, ParametricScalar(ETA_SQUARE)))
 
 
 def positive_q(q: Fraction | int) -> Fraction:
@@ -107,7 +93,7 @@ def derive_degree10_relations(q: Fraction | int) -> tuple[Fraction, Fraction, Fr
 
 def _combine(*terms) -> dict:
     """sum(s * x for s, x in terms) over classes x, with zero coefficients
-    dropped.  The classes are only read: ``_rewrite`` shares its results."""
+    dropped."""
     acc = {}
     for s, x in terms:
         for monomial, c in x.items():
@@ -115,10 +101,8 @@ def _combine(*terms) -> dict:
     return {monomial: c for monomial, c in acc.items() if c}
 
 
-@functools.cache
 def _rewrite(i: int, j: int) -> dict:
-    """h^i * c2^j on the basis; every caller shares the one dict, so it is
-    read and never changed."""
+    """h^i * c2^j on the basis."""
     if (i, j) in BASIS:
         return {(i, j): ONE}
     if j >= 2:  # c2^2 = (C(c2^2)/C(c4)) * (x*h^4 + y*h^2*c2)
@@ -155,8 +139,8 @@ def integrate(x: dict) -> ParametricScalar:
     return x.get((6, 0), ZERO) * TOP_INTEGRALS["h^6"]
 
 
-#: g11*g22 - g12^2 on (h^3, h*c2) in ``DEGREE6_FORM``: 15q^3*1200q - (108q^2)^2 = 6336q^4
-_GRAM_DETERMINANT = DEGREE6_FORM[0][0] * DEGREE6_FORM[1][1] - DEGREE6_FORM[0][1] ** 2
+#: g11*g22 - g12^2 of the top pairing on (h^3, h*c2): 15q^3*1200q - (108q^2)^2 = 6336q^4
+_GRAM_DETERMINANT = TOP_INTEGRALS["h^6"] * TOP_INTEGRALS["h^2*c2^2"] - TOP_INTEGRALS["h^4*c2"] ** 2
 
 
 def verify_independence_degree6(q: Fraction | int) -> tuple[bool, Fraction]:

@@ -3,9 +3,13 @@ projection of the class of a Lagrangian threefold to the span of h^3 and
 h*c2, its self-intersection, the choice between the two involution actions
 through Euler characteristics, and the Chern / Riemann-Roch invariants of
 the fixed locus of the EPW-cube involution.  All of it is computed on the
-degree-6 lattice: a class a*h^3 + b*h*c2 + c*eta is its vector (a, b, c),
-and every pairing is a value of the form ``hodge_ring.DEGREE6_FORM``, read
-through its nonzero entries only, as integer pairs.  The pairings of a
+degree-6 lattice: a class a*h^3 + b*h*c2 + c*eta is its vector (a, b, c).
+The class eta lies outside the ring of h and c2 (``hodge_ring``) and is
+data: it is orthogonal to h^3 and h*c2, with eta^2 = ``ETA_SQUARE``.  The
+top pairing on (h^3, h*c2, eta), ``DEGREE6_FORM``, is stated from
+``hodge_ring.TOP_INTEGRALS`` and ``ETA_SQUARE``, and every pairing is a
+value of it, read through its nonzero entries only, as integer pairs; the
+tests check its (h^3, h*c2) block against the ring.  The pairings of a
 class with the basis, walked through the form in Fraction arithmetic, are
 the tests' reference (``_pairings`` in ``tests/test_lagrangian.py``).
 
@@ -24,7 +28,7 @@ degree^k times single terms in q, built once at import as well:
 value at a point (degree, q) is then one ``pair_at`` and one ``Fraction``;
 an int or Fraction argument is read as it is, not copied.
 Whatever eta component c the full class carries enters only through eta^2
-(``hodge_ring.ETA_SQUARE``), so [W]^2 = (a h^3 + b h c2)^2 + eta^2 c^2, and
+(``ETA_SQUARE``), so [W]^2 = (a h^3 + b h c2)^2 + eta^2 c^2, and
 the involution case depends on the point (degree, q) only through the base
 square (a h^3 + b h c2)^2, held against the Euler characteristics
 ``llv.FIXED_LOCUS_EULER``, which are constants.  The case is decided on
@@ -48,14 +52,22 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from .fujiki import sigma_sigbar_integral
-from .hodge_ring import DEGREE6_FORM, EPW_Q, ETA_SQUARE, positive_q, solve_2x2
+from .hodge_ring import EPW_Q, TOP_INTEGRALS, positive_q, solve_2x2
 from .llv import FIXED_LOCUS_EULER
-from .qfield import ParametricScalar
+from .qfield import ZERO, ParametricScalar
 
 #: h^3-degree of the fixed locus inside an EPW cube (at q = ``EPW_Q``)
 EPW_DEGREE = Fraction(720)
 #: k with canonical class K_W = k*h|_W on the fixed locus
 CANONICAL_MULTIPLE = 2
+#: self-pairing of the degree-6 class eta
+ETA_SQUARE = Fraction(4)
+
+#: the top pairing on (h^3, h*c2, eta): ((15q^3, 108q^2, 0),
+#: (108q^2, 1200q, 0), (0, 0, 4)), eta being orthogonal to h^3 and h*c2
+DEGREE6_FORM = ((TOP_INTEGRALS["h^6"], TOP_INTEGRALS["h^4*c2"], ZERO),
+                (TOP_INTEGRALS["h^4*c2"], TOP_INTEGRALS["h^2*c2^2"], ZERO),
+                (ZERO, ZERO, ParametricScalar(ETA_SQUARE)))
 
 #: (a, b) at degree 1, monomials in q: the two conditions above, solved
 _UNIT_PROJECTION = solve_2x2(

@@ -257,8 +257,6 @@ def test_out_to_an_unwritable_path_is_an_error(tmp_path, capsys):
 
 
 def test_reused_parser_leaks_no_state(tmp_path, capsys):
-    assert build_parser("ring") is build_parser("ring")
-
     assert run(["ring", "--q", "7", "--json"]) == 0
     capsys.readouterr()
     assert run(["ring", "--json"]) == 0
@@ -473,7 +471,10 @@ def test_no_request_leaves_memory_behind():
     both formats, then runs the first 2000 ``param-sweep`` requests of the
     benchmark stream at seed 0 and 4000 more.  After ``gc.collect()``, what
     the 4000 leave allocated (tracemalloc) is under 16 B a request, and the
-    fast parser's table holds at most one entry per section."""
+    fast parser's table holds at most one entry per section.  Then a usage
+    error and a ``--help`` in one section import argparse, and a usage error
+    and a ``--help`` in each other section and a bare ``--bogus`` leave
+    under 128 KiB allocated: no argparse parser outlives its request."""
     code, _, err = _cold("-S", "-c", (
         "import gc, importlib.util, itertools, os, sys, tracemalloc\n"
         "from epwcalc import cli\n"
@@ -493,11 +494,20 @@ def test_no_request_leaves_memory_behind():
         "    assert cli.run(argv) in (0, 1)\n"
         "gc.collect()\n"
         "grown = tracemalloc.get_traced_memory()[0] - base\n"
-        "print(grown, cli._fast_table.cache_info().currsize, file=sys.__stderr__)\n"))
+        "assert cli.run(['ring', '--bogus']) == 2 and cli.run(['ring', '--help']) == 0\n"
+        "gc.collect()\n"
+        "base = tracemalloc.get_traced_memory()[0]\n"
+        "for section in [name for name in cli._SECTIONS if name != 'ring']:\n"
+        "    assert cli.run([section, '--bogus']) == 2 and cli.run([section, '--help']) == 0\n"
+        "assert cli.run(['--bogus']) == 2\n"
+        "gc.collect()\n"
+        "parsers = tracemalloc.get_traced_memory()[0] - base\n"
+        "print(grown, cli._fast_table.cache_info().currsize, parsers, file=sys.__stderr__)\n"))
     assert code == 0, err
-    grown, tables = map(int, err.split())
+    grown, tables, parsers = map(int, err.split())
     assert grown < 16 * 4000
     assert tables <= len(cli._SECTIONS)
+    assert parsers < 128 * 1024
 
 
 def _cold_report_imports() -> list[str]:
@@ -542,6 +552,27 @@ def test_without_json_accelerator_the_report_is_the_same():
         "    print('json.encoder' in sys.modules, file=sys.stderr)\n"))
     assert (code, err) == (0, "True\n")
     assert out == GOLDEN.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [["report-all", "--json"], ["pell", "--bound", "1000"],
+                                  ["pell", "--bound", "1000", "--json"]])
+def test_main_without_json_accelerator_writes_the_same_bytes(argv):
+    """With ``_json`` blocked before ``epwcalc.cli`` is first imported, the
+    import takes its quoter from ``json.encoder``, and ``main`` writes the
+    bytes of a normal cold run: the golden report, and the Pell listing in
+    both formats."""
+    code, out, err = _cold("-S", "-c", (
+        "import sys\n"
+        "sys.modules['_json'] = None\n"
+        "from epwcalc.cli import main\n"
+        f"sys.argv[1:] = {argv!r}\n"
+        "code = main()\n"
+        "print('json.encoder' in sys.modules, file=sys.stderr)\n"
+        "sys.exit(code)\n"))
+    assert (code, err) == (0, "True\n")
+    assert out == _cold("-S", "-m", "epwcalc.cli", *argv)[1]
+    if argv[0] == "report-all":
+        assert out == GOLDEN.read_bytes()
 
 
 @pytest.mark.parametrize("section", cli._SECTIONS)
@@ -676,7 +707,6 @@ def test_report_all_walks_the_fixed_locus_once_per_section(monkeypatch, capsys):
     results without ``__new__``, so fewer there)."""
     assert run(["report-all", "--json"]) == 0
     capsys.readouterr()
-    rewrites = hodge_ring._rewrite.cache_info().misses
     calls = []
     built = []
     new = Fraction.__new__
@@ -727,7 +757,6 @@ def test_report_all_walks_the_fixed_locus_once_per_section(monkeypatch, capsys):
     assert "product" not in calls
     for name in ("hyperbolic_lattice", "theta_map", "comb", "invariant_dimension"):
         assert name not in calls
-    assert hodge_ring._rewrite.cache_info().misses == rewrites
 
 
 @given(_BRANCH_BETA)

@@ -10,17 +10,12 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from epwcalc import lagrangian
-from epwcalc.hodge_ring import (
-    DEGREE6_FORM,
-    ETA_SQUARE,
-    TOP_INTEGRALS,
-    integrate,
-    multiply,
-    positive_q,
-)
+from epwcalc.hodge_ring import TOP_INTEGRALS, integrate, multiply, positive_q
 from epwcalc.lagrangian import (
+    DEGREE6_FORM,
     EPW_DEGREE,
     EPW_Q,
+    ETA_SQUARE,
     FixedLocusInvariants,
     disambiguate_involution_case,
     eta_coefficient,

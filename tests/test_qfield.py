@@ -4,8 +4,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from epwcalc.hodge_ring import ETA_SQUARE
-from epwcalc.lagrangian import eta_coefficient
+from epwcalc.lagrangian import ETA_SQUARE, eta_coefficient
 from epwcalc.qfield import ONE, ZERO, ParametricScalar
 
 Q = ParametricScalar(1, 1)
@@ -68,6 +67,17 @@ def test_power():
     assert Q ** -2 == 1 / (Q * Q)
     with pytest.raises(ZeroDivisionError):
         ZERO ** -1
+
+
+def test_a_power_with_no_int_exponent_is_left_to_the_exponent():
+    """``__pow__`` takes only an int exponent and returns ``NotImplemented``
+    for any other, so the exponent's reflected power decides: a whole
+    ``Fraction`` gives the int power (``Fraction.__rpow__``), and a proper
+    fraction, a float or a str is a TypeError."""
+    for exponent in (Fraction(1, 2), 0.5, "2"):
+        with pytest.raises(TypeError):
+            ParametricScalar(2, 1) ** exponent
+    assert ParametricScalar(2, 1) ** Fraction(2) == ParametricScalar(4, 2)
 
 
 def test_division_by_zero():

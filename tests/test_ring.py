@@ -12,7 +12,6 @@ from epwcalc.hodge_ring import (
     C2_SQUARED_OVER_C4,
     CHERN_NUMBER_C2C4,
     CHERN_NUMBER_C6,
-    DEGREE6_FORM,
     DEGREE8_RELATION,
     DEGREE10_RELATIONS,
     TOP_INTEGRALS,
@@ -24,6 +23,7 @@ from epwcalc.hodge_ring import (
     multiply,
     verify_independence_degree6,
 )
+from epwcalc.lagrangian import DEGREE6_FORM
 from epwcalc.qfield import ONE, ZERO, ParametricScalar
 from fujiki_oracle import AbstractClassSpace, polarized_integral
 
