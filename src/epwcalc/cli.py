@@ -23,9 +23,10 @@ broken pipe keeps no descriptor open.
 with the C encoder of ``_json`` (``json.encoder``'s where it is missing),
 which ``json.dumps`` skips once it has an indent.  The Pell listing is
 joined once from process-wide tables of its row heads and values, its
-negative half put in backwards by one slice (``_PellListing``).  A process
-ends in ``main``, ``run`` then ``gc.freeze()``: shutdown walks no loaded
-module.  ``run`` never freezes; a caller that stays would pin garbage.
+negative half put in backwards by one slice (``_PellListing``).  Only a
+bound past the largest one walked walks the branch again and grows them.  A
+process ends in ``main``, ``run`` then ``gc.freeze()``: shutdown walks no
+loaded module.  ``run`` never freezes; a caller that stays would pin garbage.
 
 The seven modules below ``cli`` are bound by ``_lazy``, the lazy-import
 recipe of the importlib docs (``importlib.util.LazyLoader``): each is in
@@ -47,6 +48,7 @@ import sys
 from _thread import allocate_lock
 from collections import namedtuple
 from fractions import Fraction
+from itertools import accumulate
 from math import comb
 try:
     from _json import encode_basestring_ascii as _quote
@@ -281,24 +283,37 @@ class _PellListing:
 
 _PELL_LISTINGS = _PELL_JSON, _PELL_TEXT = (_PellListing(_JSON_ROW, _quote, sep=_SEP),
                                            _PellListing(_TEXT_ROW, width=_VALUE_WIDTH))
+#: per k, the effectivity violations among the first k branch elements, written
+#: after the listings, and the largest bound walked, stored last: all cover it
+_PELL_VIOLATIONS, _PELL_WALKED = [0], 0
 
 
 def _rows_pell(bound: int) -> list[Row]:
+    global _PELL_WALKED
     # the n branch pairs (x, y), their images (x, -y) and (-x, +-y), and
     # (0, +-1) are the 4n + 2 solutions with |x| <= bound
-    branch = degeneration.pell_spherical_classes(bound)
-    n = len(branch)
-    # one str per x, -x, y, -y for every listing; the last table written is the shortest
-    if (k := (len(_PELL_LISTINGS[-1].negative) - 2) // 4) < n:
-        texts = [(sx := str(x), "-" + sx, sy := str(y), "-" + sy) for x, y in branch[k:n]]
-        for f in _PELL_LISTINGS:  # x, -y, x, y and y, -x, -y, -x
-            for side, order in ((f.positive, (0, 3, 0, 2)), (f.negative, (2, 1, 3, 1))):
-                side[4 * k + 2:4 * n + 2] = [t[i].rjust(f.width) for t in texts for i in order]
-    # the images (-x, +-y) with x + y/2 >= 0, doubled to stay in the integers:
-    # x, y > 0 on the branch, so no (-x, -y) is one
-    violations = sum(1 for x, y in branch if y >= x + x)
-    rows = _PellRows([("solution count", 4 * n + 2, f"2x^2 - y^2 = -1 with |x| <= {bound}"),
-                      ("negative-x effectivity violations", violations,
+    text, violations = str(bound), _PELL_VIOLATIONS
+    if 0 < bound <= _PELL_WALKED:  # no walk: bisect the listed x_k = positive[4k + 2]
+        xs, key, n, hi = _PELL_JSON.positive, (len(text), text), 0, len(violations) - 1
+        while n < hi:  # positive decimals sort by (length, text)
+            x = xs[4 * (mid := (n + hi) // 2) + 2]
+            n, hi = (mid + 1, hi) if (len(x), x) <= key else (n, mid)
+    else:
+        branch = degeneration.pell_spherical_classes(bound)
+        # one str per x, -x, y, -y for every listing, each written by index alone
+        if (k := len(violations) - 1) < (n := len(branch)):
+            texts = [(sx := str(x), "-" + sx, sy := str(y), "-" + sy) for x, y in branch[k:]]
+            for f in _PELL_LISTINGS:  # x, -y, x, y and y, -x, -y, -x
+                for side, order in ((f.positive, (0, 3, 0, 2)), (f.negative, (2, 1, 3, 1))):
+                    side[4 * k + 2:4 * n + 2] = [t[i].rjust(f.width) for t in texts for i in order]
+            # the images (-x, +-y) with x + y/2 >= 0, doubled to stay in the
+            # integers: x, y > 0 on the branch, so no (-x, -y) is one.  A list,
+            # as a slice write fixes its ends before it runs an iterator
+            violations[k:n + 1] = list(accumulate((y >= x + x for x, y in branch[k:]),
+                                                  initial=violations[k]))
+        _PELL_WALKED = bound
+    rows = _PellRows([("solution count", 4 * n + 2, f"2x^2 - y^2 = -1 with |x| <= {text}"),
+                      ("negative-x effectivity violations", violations[n],
                        "x < 0 must force effectivity ratio x + y/2 < 0")])
     rows.n = n
     return rows
@@ -357,9 +372,9 @@ def _rows_f3(genus: int) -> list[Row]:
 #: report could not echo a longer value.  It caps the exponent of a value
 #: such as "1.5e3" as well, before ``Fraction`` builds the power of ten.
 #: Past the second, the Pell report lists thousands of solutions, megabytes of
-#: them: at the cap, ``pell --bound 10^1000`` walks 1306 branch steps (0.45 ms)
-#: and lists 5226 pairs (6.3 MB of JSON) in 1.9 ms with the tables built, 81 ms
-#: as a fresh process (medians of 16, Python 3.11.7 on a shared 2-vCPU box).
+#: them: ``pell --bound 10^1000`` lists 5226 pairs (6.3 MB of JSON) in 1.9 ms
+#: with the tables built, 81 ms as a fresh process, which also walks the 1306
+#: branch steps (0.45 ms); medians of 16, Python 3.11.7 on a shared 2-vCPU box.
 _MAX_DIGITS = 4300
 _TOO_LONG = 10 ** _MAX_DIGITS  # the least integer with more digits
 _MAX_BOUND = 10 ** 1000

@@ -52,7 +52,7 @@ def positive_q(q: Fraction | int) -> Fraction:
     as a polarization's BBF square."""
     if not isinstance(q, Fraction):
         q = Fraction(q)
-    if q <= 0:
+    if q.numerator <= 0:  # a Fraction's denominator is positive
         raise ValueError("the BBF square of a polarization must be positive")
     return q
 

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 from test_degeneration import _BRANCH_BETA, _cubed, effectivity_of_pell_class
+from test_render import _fresh_pell_tables
 
 from epwcalc import cli, degeneration, hodge_ring, lagrangian, llv, mukai
 from epwcalc.cli import build_parser, run
@@ -387,6 +388,7 @@ def test_pell_violations_agree_with_the_effectivity_ratio(monkeypatch):
             1 for x, y in degeneration.pell_spherical_classes(bound) for sy in (-y, y)
             if effectivity_of_pell_class(-x, sy) >= 0)
     grid = [(x, y) for x in range(1, 7) for y in range(1, 14)]
+    _fresh_pell_tables(monkeypatch)  # else bound 1 reads the tables 10^300 filled
     monkeypatch.setattr(degeneration, "pell_spherical_classes", lambda bound: grid)
     assert _violations(1) == sum(
         1 for x, y in grid for sy in (-y, y) if -x + Fraction(sy, 2) >= 0) > 0

@@ -24,7 +24,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from test_degeneration import _pell_set_and_sort
+from test_degeneration import _pell_set_and_sort, effectivity_of_pell_class
 
 from epwcalc import cli, degeneration
 from epwcalc.cli import Report, run
@@ -124,12 +124,15 @@ def test_a_pell_report_without_params_renders_as_the_reference(bound):
 
 
 def _fresh_pell_tables(monkeypatch):
-    """Each listing's tables as the import makes them: no heads, and values
-    for (0, 1) and (0, -1) alone."""
+    """The Pell state as the import makes it: each listing with no heads and
+    values for (0, 1) and (0, -1) alone, no violations counted past the empty
+    branch, and no bound walked."""
     for listing in cli._PELL_LISTINGS:
         monkeypatch.setattr(listing, "heads", {})
         for name in ("positive", "negative"):
             monkeypatch.setattr(listing, name, getattr(listing, name)[:2])
+    monkeypatch.setattr(cli, "_PELL_VIOLATIONS", [0])
+    monkeypatch.setattr(cli, "_PELL_WALKED", 0)
 
 
 def _pell_tables():
@@ -232,6 +235,49 @@ def test_interleaved_requests_grow_the_pell_tables_once(monkeypatch):
             assert _pell_tables() == alone
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_pell_requests_at_a_walked_bound_read_the_tables(monkeypatch):
+    """From fresh state in one process, ``pell --bound 10^300`` walks the
+    branch, and then 300 shuffled bounds up to 10^300, each in text and in
+    JSON, walk it no more: a counting wrapper sees the real walk called
+    once.  Every payload is the per-row reference, and its violations row is
+    the sum over the walk at its bound, element by element.  A larger bound
+    walks once more, and with the tables full a bound of 0 or -5 still
+    walks and exits 1 with the walk's error."""
+    _fresh_pell_tables(monkeypatch)
+    walk, walked = degeneration.pell_spherical_classes, []
+    monkeypatch.setattr(degeneration, "pell_spherical_classes",
+                        lambda bound: walked.append(bound) or walk(bound))
+    top, rng = 10 ** 300, random.Random(39)
+    edges = [b for x, _ in walk(10 ** 12) for b in (x - 1, x, x + 1)]
+    bounds = {top - 1, top, *edges}
+    while len(bounds) < 300:
+        bounds.add(rng.randrange(1, 10 ** rng.randint(1, 300)))
+    requests = [(bound, fmt) for bound in sorted(bounds) for fmt in ([], ["--json"])]
+    rng.shuffle(requests)
+    _stdout(["pell", "--bound", str(top), "--json"])
+    misrendered, miscounted = [], []
+    for bound, fmt in requests:
+        reference = Report("pell", {"bound": str(bound)}, _reference_pell_rows(bound))
+        render = _reference_json if fmt else _reference_text
+        if _stdout(["pell", "--bound", str(bound), *fmt]) != render(reference):
+            misrendered.append((bound, fmt))
+        if cli._rows_pell(bound)[1][1] != sum(
+                1 for x, y in walk(bound) for sy in (-y, y)
+                if effectivity_of_pell_class(-x, sy) >= 0):
+            miscounted.append(bound)
+    assert walked == [top]
+    assert misrendered == [] and miscounted == []
+    _stdout(["pell", "--bound", str(10 * top)])
+    _stdout(["pell", "--bound", str(top)])
+    assert walked == [top, 10 * top]
+    for bound in ("0", "-5"):
+        err = io.StringIO()
+        with redirect_stderr(err), redirect_stdout(io.StringIO()):
+            assert run(["pell", "--bound", bound]) == 1
+        assert err.getvalue() == "error: bound must be a positive integer\n"
+    assert walked == [top, 10 * top, 0, -5]
 
 
 @st.composite

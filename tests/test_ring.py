@@ -270,10 +270,11 @@ def test_a_product_of_degree_14_names_its_degree():
 
 
 def test_products_leave_their_factors_and_the_rewrites_unchanged():
-    """``_rewrite`` hands the same dict to every product that meets a
-    monomial, and products combine those dicts: after every product of
-    basis classes and a few sums, each factor and each rewrite reads as
-    before, and a basis monomial still rewrites to itself."""
+    """Products combine their factors' dicts with the dicts ``_rewrite``
+    builds, and a product that wrote into any of them would change what a
+    later product reads: after every product of basis classes and a few
+    sums, each factor and each rewrite reads as before, and a basis monomial
+    still rewrites to itself."""
     monomials = [(i, j) for i in range(7) for j in range(4) if degree((i, j)) <= 12]
     before = {m: dict(_rewrite(*m)) for m in monomials}
     sums = [{(2, 0): ONE, (0, 1): 3 * Q}, {(3, 0): ONE, (1, 1): Q}, {(0, 0): ONE, (1, 0): ONE}]
